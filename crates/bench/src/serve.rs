@@ -51,10 +51,11 @@
 //! ## Coalescing and admission control
 //!
 //! Concurrent jobs with the same fingerprint — for `check` jobs the
-//! [`Rtlcheck::problem_fingerprint`] problem identity plus the engine
-//! configuration, so two differently-named tests that ground to one
-//! problem still coalesce — share a single engine run: followers attach
-//! as waiters and receive the same frames under their own `id`s. The
+//! [`Rtlcheck::coalescing_fingerprint`] problem identity plus the engine
+//! configuration and the test name (the report row carries the name, so
+//! differently-named tests that ground to one problem run separately,
+//! sharing only the cached graph) — share a single engine run: followers
+//! attach as waiters and receive the same frames under their own `id`s. The
 //! pending queue is bounded (`queue_cap`); jobs beyond the bound receive
 //! a structured `overloaded` error with queue-depth metadata instead of
 //! queueing without limit. A `shutdown` request drains: no new jobs are
@@ -236,13 +237,13 @@ impl JobSpec {
 }
 
 /// Job identity for coalescing. For `check` jobs the last two words are
-/// the [`Rtlcheck::coalescing_fingerprint`] key/check pair, so jobs naming
-/// different tests that ground to the same verification problem still
-/// share one engine run; the first word hashes everything else that can
-/// change the response (memory, backend, engine budgets, job kind). When
-/// the composed backend would run, the fingerprint additionally folds in
-/// the module decomposition, so jobs coalesce only when they share both
-/// the whole graph and its region structure.
+/// the [`Rtlcheck::coalescing_fingerprint`] key/check pair (which, when the
+/// composed backend would run, also covers the module decomposition); the
+/// first word hashes everything else that can change the response: job
+/// kind, memory, backend, engine budgets, and the test name, which the
+/// report row carries. Two differently named tests that ground to the same
+/// verification problem therefore run separately, each answered under its
+/// own name, while sharing the cached graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct Fp(u64, u64, u64);
 
@@ -266,7 +267,7 @@ fn fingerprint(spec: &JobSpec) -> Fp {
             config,
             test,
         } => {
-            let ctx = format!("check|{memory:?}|{backend:?}|{config:?}");
+            let ctx = format!("check|{memory:?}|{backend:?}|{config:?}|{}", test.name());
             let key = Rtlcheck::new(*memory)
                 .with_backend(*backend)
                 .coalescing_fingerprint(test);

@@ -823,6 +823,22 @@ impl MetricsSummary {
                     ));
                 }
             }
+            let (steps, hits) = (
+                self.counter(&format!("engine.{kind}.monitor_steps")),
+                self.counter(&format!("engine.{kind}.monitor_memo_hits")),
+            );
+            if let (Some(steps), Some(hits)) = (steps, hits) {
+                let transitions = steps.total.saturating_add(hits.total);
+                if transitions > 0 {
+                    diagnostics.push(format!(
+                        "engine `{kind}` monitor memo hit rate: {:.1}% ({} of {} assertion-monitor transitions; {} real steps)",
+                        100.0 * hits.total as f64 / transitions as f64,
+                        hits.total,
+                        transitions,
+                        steps.total,
+                    ));
+                }
+            }
         }
         let vacuous = self.event_count("vacuous_proof");
         if vacuous > 0 {
@@ -1142,11 +1158,17 @@ mod tests {
         m.event("budget_exhausted", attrs![]);
         m.counter("engine.full.states", 90, attrs![]);
         m.counter("engine.full.budget_states", 100, attrs![]);
+        m.counter("engine.full.monitor_steps", 3, attrs![]);
+        m.counter("engine.full.monitor_memo_hits", 97, attrs![]);
         let text = m.summary().render();
         assert!(text.contains("1 proven"), "{text}");
         assert!(text.contains("vacuous proof"), "{text}");
         assert!(text.contains("exhausted"), "{text}");
         assert!(text.contains("90%"), "{text}");
+        assert!(
+            text.contains("monitor memo hit rate: 97.0% (97 of 100"),
+            "{text}"
+        );
         assert!(text.contains("A[1]"), "{text}");
     }
 

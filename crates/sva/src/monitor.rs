@@ -20,8 +20,12 @@
 //!   force outcome-aware assertion generation (§3.2).
 //!
 //! Monitor state is canonically encoded ([`MonitorState`]) — deduplicated,
-//! ordered, and hashable — so the explicit-state verifier can use
-//! `(design state, monitor states)` product states directly.
+//! ordered, and hashable. The state graph keys its nodes on
+//! `(design state, assumption-monitor states)` directly; property walks
+//! intern each assertion-monitor state they reach to a dense id and memoise
+//! transitions on `(id, valuation of the property's atoms)`, which is sound
+//! because a monitor's successor depends only on its state and the values
+//! of its own atoms.
 
 use std::collections::BTreeSet;
 
@@ -354,6 +358,16 @@ impl<A: Clone + Ord> Monitor<A> {
     /// Whether any attempt has failed so far.
     pub fn failed(&self) -> bool {
         self.state.failed
+    }
+
+    /// Counts one [`Monitor::step`] of a live monitor whose outcome the
+    /// caller already knows (a memoised transition) without re-running it:
+    /// adds the step's attempt, plus a first-filter hit when the top-level
+    /// antecedent was false (`filtered`). Keeps [`MonitorMetrics`] equal to
+    /// what stepping would have recorded.
+    pub fn record_memoised_step(&mut self, filtered: bool) {
+        self.metrics.attempts += 1;
+        self.metrics.first_filter_hits += u64::from(filtered);
     }
 
     /// Processes one clock cycle: spawns this cycle's new attempt, advances
@@ -727,6 +741,13 @@ mod tests {
         let metrics = m.metrics();
         assert_eq!(metrics.attempts, 3);
         assert_eq!(metrics.first_filter_hits, 2);
+
+        // Recording the same steps as memoised reproduces the metrics.
+        let mut replayed = Monitor::new(&prop);
+        for filtered in [false, true, true] {
+            replayed.record_memoised_step(filtered);
+        }
+        assert_eq!(replayed.metrics(), metrics);
     }
 
     #[test]

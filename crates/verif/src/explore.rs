@@ -6,7 +6,9 @@
 //!   product space — design states × assumption-monitor states, with
 //!   per-edge atom valuations — once per [`Problem`].
 //! * `Walk` (internal) layers one assertion monitor's NFA over the cached
-//!   graph. [`verify_property`] and [`check_cover`] are thin drivers around
+//!   graph, determinising it lazily: monitor states are interned to dense
+//!   ids and transitions memoised per walk (`DetMonitor`).
+//!   [`verify_property`] and [`check_cover`] are thin drivers around
 //!   walks; their budget semantics ([`Engine`] limits, bounded-vs-complete
 //!   verdicts, [`ExploreStats`]) are bit-for-bit those of the pre-split
 //!   monolithic exploration.
@@ -15,6 +17,7 @@
 //! [`verify_property_reference`]/[`check_cover_reference`] — a deliberately
 //! independent implementation the differential tests compare against.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use rtlcheck_obs::{attrs, span, Collector, NullCollector};
@@ -118,14 +121,125 @@ where
 // The graph walk: one assertion (or cover) NFA over the shared graph.
 // ---------------------------------------------------------------------------
 
-/// One node of a walk: a graph node paired with the assertion monitor's
-/// state at that node.
+/// Walk-node monitor id of walks without an assertion (cover searches and
+/// reachability runs).
+const NO_MONITOR: u32 = u32::MAX;
+
+/// Successor id of a transition that fails the assertion. Failure is
+/// absorbing and ends the walk, so this id never labels a walk node.
+const FAILED: u32 = u32::MAX - 1;
+
+/// One node of a walk: a graph node paired with the interned id of the
+/// assertion monitor's state at that node (or [`NO_MONITOR`]).
 struct WalkNode {
     graph_node: u32,
-    monitor: Option<MonitorState>,
+    monitor: u32,
     /// `(parent walk-node index, edge-class index of the edge into this
     /// node)`.
     parent: Option<(usize, usize)>,
+}
+
+/// Whether atom-table entry `i` holds in an edge's atom bitset.
+fn atom_holds(bits: &[u64], i: usize) -> bool {
+    bits[i / 64] & (1 << (i % 64)) != 0
+}
+
+/// A walk's assertion monitor, determinised on the fly: every monitor
+/// state the walk reaches is interned to a dense id, and each transition
+/// `(id, valuation of the property's own atoms)` is memoised, so the real
+/// [`Monitor::step`] runs once per distinct transition rather than once
+/// per edge. Memoising is sound because the monitor's successor is a
+/// function of its state and its atoms' values alone; a hit replays the
+/// step's metrics, so `monitor.*` counters match an unmemoised run.
+struct DetMonitor {
+    monitor: Monitor<usize>,
+    /// Interned states by id.
+    states: Vec<MonitorState>,
+    ids: HashMap<MonitorState, u32>,
+    /// `(word, mask)` locating each of the property's distinct atoms in an
+    /// edge bitset, in ascending atom order. `None` past 64 atoms, whose
+    /// valuations do not pack into a `u64` memo key: such a property steps
+    /// the monitor on every edge (its states are still interned).
+    atom_bits: Option<Vec<(usize, u64)>>,
+    /// `(state id, packed atom valuation)` → `(successor id or FAILED,
+    /// whether the step's antecedent filtered the attempt)`.
+    memo: HashMap<(u32, u64), (u32, bool)>,
+    /// Real [`Monitor::step`] calls.
+    steps: u64,
+    memo_hits: u64,
+}
+
+impl DetMonitor {
+    fn new(prop: &Prop<usize>) -> Self {
+        let mut atoms = Vec::new();
+        prop.for_each_atom(&mut |&a| atoms.push(a));
+        atoms.sort_unstable();
+        atoms.dedup();
+        let atom_bits = (atoms.len() <= 64)
+            .then(|| atoms.iter().map(|&a| (a / 64, 1u64 << (a % 64))).collect());
+        let monitor = Monitor::new(prop);
+        let initial = monitor.state().clone();
+        let mut det = DetMonitor {
+            monitor,
+            states: Vec::new(),
+            ids: HashMap::new(),
+            atom_bits,
+            memo: HashMap::new(),
+            steps: 0,
+            memo_hits: 0,
+        };
+        det.intern(initial);
+        det
+    }
+
+    /// Id of the initial (pre-first-cycle) monitor state.
+    const INITIAL: u32 = 0;
+
+    fn intern(&mut self, state: MonitorState) -> u32 {
+        if let Some(&id) = self.ids.get(&state) {
+            return id;
+        }
+        let id = u32::try_from(self.states.len())
+            .ok()
+            .filter(|&id| id < FAILED)
+            .expect("walk monitor states fit in u32 ids");
+        self.states.push(state.clone());
+        self.ids.insert(state, id);
+        id
+    }
+
+    /// The successor of interned state `id` on an edge with atom valuation
+    /// `bits`, or [`FAILED`].
+    fn step(&mut self, id: u32, bits: &[u64]) -> u32 {
+        let key = self.atom_bits.as_ref().map(|atoms| {
+            let packed = atoms
+                .iter()
+                .enumerate()
+                .fold(0u64, |acc, (j, &(word, mask))| {
+                    acc | (u64::from(bits[word] & mask != 0) << j)
+                });
+            (id, packed)
+        });
+        if let Some(&(next, filtered)) = key.as_ref().and_then(|k| self.memo.get(k)) {
+            self.memo_hits += 1;
+            self.monitor.record_memoised_step(filtered);
+            return next;
+        }
+        self.steps += 1;
+        let filter_hits = self.monitor.metrics().first_filter_hits;
+        self.monitor.set_state(self.states[id as usize].clone());
+        self.monitor.step(&|&i| atom_holds(bits, i));
+        let filtered = self.monitor.metrics().first_filter_hits != filter_hits;
+        let next = if self.monitor.failed() {
+            FAILED
+        } else {
+            self.intern(self.monitor.state().clone())
+        };
+        if let Some(key) = key {
+            self.memo.insert(key, (next, filtered));
+        }
+        next
+    }
 }
 
 /// A breadth-first walk of one monitor over a [`Backend`] graph. Mirrors
@@ -140,11 +254,12 @@ struct WalkNode {
 struct Walk<'g> {
     graph: &'g dyn Backend,
     /// The assertion monitor (compiled over atom-table indices), if any.
-    monitor: Option<Monitor<usize>>,
+    monitor: Option<DetMonitor>,
     /// The cover condition (over atom-table indices), if searched for.
     cover: Option<SvaBool<usize>>,
     nodes: Vec<WalkNode>,
-    index: HashMap<(u32, Option<MonitorState>), usize>,
+    /// `(graph node, monitor id)` → walk-node index.
+    index: HashMap<(u32, u32), usize>,
     /// Scratch bitset for the edge currently being examined.
     bits: Vec<u64>,
     stats: ExploreStats,
@@ -157,7 +272,7 @@ struct Walk<'g> {
 
 impl<'g> Walk<'g> {
     fn new(graph: &'g dyn Backend, assertion: Option<&Prop<RtlAtom>>, check_cover: bool) -> Self {
-        let monitor = assertion.map(|p| Monitor::new(&graph.map_prop(p)));
+        let monitor = assertion.map(|p| DetMonitor::new(&graph.map_prop(p)));
         let cover = if check_cover {
             graph.problem().cover.as_ref().map(|c| graph.map_bool(c))
         } else {
@@ -178,10 +293,13 @@ impl<'g> Walk<'g> {
 
     /// Breadth-first walk until a verdict or the budget is hit.
     fn run(&mut self, engine: Engine) -> RunOutcome {
-        let init_monitor = self.monitor.as_ref().map(|m| m.state().clone());
+        let init_monitor = self
+            .monitor
+            .as_ref()
+            .map_or(NO_MONITOR, |_| DetMonitor::INITIAL);
         self.nodes.push(WalkNode {
             graph_node: 0,
-            monitor: init_monitor.clone(),
+            monitor: init_monitor,
             parent: None,
         });
         self.index.insert((0, init_monitor), 0);
@@ -281,40 +399,28 @@ impl<'g> Walk<'g> {
         self.row_transitions = self.row_transitions.saturating_add(count);
         let dest = edge.dest;
 
-        let bits = &self.bits;
-        let env = |i: &usize| bits[i / 64] & (1 << (i % 64)) != 0;
         let next_monitor = match &mut self.monitor {
-            Some(m) => {
-                m.set_state(
-                    self.nodes[node_idx]
-                        .monitor
-                        .clone()
-                        .expect("walk nodes carry a monitor state when an assertion is present"),
-                );
-                m.step(&env);
-                if m.failed() {
-                    return Step::AssertFailed;
-                }
-                Some(m.state().clone())
-            }
-            None => None,
+            Some(m) => match m.step(self.nodes[node_idx].monitor, &self.bits) {
+                FAILED => return Step::AssertFailed,
+                id => id,
+            },
+            None => NO_MONITOR,
         };
         if let Some(cover) = &self.cover {
-            if cover.eval(&env) {
+            if cover.eval(&|&i| atom_holds(&self.bits, i)) {
                 return Step::Covered;
             }
         }
-        let key = (dest, next_monitor);
-        if self.index.contains_key(&key) {
-            return Step::Known;
-        }
         let idx = self.nodes.len();
+        match self.index.entry((dest, next_monitor)) {
+            Entry::Occupied(_) => return Step::Known,
+            Entry::Vacant(slot) => slot.insert(idx),
+        };
         self.nodes.push(WalkNode {
             graph_node: dest,
-            monitor: key.1.clone(),
+            monitor: next_monitor,
             parent: Some((node_idx, class)),
         });
-        self.index.insert(key, idx);
         self.stats.states += 1;
         Step::New(idx)
     }
@@ -343,7 +449,13 @@ impl<'g> Walk<'g> {
             attrs![],
         );
         if let Some(m) = &self.monitor {
-            m.report_to(collector, "assertion");
+            collector.counter(&format!("engine.{scope}.monitor_steps"), m.steps, attrs![]);
+            collector.counter(
+                &format!("engine.{scope}.monitor_memo_hits"),
+                m.memo_hits,
+                attrs![],
+            );
+            m.monitor.report_to(collector, "assertion");
         }
     }
 

@@ -13,11 +13,13 @@
 //! on every verdict variant.
 
 use proptest::prelude::*;
+use rtlcheck_obs::MetricsCollector;
 use rtlcheck_rtl::{Design, DesignBuilder, SignalId};
 use rtlcheck_sva::{Prop, Seq, SvaBool};
 use rtlcheck_verif::explore::{check_cover_reference, verify_property_reference};
 use rtlcheck_verif::{
-    check_cover, verify_property, Directive, Engine, EngineKind, Problem, RtlAtom, VerifyConfig,
+    check_cover, verify_property, verify_property_observed, Directive, Engine, EngineKind, Problem,
+    PropertyVerdict, RtlAtom, VerifyConfig,
 };
 
 /// Recipe for one random design: register widths/inits and per-register
@@ -144,6 +146,85 @@ fn configs() -> Vec<VerifyConfig> {
             cover_max_states: 5,
         },
     ]
+}
+
+/// A property over more than 64 distinct atoms cannot pack its atom
+/// valuation into the walk's `u64` memo key, so every walk transition
+/// steps the monitor for real. That path must agree with the reference
+/// exactly, like the memoised one. No suite property has more than 16
+/// atoms, so only this test reaches it.
+#[test]
+fn properties_over_64_atoms_match_the_reference_unmemoised() {
+    let mut b = DesignBuilder::new("wide");
+    let en = b.input("en", 1);
+    let first = b.reg("first", 1, Some(1));
+    let zero = b.lit(0, 1);
+    b.set_next(first, zero);
+    let count = b.reg("count", 7, Some(0));
+    let cur = b.sig(count);
+    let one = b.lit(1, 7);
+    let inc = b.add(cur, one);
+    let enable = b.sig(en);
+    let next = b.mux(enable, inc, cur);
+    b.set_next(count, next);
+    let design = b.build().expect("well-formed");
+    let problem = Problem::new(&design);
+
+    let count_in = |values: std::ops::Range<u64>| {
+        SvaBool::any(
+            values
+                .map(|v| SvaBool::atom(RtlAtom::eq(count, v)))
+                .collect(),
+        )
+    };
+    let guard = |p| Prop::implies(SvaBool::atom(RtlAtom::is_true(first)), p);
+    let props = [
+        // Falsified once the counter reaches 5.
+        (guard(Prop::Never(count_in(5..72))), false),
+        // Weakly pending until the counter reaches 60: proven.
+        (
+            guard(Prop::seq(Seq::delay(
+                0,
+                None,
+                Seq::boolean(count_in(60..127)),
+            ))),
+            true,
+        ),
+    ];
+    for (prop, holds) in &props {
+        let quick = verify_property(&problem, prop, &VerifyConfig::quick());
+        assert_eq!(
+            matches!(quick, PropertyVerdict::Proven { .. }),
+            *holds,
+            "{quick:?}"
+        );
+        let mut atoms = Vec::new();
+        prop.for_each_atom(&mut |a| atoms.push(*a));
+        atoms.sort();
+        atoms.dedup();
+        assert!(atoms.len() > 64, "{} atoms", atoms.len());
+
+        for config in configs() {
+            let walk = verify_property(&problem, prop, &config);
+            let reference = verify_property_reference(&problem, prop, &config);
+            assert_eq!(
+                format!("{walk:?}"),
+                format!("{reference:?}"),
+                "config {}",
+                config.name
+            );
+        }
+
+        let metrics = MetricsCollector::new();
+        verify_property_observed(&problem, prop, &VerifyConfig::quick(), "wide", &metrics);
+        let summary = metrics.summary();
+        let total = |name: &str| summary.counter(name).map_or(0, |c| c.total);
+        assert_eq!(total("engine.full.monitor_memo_hits"), 0);
+        assert_eq!(
+            total("engine.full.monitor_steps"),
+            total("engine.full.transitions")
+        );
+    }
 }
 
 proptest! {

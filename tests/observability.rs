@@ -5,6 +5,7 @@
 use std::collections::HashMap;
 use std::process::Command;
 
+use rtlcheck::bench::run_suite_jobs_observed;
 use rtlcheck::core::Rtlcheck;
 use rtlcheck::obs::json::Json;
 use rtlcheck::obs::{attrs, Collector, JsonlCollector, MetricsCollector, MultiCollector, SpanId};
@@ -169,6 +170,60 @@ fn metrics_counters_match_report_totals() {
         }
     }
     assert_eq!(depth, 0, "span enters/exits balance");
+}
+
+/// Suite-wide assertion- and assumption-monitor metrics, pinned to the
+/// totals of the unmemoised walk: a memoised walk transition replays its
+/// step's `attempts` and `first_filter_hits`, so the totals cannot drift.
+/// Also checks the walk's memo counters on the explicit backend: every
+/// property-walk transition is either a real monitor step or a memo hit,
+/// the fixed suite hits the memo at least 90% of the time, and the
+/// counters do not depend on the worker count.
+#[test]
+fn suite_monitor_metrics_and_memo_counters_are_pinned() {
+    let config = VerifyConfig::quick();
+    let run = |memory: MemoryImpl, jobs: usize| {
+        let metrics = MetricsCollector::new();
+        run_suite_jobs_observed(memory, &config, jobs, &metrics);
+        metrics.summary()
+    };
+    for (memory, attempts, filter_hits) in [
+        (MemoryImpl::Fixed, 1_841_160, 1_823_052),
+        (MemoryImpl::Buggy, 7_535_216, 7_501_124),
+    ] {
+        let summary = run(memory, 1);
+        let total = |name: &str| summary.counter(name).map_or(0, |c| c.total);
+        assert_eq!(total("monitor.attempts"), attempts, "{memory:?}");
+        assert_eq!(
+            total("monitor.first_filter_hits"),
+            filter_hits,
+            "{memory:?}"
+        );
+
+        let (steps, hits) = (
+            total("engine.full.monitor_steps"),
+            total("engine.full.monitor_memo_hits"),
+        );
+        assert_eq!(
+            steps + hits,
+            total("engine.full.transitions"),
+            "{memory:?}: every walk transition steps the monitor or hits the memo"
+        );
+        if memory == MemoryImpl::Fixed {
+            assert!(
+                hits * 10 >= (steps + hits) * 9,
+                "memo hit rate below 90%: {hits} hits, {steps} steps"
+            );
+            let parallel = run(memory, 8);
+            for name in ["engine.full.monitor_steps", "engine.full.monitor_memo_hits"] {
+                assert_eq!(
+                    summary.counter(name),
+                    parallel.counter(name),
+                    "{name} depends on --jobs"
+                );
+            }
+        }
+    }
 }
 
 /// Histogram edges — empty, single-sample, and top-bucket-saturating

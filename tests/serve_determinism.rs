@@ -147,6 +147,49 @@ fn concurrent_clients_get_byte_identical_payloads_across_worker_counts() {
     );
 }
 
+/// `sb` and `podwr000` are the same litmus test under two names, so they
+/// ground to one verification problem. Queued together behind a job that
+/// occupies the only worker, each must still be answered under its own
+/// name — a shared engine run would hand one of them the other's report
+/// row, making the response depend on which arrived first.
+#[test]
+fn same_problem_checks_keep_their_own_test_names() {
+    let (addr, handle) = start_server(1);
+    let payload = run_client(
+        &addr,
+        &[
+            "{\"id\":\"lead\",\"kind\":\"suite\",\"only\":[\"lb\",\"mp\"],\"events\":false}",
+            "{\"id\":\"x\",\"kind\":\"check\",\"test\":\"podwr000\",\"events\":false}",
+            "{\"id\":\"y\",\"kind\":\"check\",\"test\":\"sb\",\"events\":false}",
+        ],
+    );
+    shut_down(&addr);
+    handle.join().unwrap();
+
+    let report = |id: &str| {
+        payload
+            .lines()
+            .filter_map(|l| Json::parse(l).ok())
+            .find(|v| {
+                v.get("id").and_then(Json::as_str) == Some(id)
+                    && v.get("type").and_then(Json::as_str) == Some("result")
+            })
+            .and_then(|v| v.get("report").cloned())
+            .unwrap_or_else(|| panic!("no report for {id}:\n{payload}"))
+    };
+    let (x, y) = (report("x"), report("y"));
+    assert_eq!(x.get("test").and_then(Json::as_str), Some("podwr000"));
+    assert_eq!(y.get("test").and_then(Json::as_str), Some("sb"));
+    // Apart from the name, one problem gives one row.
+    for field in ["status", "proven", "properties", "bounded"] {
+        assert_eq!(
+            x.get(field).map(Json::render),
+            y.get(field).map(Json::render),
+            "{field}"
+        );
+    }
+}
+
 #[test]
 fn server_verdicts_match_one_shot_runs() {
     let (addr, handle) = start_server(2);
