@@ -823,23 +823,19 @@ impl MetricsSummary {
                     ));
                 }
             }
-            let (steps, hits) = (
-                self.counter(&format!("engine.{kind}.monitor_steps")),
-                self.counter(&format!("engine.{kind}.monitor_memo_hits")),
-            );
-            if let (Some(steps), Some(hits)) = (steps, hits) {
-                let transitions = steps.total.saturating_add(hits.total);
-                if transitions > 0 {
-                    diagnostics.push(format!(
-                        "engine `{kind}` monitor memo hit rate: {:.1}% ({} of {} assertion-monitor transitions; {} real steps)",
-                        100.0 * hits.total as f64 / transitions as f64,
-                        hits.total,
-                        transitions,
-                        steps.total,
-                    ));
-                }
-            }
+            diagnostics.extend(self.memo_hit_rate(
+                &format!("engine `{kind}` monitor"),
+                &format!("engine.{kind}.monitor_steps"),
+                &format!("engine.{kind}.monitor_memo_hits"),
+                "assertion",
+            ));
         }
+        diagnostics.extend(self.memo_hit_rate(
+            "assumption",
+            "graph.assume_steps",
+            "graph.assume_memo_hits",
+            "assumption",
+        ));
         let vacuous = self.event_count("vacuous_proof");
         if vacuous > 0 {
             diagnostics.push(format!(
@@ -872,6 +868,25 @@ impl MetricsSummary {
             }
         }
         out
+    }
+
+    /// The diagnostic line of one monitor transition memo: the share of
+    /// transitions served by the memo rather than a real monitor step.
+    fn memo_hit_rate(
+        &self,
+        label: &str,
+        steps: &str,
+        hits: &str,
+        monitors: &str,
+    ) -> Option<String> {
+        let (steps, hits) = (self.counter(steps)?.total, self.counter(hits)?.total);
+        let transitions = steps.saturating_add(hits);
+        (transitions > 0).then(|| {
+            format!(
+                "{label} memo hit rate: {:.1}% ({hits} of {transitions} {monitors}-monitor transitions; {steps} real steps)",
+                100.0 * hits as f64 / transitions as f64,
+            )
+        })
     }
 
     fn span(&self, name: &str) -> Option<&SpanSummary> {
@@ -1160,6 +1175,8 @@ mod tests {
         m.counter("engine.full.budget_states", 100, attrs![]);
         m.counter("engine.full.monitor_steps", 3, attrs![]);
         m.counter("engine.full.monitor_memo_hits", 97, attrs![]);
+        m.counter("graph.assume_steps", 1, attrs![]);
+        m.counter("graph.assume_memo_hits", 3, attrs![]);
         let text = m.summary().render();
         assert!(text.contains("1 proven"), "{text}");
         assert!(text.contains("vacuous proof"), "{text}");
@@ -1167,6 +1184,10 @@ mod tests {
         assert!(text.contains("90%"), "{text}");
         assert!(
             text.contains("monitor memo hit rate: 97.0% (97 of 100"),
+            "{text}"
+        );
+        assert!(
+            text.contains("assumption memo hit rate: 75.0% (3 of 4 assumption-monitor"),
             "{text}"
         );
         assert!(text.contains("A[1]"), "{text}");

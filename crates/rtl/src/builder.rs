@@ -4,6 +4,7 @@ use std::collections::HashMap;
 
 use crate::design::{Design, DesignError, Signal, SignalId, SignalKind};
 use crate::expr::{mask, BinOp, Expr, ExprId, UnOp};
+use crate::sim::Program;
 
 /// Builds a [`Design`] incrementally.
 ///
@@ -250,7 +251,8 @@ impl DesignBuilder {
 
 /// Validates signals + expression arena and assembles a [`Design`]: checks
 /// register assignment, recomputes expression widths bottom-up, checks
-/// signal/driver width agreement, and topologically orders the wires.
+/// signal/driver width agreement, topologically orders the wires, and
+/// compiles the simulator's slot program.
 ///
 /// Shared by [`DesignBuilder::build`] and the mutation engine
 /// ([`crate::mutate`]), which re-finalizes a design after editing its
@@ -387,6 +389,7 @@ pub(crate) fn finalize(
             visit(SignalId(i), &signals, &exprs, &mut mark, &mut order)?;
         }
 
+        let program = Program::compile(&signals, &exprs, &widths, num_inputs, num_regs);
         Ok(Design {
             name,
             signals,
@@ -396,6 +399,7 @@ pub(crate) fn finalize(
             num_inputs,
             num_regs,
             by_name,
+            program,
         })
     }
 }

@@ -5,6 +5,7 @@ use std::error::Error;
 use std::fmt;
 
 use crate::expr::{Expr, ExprId};
+use crate::sim::Program;
 
 /// Index of a signal in a design.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -97,8 +98,9 @@ impl fmt::Display for DesignError {
 
 impl Error for DesignError {}
 
-/// A finalized synchronous design: signals, an expression arena, and a
-/// topological evaluation order for the combinational wires.
+/// A finalized synchronous design: signals, an expression arena, a
+/// topological evaluation order for the combinational wires, and the
+/// levelised slot program the simulator runs.
 ///
 /// Built via [`crate::DesignBuilder`]; immutable afterwards.
 #[derive(Debug, Clone)]
@@ -112,6 +114,8 @@ pub struct Design {
     pub(crate) num_inputs: usize,
     pub(crate) num_regs: usize,
     pub(crate) by_name: HashMap<String, SignalId>,
+    /// The levelised slot program [`crate::sim::Simulator`] runs.
+    pub(crate) program: Program,
 }
 
 impl Design {

@@ -110,12 +110,13 @@ pub enum Expr {
 
 /// Masks `value` to `width` bits.
 pub(crate) fn mask(value: u64, width: u8) -> u64 {
+    value & width_mask(width)
+}
+
+/// The mask selecting the low `width` bits.
+pub(crate) fn width_mask(width: u8) -> u64 {
     debug_assert!((1..=64).contains(&width));
-    if width == 64 {
-        value
-    } else {
-        value & ((1u64 << width) - 1)
-    }
+    u64::MAX >> (64 - u32::from(width))
 }
 
 #[cfg(test)]

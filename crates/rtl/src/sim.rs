@@ -4,8 +4,8 @@ use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
 
-use crate::design::{Design, SignalId, SignalKind};
-use crate::expr::{mask, BinOp, Expr, ExprId, UnOp};
+use crate::design::{Design, Signal, SignalId, SignalKind};
+use crate::expr::{mask, width_mask, BinOp, Expr, ExprId, UnOp};
 
 /// The register contents of a design at one clock cycle.
 ///
@@ -49,9 +49,15 @@ impl Error for FreeInitError {}
 
 /// Evaluates a design cycle-by-cycle.
 ///
-/// The simulator itself is stateless: callers hold [`State`]s and thread
-/// them through [`Simulator::step`], which makes it trivially shareable
-/// between the interactive simulator and the model checker.
+/// The simulator is stateless: callers hold [`State`]s and thread them
+/// through [`Simulator::step`], which makes it trivially shareable between
+/// the interactive simulator and the model checker. Evaluation runs the
+/// design's levelised slot program (compiled once, when the design is
+/// finalized): [`Frame::settle`] computes every wire and every register's
+/// next value for one `(state, inputs)` in a single linear pass, and
+/// callers that read several signals of one cycle read them all from that
+/// frame. [`Simulator::step`], [`Simulator::peek`] and [`Simulator::eval`]
+/// are one-shot wrappers that settle a fresh frame per call.
 #[derive(Debug, Clone)]
 pub struct Simulator<'d> {
     design: &'d Design,
@@ -108,48 +114,29 @@ impl<'d> Simulator<'d> {
         }
     }
 
-    /// Evaluates an expression in the given state with the given inputs.
-    pub fn eval(&self, state: &State, inputs: &[u64], expr: ExprId) -> u64 {
-        debug_assert_eq!(inputs.len(), self.design.num_inputs());
-        self.eval_inner(state, inputs, expr)
+    /// A fresh, unsettled evaluation frame for this design.
+    pub fn frame(&self) -> Frame<'d> {
+        Frame {
+            program: &self.design.program,
+            slots: self.design.program.template.to_vec(),
+        }
     }
 
-    fn eval_inner(&self, state: &State, inputs: &[u64], expr: ExprId) -> u64 {
-        match self.design.expr(expr) {
-            Expr::Const { value, .. } => value,
-            Expr::Sig(s) => self.peek(state, inputs, s),
-            Expr::Unary { op, arg } => {
-                let a = self.eval_inner(state, inputs, arg);
-                match op {
-                    UnOp::Not => mask(!a, self.design.expr_width(expr)),
-                    UnOp::OrReduce => u64::from(a != 0),
-                }
-            }
-            Expr::Binary { op, lhs, rhs } => {
-                let (a, b) = (
-                    self.eval_inner(state, inputs, lhs),
-                    self.eval_inner(state, inputs, rhs),
-                );
-                let w = self.design.expr_width(expr);
-                match op {
-                    BinOp::And => a & b,
-                    BinOp::Or => a | b,
-                    BinOp::Xor => a ^ b,
-                    BinOp::Add => mask(a.wrapping_add(b), w),
-                    BinOp::Sub => mask(a.wrapping_sub(b), w),
-                    BinOp::Eq => u64::from(a == b),
-                    BinOp::Ne => u64::from(a != b),
-                    BinOp::Lt => u64::from(a < b),
-                }
-            }
-            Expr::Mux { cond, then_, else_ } => {
-                if self.eval_inner(state, inputs, cond) != 0 {
-                    self.eval_inner(state, inputs, then_)
-                } else {
-                    self.eval_inner(state, inputs, else_)
-                }
-            }
-        }
+    /// A frame settled at `(state, inputs)`.
+    fn settled(&self, state: &State, inputs: &[u64]) -> Frame<'d> {
+        let mut frame = self.frame();
+        frame.settle(state, inputs);
+        frame
+    }
+
+    /// Evaluates an expression in the given state with the given inputs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `expr` feeds no wire and no register (a dead arena node,
+    /// which the slot program does not compute).
+    pub fn eval(&self, state: &State, inputs: &[u64], expr: ExprId) -> u64 {
+        self.settled(state, inputs).eval(expr)
     }
 
     /// The current value of any signal (input, register, or wire).
@@ -157,7 +144,7 @@ impl<'d> Simulator<'d> {
         match self.design.signal(sig).kind {
             SignalKind::Input { index } => inputs[index],
             SignalKind::Reg { index, .. } => state.regs()[index],
-            SignalKind::Wire { expr } => self.eval_inner(state, inputs, expr),
+            SignalKind::Wire { .. } => self.settled(state, inputs).peek(sig),
         }
     }
 
@@ -165,16 +152,275 @@ impl<'d> Simulator<'d> {
     /// the current state and inputs, then commits them simultaneously
     /// (non-blocking assignment semantics).
     pub fn step(&self, state: &State, inputs: &[u64]) -> State {
-        let mut next = vec![0u64; self.design.num_regs()];
-        for (_, s) in self.design.signals() {
-            if let SignalKind::Reg {
-                index, next: expr, ..
-            } = s.kind
-            {
-                next[index] = mask(self.eval_inner(state, inputs, expr), s.width);
+        self.settled(state, inputs).next_state()
+    }
+}
+
+/// Slot index of an expression node the program does not compute.
+const NO_SLOT: u32 = u32::MAX;
+
+/// One operation of a [`Program`]: the value of one expression node,
+/// computed from its operands' slots into the operation's own slot.
+/// `mask` fields hold the node's width mask.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Not { arg: u32, mask: u64 },
+    OrReduce { arg: u32 },
+    And { lhs: u32, rhs: u32 },
+    Or { lhs: u32, rhs: u32 },
+    Xor { lhs: u32, rhs: u32 },
+    Add { lhs: u32, rhs: u32, mask: u64 },
+    Sub { lhs: u32, rhs: u32, mask: u64 },
+    Eq { lhs: u32, rhs: u32 },
+    Ne { lhs: u32, rhs: u32 },
+    Lt { lhs: u32, rhs: u32 },
+    Mux { cond: u32, then_: u32, else_: u32 },
+}
+
+/// A design's expressions compiled into a flat, topologically ordered slot
+/// program.
+///
+/// A [`Frame`] holds one `u64` slot per value: the inputs, then the
+/// registers, then the (deduplicated) constants, then one slot per
+/// operation. Every `Unary`/`Binary`/`Mux` node that some wire or some
+/// register's next-state expression reaches becomes one [`Op`], ordered
+/// after its operands; a `Sig` node aliases the slot of its input, its
+/// register, or its wire's driving expression; and constants are preset in
+/// the frame template. Muxes evaluate strictly (both arms are computed),
+/// which is sound because expressions are pure. Dead arena nodes (left by
+/// mutation) get no slot.
+#[derive(Debug, Clone)]
+pub(crate) struct Program {
+    num_inputs: usize,
+    /// An unsettled frame: constants preset, every other slot zero.
+    template: Box<[u64]>,
+    /// Slot of the first operation's result.
+    ops_base: usize,
+    ops: Box<[Op]>,
+    /// Slot of each signal's value.
+    signal_slots: Box<[u32]>,
+    /// Slot of each expression node's value, or [`NO_SLOT`].
+    expr_slots: Box<[u32]>,
+    /// Per register (dense index): its next-state slot and width mask.
+    next: Box<[(u32, u64)]>,
+}
+
+impl Program {
+    /// Compiles validated, loop-free design tables (see
+    /// `builder::finalize`).
+    pub(crate) fn compile(
+        signals: &[Signal],
+        exprs: &[Expr],
+        widths: &[u8],
+        num_inputs: usize,
+        num_regs: usize,
+    ) -> Program {
+        // Post-order over every node some wire or next-state expression
+        // reaches; `Sig(wire)` has the wire's driving expression as child.
+        fn visit(
+            e: ExprId,
+            signals: &[Signal],
+            exprs: &[Expr],
+            seen: &mut [bool],
+            order: &mut Vec<ExprId>,
+        ) {
+            if seen[e.0] {
+                return;
+            }
+            seen[e.0] = true;
+            let mut child = |c: ExprId| visit(c, signals, exprs, seen, order);
+            match exprs[e.0] {
+                Expr::Const { .. } => {}
+                Expr::Sig(s) => {
+                    if let SignalKind::Wire { expr } = signals[s.0].kind {
+                        child(expr);
+                    }
+                }
+                Expr::Unary { arg, .. } => child(arg),
+                Expr::Binary { lhs, rhs, .. } => {
+                    child(lhs);
+                    child(rhs);
+                }
+                Expr::Mux { cond, then_, else_ } => {
+                    child(cond);
+                    child(then_);
+                    child(else_);
+                }
+            }
+            order.push(e);
+        }
+        let mut seen = vec![false; exprs.len()];
+        let mut order = Vec::new();
+        for s in signals {
+            match s.kind {
+                SignalKind::Wire { expr } | SignalKind::Reg { next: expr, .. } => {
+                    visit(expr, signals, exprs, &mut seen, &mut order);
+                }
+                SignalKind::Input { .. } => {}
             }
         }
-        State::from_regs(next)
+
+        let slot = |n: usize| u32::try_from(n).expect("design fits in u32 slots");
+        let mut template = vec![0u64; num_inputs + num_regs];
+        let mut expr_slots = vec![NO_SLOT; exprs.len()];
+        let mut consts = std::collections::HashMap::new();
+        for &e in &order {
+            if let Expr::Const { value, .. } = exprs[e.0] {
+                expr_slots[e.0] = *consts.entry(value).or_insert_with(|| {
+                    template.push(value);
+                    slot(template.len() - 1)
+                });
+            }
+        }
+        let ops_base = template.len();
+        let signal_slot = |s: SignalId, expr_slots: &[u32]| match signals[s.0].kind {
+            SignalKind::Input { index } => slot(index),
+            SignalKind::Reg { index, .. } => slot(num_inputs + index),
+            SignalKind::Wire { expr } => expr_slots[expr.0],
+        };
+        let mut ops = Vec::new();
+        for &e in &order {
+            let at = |c: ExprId| expr_slots[c.0];
+            let op = match exprs[e.0] {
+                Expr::Const { .. } => continue,
+                Expr::Sig(s) => {
+                    expr_slots[e.0] = signal_slot(s, &expr_slots);
+                    continue;
+                }
+                Expr::Unary { op, arg } => match op {
+                    UnOp::Not => Op::Not {
+                        arg: at(arg),
+                        mask: width_mask(widths[e.0]),
+                    },
+                    UnOp::OrReduce => Op::OrReduce { arg: at(arg) },
+                },
+                Expr::Binary { op, lhs, rhs } => {
+                    let (lhs, rhs) = (at(lhs), at(rhs));
+                    let mask = width_mask(widths[e.0]);
+                    match op {
+                        BinOp::And => Op::And { lhs, rhs },
+                        BinOp::Or => Op::Or { lhs, rhs },
+                        BinOp::Xor => Op::Xor { lhs, rhs },
+                        BinOp::Add => Op::Add { lhs, rhs, mask },
+                        BinOp::Sub => Op::Sub { lhs, rhs, mask },
+                        BinOp::Eq => Op::Eq { lhs, rhs },
+                        BinOp::Ne => Op::Ne { lhs, rhs },
+                        BinOp::Lt => Op::Lt { lhs, rhs },
+                    }
+                }
+                Expr::Mux { cond, then_, else_ } => Op::Mux {
+                    cond: at(cond),
+                    then_: at(then_),
+                    else_: at(else_),
+                },
+            };
+            expr_slots[e.0] = slot(ops_base + ops.len());
+            ops.push(op);
+        }
+        template.resize(ops_base + ops.len(), 0);
+
+        let signal_slots = (0..signals.len())
+            .map(|i| signal_slot(SignalId(i), &expr_slots))
+            .collect();
+        let mut next = vec![(NO_SLOT, 0); num_regs];
+        for s in signals {
+            if let SignalKind::Reg { index, next: e, .. } = s.kind {
+                next[index] = (expr_slots[e.0], width_mask(s.width));
+            }
+        }
+        Program {
+            num_inputs,
+            template: template.into(),
+            ops_base,
+            ops: ops.into(),
+            signal_slots,
+            expr_slots: expr_slots.into(),
+            next: next.into(),
+        }
+    }
+}
+
+/// The values of every signal and live expression of a design at one
+/// `(state, inputs)` point, computed by one [`Frame::settle`] pass of the
+/// design's slot program. Reuse one frame across cycles to avoid
+/// reallocating it.
+#[derive(Debug, Clone)]
+pub struct Frame<'d> {
+    program: &'d Program,
+    slots: Vec<u64>,
+}
+
+impl Frame<'_> {
+    /// Evaluates the whole design at `(state, inputs)`: loads the inputs
+    /// and registers, then runs every operation in topological order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inputs` or `state` does not match the design's input or
+    /// register count.
+    pub fn settle(&mut self, state: &State, inputs: &[u64]) {
+        let p = self.program;
+        let regs = state.regs();
+        let s = &mut self.slots[..];
+        s[..p.num_inputs].copy_from_slice(inputs);
+        s[p.num_inputs..p.num_inputs + p.next.len()].copy_from_slice(regs);
+        let at = |s: &[u64], i: u32| s[i as usize];
+        for (dst, op) in (p.ops_base..).zip(p.ops.iter()) {
+            s[dst] = match *op {
+                Op::Not { arg, mask } => !at(s, arg) & mask,
+                Op::OrReduce { arg } => u64::from(at(s, arg) != 0),
+                Op::And { lhs, rhs } => at(s, lhs) & at(s, rhs),
+                Op::Or { lhs, rhs } => at(s, lhs) | at(s, rhs),
+                Op::Xor { lhs, rhs } => at(s, lhs) ^ at(s, rhs),
+                Op::Add { lhs, rhs, mask } => at(s, lhs).wrapping_add(at(s, rhs)) & mask,
+                Op::Sub { lhs, rhs, mask } => at(s, lhs).wrapping_sub(at(s, rhs)) & mask,
+                Op::Eq { lhs, rhs } => u64::from(at(s, lhs) == at(s, rhs)),
+                Op::Ne { lhs, rhs } => u64::from(at(s, lhs) != at(s, rhs)),
+                Op::Lt { lhs, rhs } => u64::from(at(s, lhs) < at(s, rhs)),
+                Op::Mux { cond, then_, else_ } => {
+                    if at(s, cond) != 0 {
+                        at(s, then_)
+                    } else {
+                        at(s, else_)
+                    }
+                }
+            };
+        }
+    }
+
+    /// The settled value of a signal.
+    pub fn peek(&self, sig: SignalId) -> u64 {
+        self.slots[self.program.signal_slots[sig.0] as usize]
+    }
+
+    /// The settled value of an expression node.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `expr` feeds no wire and no register.
+    pub fn eval(&self, expr: ExprId) -> u64 {
+        let slot = self.program.expr_slots[expr.0];
+        assert_ne!(slot, NO_SLOT, "{expr} feeds no wire or register");
+        self.slots[slot as usize]
+    }
+
+    /// The next value of the register with dense index `index`, masked to
+    /// its width — what [`Simulator::step`] commits.
+    pub fn next_reg(&self, index: usize) -> u64 {
+        let (slot, mask) = self.program.next[index];
+        self.slots[slot as usize] & mask
+    }
+
+    /// The successor state: every register's next value, committed
+    /// simultaneously.
+    pub fn next_state(&self) -> State {
+        State::from_regs(
+            self.program
+                .next
+                .iter()
+                .map(|&(slot, mask)| self.slots[slot as usize] & mask)
+                .collect(),
+        )
     }
 }
 

@@ -45,8 +45,21 @@ impl Trace {
 
     /// The value of `sig` at `cycle`.
     pub fn value_at(&self, design: &Design, sig: SignalId, cycle: usize) -> u64 {
-        let sim = Simulator::new(design);
-        sim.peek(&self.states[cycle], &self.inputs[cycle], sig)
+        Simulator::new(design).peek(&self.states[cycle], &self.inputs[cycle], sig)
+    }
+
+    /// The values of `signals` at every cycle, `values[cycle][k]` for
+    /// `signals[k]`, settling the design once per cycle.
+    fn values(&self, design: &Design, signals: &[SignalId]) -> Vec<Vec<u64>> {
+        let mut frame = Simulator::new(design).frame();
+        self.states
+            .iter()
+            .zip(&self.inputs)
+            .map(|(state, inputs)| {
+                frame.settle(state, inputs);
+                signals.iter().map(|&s| frame.peek(s)).collect()
+            })
+            .collect()
     }
 
     /// Renders the named signals as an ASCII waveform table, one row per
@@ -54,7 +67,12 @@ impl Trace {
     ///
     /// Signals unknown to the design are skipped.
     pub fn render(&self, design: &Design, signals: &[&str]) -> String {
-        let sim = Simulator::new(design);
+        let known: Vec<(&str, SignalId)> = signals
+            .iter()
+            .filter_map(|&name| Some((name, design.signal_by_name(name)?)))
+            .collect();
+        let ids: Vec<SignalId> = known.iter().map(|&(_, id)| id).collect();
+        let values = self.values(design, &ids);
         let name_w = signals.iter().map(|s| s.len()).max().unwrap_or(0).max(5);
         let mut out = String::new();
         let _ = write!(out, "{:name_w$} |", "cycle");
@@ -68,14 +86,10 @@ impl Trace {
             "-".repeat(name_w),
             "-".repeat(5 * self.len())
         );
-        for &name in signals {
-            let Some(sig) = design.signal_by_name(name) else {
-                continue;
-            };
+        for (k, (name, _)) in known.iter().enumerate() {
             let _ = write!(out, "{name:name_w$} |");
-            for c in 0..self.len() {
-                let v = sim.peek(&self.states[c], &self.inputs[c], sig);
-                let _ = write!(out, " {v:>4}");
+            for cycle in &values {
+                let _ = write!(out, " {:>4}", cycle[k]);
             }
             out.push('\n');
         }

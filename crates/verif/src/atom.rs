@@ -63,7 +63,9 @@ pub type RtlBool = SvaBool<RtlAtom>;
 
 /// Evaluates an [`RtlBool`] in a design state under the given inputs.
 pub fn eval_bool(sim: &Simulator<'_>, state: &State, inputs: &[u64], b: &RtlBool) -> bool {
-    b.eval(&|a: &RtlAtom| sim.peek(state, inputs, a.sig) == a.value)
+    let mut frame = sim.frame();
+    frame.settle(state, inputs);
+    b.eval(&|a: &RtlAtom| frame.peek(a.sig) == a.value)
 }
 
 #[cfg(test)]

@@ -264,7 +264,7 @@ pub fn fingerprint_modules(problem: &Problem<'_>, props: &[&Prop<RtlAtom>]) -> O
         // region boundaries are part of the digest, not just the members.
         fold(u64::MAX);
         fold(rc.regs.len() as u64);
-        for &(idx, _, _) in &rc.regs {
+        for &idx in &rc.regs {
             fold(idx as u64);
         }
         for cut in &rc.cuts {

@@ -47,8 +47,8 @@ use std::rc::Rc;
 use rtlcheck_obs::Collector;
 use rtlcheck_rtl::region::{RegionPartition, SupportIndex};
 use rtlcheck_rtl::sim::State;
-use rtlcheck_rtl::{ExprId, SignalId, SignalKind};
-use rtlcheck_sva::{MonitorState, Prop, SvaBool};
+use rtlcheck_rtl::{SignalId, SignalKind};
+use rtlcheck_sva::{Prop, SvaBool};
 
 use crate::atom::{RtlAtom, RtlBool};
 use crate::backend::{Backend, EdgeClass};
@@ -95,9 +95,9 @@ impl fmt::Display for ComposedFallback {
 /// assumption monitors bounded to it, and the atoms it evaluates.
 #[derive(Debug)]
 pub(crate) struct RegionCtx {
-    /// `(dense register index, next-state expr, width)` per region
-    /// register, in region order (sorted by signal id).
-    pub(crate) regs: Vec<(usize, ExprId, u8)>,
+    /// Dense register index per region register, in region order
+    /// (sorted by signal id).
+    pub(crate) regs: Vec<usize>,
     /// Indices into `problem.assumptions` of the monitors whose atoms this
     /// region owns, ascending.
     pub(crate) monitors: Vec<usize>,
@@ -113,8 +113,9 @@ pub(crate) struct RegionCtx {
 pub(crate) struct RegionEntry {
     /// Whether one of the region's assumption monitors failed.
     pub(crate) failed: bool,
-    /// The region's monitors' next states (region-local order).
-    pub(crate) next_states: Vec<MonitorState>,
+    /// The region's monitors' next interned state ids (region-local
+    /// order).
+    pub(crate) next_states: Vec<u32>,
     /// The region's registers' next values (region-local order, masked).
     pub(crate) next_regs: Vec<u64>,
     /// The region's atom valuations, positioned in the *global* bitset
@@ -132,7 +133,7 @@ pub(crate) struct RegionRow {
 
 /// Memo key of a region row: the projection of a product node onto one
 /// region's interface-visible state.
-pub(crate) type RegionKey = (Vec<u64>, Vec<MonitorState>);
+pub(crate) type RegionKey = (Vec<u64>, Vec<u32>);
 
 /// The analyzed decomposition of a problem, installed into a
 /// [`StateGraph`] to drive composed row construction.
@@ -224,11 +225,10 @@ impl Composition {
                     .regs
                     .iter()
                     .map(|&id| {
-                        let s = design.signal(id);
-                        let SignalKind::Reg { index, next, .. } = s.kind else {
+                        let SignalKind::Reg { index, .. } = design.signal(id).kind else {
                             unreachable!("region members are registers");
                         };
-                        (index, next, s.width)
+                        index
                     })
                     .collect();
                 RegionCtx {

@@ -1,0 +1,125 @@
+//! Monitors determinised on the fly.
+//!
+//! Both the property walks (assertion monitors over atom-table indices)
+//! and the state graph's row build (assumption monitors over [`RtlAtom`]s)
+//! step an SVA [`Monitor`] from many product states. [`DetMonitor`]
+//! interns every monitor state it reaches to a dense `u32` id and memoises
+//! each transition `(id, valuation of the property's own atoms)`, so the
+//! real [`Monitor::step`] runs once per distinct transition rather than
+//! once per edge, and product keys hash a `u32` instead of a
+//! [`MonitorState`]'s pending-attempt set.
+//!
+//! [`RtlAtom`]: crate::atom::RtlAtom
+
+use std::collections::HashMap;
+
+use rtlcheck_sva::{Monitor, MonitorState, Prop};
+
+/// Successor id of a transition that fails the monitor. Failure is
+/// absorbing, so this id never labels a product node.
+pub(crate) const FAILED: u32 = u32::MAX - 1;
+
+/// A monitor determinised lazily: interned states plus a transition memo.
+///
+/// Memoising is sound because a monitor's successor is a function of its
+/// state and its atoms' values alone. A memo hit replays the step's
+/// metrics ([`Monitor::record_memoised_step`]), so `monitor.*` counters
+/// match an unmemoised run.
+pub(crate) struct DetMonitor<A> {
+    pub(crate) monitor: Monitor<A>,
+    /// Interned states by id.
+    states: Vec<MonitorState>,
+    ids: HashMap<MonitorState, u32>,
+    /// The property's distinct atoms, ascending: bit `j` of a memo key is
+    /// the value of `atoms[j]`.
+    atoms: Vec<A>,
+    /// `(state id, packed atom valuation)` → `(successor id or FAILED,
+    /// whether the step's antecedent filtered the attempt)`. `None` past
+    /// 64 atoms, whose valuations do not pack into a `u64`: such a monitor
+    /// steps on every call (its states are still interned).
+    memo: Option<HashMap<(u32, u64), (u32, bool)>>,
+    /// Real [`Monitor::step`] calls.
+    pub(crate) steps: u64,
+    pub(crate) memo_hits: u64,
+}
+
+impl<A: Clone + Ord> DetMonitor<A> {
+    /// Id of the initial (pre-first-cycle) monitor state.
+    pub(crate) const INITIAL: u32 = 0;
+
+    pub(crate) fn new(prop: &Prop<A>) -> Self {
+        let mut atoms = Vec::new();
+        prop.for_each_atom(&mut |a| atoms.push(a.clone()));
+        atoms.sort_unstable();
+        atoms.dedup();
+        let memo = (atoms.len() <= 64).then(HashMap::new);
+        let monitor = Monitor::new(prop);
+        let initial = monitor.state().clone();
+        let mut det = DetMonitor {
+            monitor,
+            states: Vec::new(),
+            ids: HashMap::new(),
+            atoms,
+            memo,
+            steps: 0,
+            memo_hits: 0,
+        };
+        det.intern(initial);
+        det
+    }
+
+    /// The id of `state`, interning it on first sight.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the monitor reaches more states than `u32` ids can name.
+    pub(crate) fn intern(&mut self, state: MonitorState) -> u32 {
+        if let Some(&id) = self.ids.get(&state) {
+            return id;
+        }
+        let id = u32::try_from(self.states.len())
+            .ok()
+            .filter(|&id| id < FAILED)
+            .expect("monitor states fit in u32 ids");
+        self.states.push(state.clone());
+        self.ids.insert(state, id);
+        id
+    }
+
+    /// The state interned as `id`.
+    pub(crate) fn state(&self, id: u32) -> &MonitorState {
+        &self.states[id as usize]
+    }
+
+    /// The successor of interned state `id` on a cycle where atom `a`
+    /// holds iff `holds(a)`, or [`FAILED`].
+    pub(crate) fn step(&mut self, id: u32, holds: impl Fn(&A) -> bool) -> u32 {
+        let key = self.memo.as_ref().map(|_| {
+            let packed = self
+                .atoms
+                .iter()
+                .enumerate()
+                .fold(0u64, |acc, (j, a)| acc | (u64::from(holds(a)) << j));
+            (id, packed)
+        });
+        if let Some(&(next, filtered)) = key.and_then(|k| self.memo.as_ref()?.get(&k)) {
+            self.memo_hits += 1;
+            self.monitor.record_memoised_step(filtered);
+            return next;
+        }
+        self.steps += 1;
+        let filter_hits = self.monitor.metrics().first_filter_hits;
+        self.monitor.set_state(self.states[id as usize].clone());
+        self.monitor.step(&holds);
+        let filtered = self.monitor.metrics().first_filter_hits != filter_hits;
+        let next = if self.monitor.failed() {
+            FAILED
+        } else {
+            self.intern(self.monitor.state().clone())
+        };
+        if let (Some(memo), Some(key)) = (&mut self.memo, key) {
+            memo.insert(key, (next, filtered));
+        }
+        next
+    }
+}

@@ -25,8 +25,9 @@ use rtlcheck_rtl::sim::{Simulator, State};
 use rtlcheck_rtl::waveform::Trace;
 use rtlcheck_sva::{Monitor, MonitorState, Prop, SvaBool};
 
-use crate::atom::{eval_bool, RtlAtom};
+use crate::atom::RtlAtom;
 use crate::backend::Backend;
+use crate::det::{DetMonitor, FAILED};
 use crate::engine::{Engine, EngineKind, PropertyVerdict, VerifyConfig};
 use crate::graph::{input_valuations, StateGraph, PRUNED};
 use crate::problem::Problem;
@@ -125,10 +126,6 @@ where
 /// reachability runs).
 const NO_MONITOR: u32 = u32::MAX;
 
-/// Successor id of a transition that fails the assertion. Failure is
-/// absorbing and ends the walk, so this id never labels a walk node.
-const FAILED: u32 = u32::MAX - 1;
-
 /// One node of a walk: a graph node paired with the interned id of the
 /// assertion monitor's state at that node (or [`NO_MONITOR`]).
 struct WalkNode {
@@ -144,104 +141,6 @@ fn atom_holds(bits: &[u64], i: usize) -> bool {
     bits[i / 64] & (1 << (i % 64)) != 0
 }
 
-/// A walk's assertion monitor, determinised on the fly: every monitor
-/// state the walk reaches is interned to a dense id, and each transition
-/// `(id, valuation of the property's own atoms)` is memoised, so the real
-/// [`Monitor::step`] runs once per distinct transition rather than once
-/// per edge. Memoising is sound because the monitor's successor is a
-/// function of its state and its atoms' values alone; a hit replays the
-/// step's metrics, so `monitor.*` counters match an unmemoised run.
-struct DetMonitor {
-    monitor: Monitor<usize>,
-    /// Interned states by id.
-    states: Vec<MonitorState>,
-    ids: HashMap<MonitorState, u32>,
-    /// `(word, mask)` locating each of the property's distinct atoms in an
-    /// edge bitset, in ascending atom order. `None` past 64 atoms, whose
-    /// valuations do not pack into a `u64` memo key: such a property steps
-    /// the monitor on every edge (its states are still interned).
-    atom_bits: Option<Vec<(usize, u64)>>,
-    /// `(state id, packed atom valuation)` → `(successor id or FAILED,
-    /// whether the step's antecedent filtered the attempt)`.
-    memo: HashMap<(u32, u64), (u32, bool)>,
-    /// Real [`Monitor::step`] calls.
-    steps: u64,
-    memo_hits: u64,
-}
-
-impl DetMonitor {
-    fn new(prop: &Prop<usize>) -> Self {
-        let mut atoms = Vec::new();
-        prop.for_each_atom(&mut |&a| atoms.push(a));
-        atoms.sort_unstable();
-        atoms.dedup();
-        let atom_bits = (atoms.len() <= 64)
-            .then(|| atoms.iter().map(|&a| (a / 64, 1u64 << (a % 64))).collect());
-        let monitor = Monitor::new(prop);
-        let initial = monitor.state().clone();
-        let mut det = DetMonitor {
-            monitor,
-            states: Vec::new(),
-            ids: HashMap::new(),
-            atom_bits,
-            memo: HashMap::new(),
-            steps: 0,
-            memo_hits: 0,
-        };
-        det.intern(initial);
-        det
-    }
-
-    /// Id of the initial (pre-first-cycle) monitor state.
-    const INITIAL: u32 = 0;
-
-    fn intern(&mut self, state: MonitorState) -> u32 {
-        if let Some(&id) = self.ids.get(&state) {
-            return id;
-        }
-        let id = u32::try_from(self.states.len())
-            .ok()
-            .filter(|&id| id < FAILED)
-            .expect("walk monitor states fit in u32 ids");
-        self.states.push(state.clone());
-        self.ids.insert(state, id);
-        id
-    }
-
-    /// The successor of interned state `id` on an edge with atom valuation
-    /// `bits`, or [`FAILED`].
-    fn step(&mut self, id: u32, bits: &[u64]) -> u32 {
-        let key = self.atom_bits.as_ref().map(|atoms| {
-            let packed = atoms
-                .iter()
-                .enumerate()
-                .fold(0u64, |acc, (j, &(word, mask))| {
-                    acc | (u64::from(bits[word] & mask != 0) << j)
-                });
-            (id, packed)
-        });
-        if let Some(&(next, filtered)) = key.as_ref().and_then(|k| self.memo.get(k)) {
-            self.memo_hits += 1;
-            self.monitor.record_memoised_step(filtered);
-            return next;
-        }
-        self.steps += 1;
-        let filter_hits = self.monitor.metrics().first_filter_hits;
-        self.monitor.set_state(self.states[id as usize].clone());
-        self.monitor.step(&|&i| atom_holds(bits, i));
-        let filtered = self.monitor.metrics().first_filter_hits != filter_hits;
-        let next = if self.monitor.failed() {
-            FAILED
-        } else {
-            self.intern(self.monitor.state().clone())
-        };
-        if let Some(key) = key {
-            self.memo.insert(key, (next, filtered));
-        }
-        next
-    }
-}
-
 /// A breadth-first walk of one monitor over a [`Backend`] graph. Mirrors
 /// the reference exploration exactly: same frontier order, same per-input
 /// budget checks, same statistics — the only difference is that design
@@ -254,7 +153,7 @@ impl DetMonitor {
 struct Walk<'g> {
     graph: &'g dyn Backend,
     /// The assertion monitor (compiled over atom-table indices), if any.
-    monitor: Option<DetMonitor>,
+    monitor: Option<DetMonitor<usize>>,
     /// The cover condition (over atom-table indices), if searched for.
     cover: Option<SvaBool<usize>>,
     nodes: Vec<WalkNode>,
@@ -296,7 +195,7 @@ impl<'g> Walk<'g> {
         let init_monitor = self
             .monitor
             .as_ref()
-            .map_or(NO_MONITOR, |_| DetMonitor::INITIAL);
+            .map_or(NO_MONITOR, |_| DetMonitor::<usize>::INITIAL);
         self.nodes.push(WalkNode {
             graph_node: 0,
             monitor: init_monitor,
@@ -400,7 +299,7 @@ impl<'g> Walk<'g> {
         let dest = edge.dest;
 
         let next_monitor = match &mut self.monitor {
-            Some(m) => match m.step(self.nodes[node_idx].monitor, &self.bits) {
+            Some(m) => match m.step(self.nodes[node_idx].monitor, |&i| atom_holds(&self.bits, i)) {
                 FAILED => return Step::AssertFailed,
                 id => id,
             },
@@ -840,14 +739,15 @@ impl<'p, 'd> Exploration<'p, 'd> {
             (n.state.clone(), n.monitors.clone())
         };
         // Advance every monitor through this cycle's valuation.
-        let sim = &self.sim;
-        let env = move |a: &RtlAtom, st: &State| sim.peek(st, input, a.sig) == a.value;
+        let mut frame = self.sim.frame();
+        frame.settle(&state, input);
+        let env = |a: &RtlAtom| frame.peek(a.sig) == a.value;
         let mut next_monitors = Vec::with_capacity(self.monitors.len());
         let mut assumption_failed = false;
         let mut assertion_failed = false;
         for (i, m) in self.monitors.iter_mut().enumerate() {
             m.set_state(monitor_states[i].clone());
-            m.step(&|a| env(a, &state));
+            m.step(&env);
             if m.failed() {
                 if Some(i) == self.assertion {
                     assertion_failed = true;
@@ -870,12 +770,12 @@ impl<'p, 'd> Exploration<'p, 'd> {
         }
         if self.check_cover {
             if let Some(cover) = &self.problem.cover {
-                if eval_bool(&self.sim, &state, input, cover) {
+                if cover.eval(&env) {
                     return Step::Covered;
                 }
             }
         }
-        let next_state = self.sim.step(&state, input);
+        let next_state = frame.next_state();
         let key = (next_state.clone(), next_monitors.clone());
         if let Some(&_existing) = self.index.get(&key) {
             return Step::Known;

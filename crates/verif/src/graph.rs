@@ -28,18 +28,20 @@
 //! already exists.
 
 use std::cell::{Cell, RefCell};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
 use std::rc::Rc;
 use std::sync::Arc;
 
 use rtlcheck_obs::{attrs, Collector};
-use rtlcheck_rtl::sim::{Simulator, State};
-use rtlcheck_rtl::{ConeSet, Design, ExprId, SignalId, SignalKind};
-use rtlcheck_sva::{Monitor, MonitorState, Prop, SvaBool};
+use rtlcheck_rtl::sim::{Frame, Simulator, State};
+use rtlcheck_rtl::{ConeSet, Design, SignalId, SignalKind};
+use rtlcheck_sva::{MonitorState, Prop, SvaBool};
 
 use crate::atom::{RtlAtom, RtlBool};
 use crate::cache::{CoreSnapshot, NodeSnapshot};
 use crate::composed::{Composition, RegionCtx, RegionEntry, RegionRow};
+use crate::det::{DetMonitor, FAILED};
 use crate::engine::Engine;
 use crate::problem::Problem;
 
@@ -126,7 +128,8 @@ pub struct GraphStats {
 /// One materialised node: the product state plus its (lazily built) edges.
 struct GraphNode {
     state: State,
-    assumptions: Vec<MonitorState>,
+    /// Interned assumption-monitor state ids, one per directive.
+    assumptions: Box<[u32]>,
     row: Option<EdgeRow>,
 }
 
@@ -139,24 +142,101 @@ struct EdgeRow {
     bits: Box<[u64]>,
 }
 
-/// The interior-mutable part: nodes, the dedup index, and the reusable
-/// assumption monitors used to step edge rows.
-struct GraphCore {
+/// The interior-mutable part: nodes, the dedup index, the assumption
+/// monitors (determinised lazily, see [`crate::det`]) that step edge rows,
+/// and the evaluation frame rows settle the design into.
+struct GraphCore<'d> {
     nodes: Vec<GraphNode>,
-    index: HashMap<(State, Vec<MonitorState>), u32>,
-    monitors: Vec<Monitor<RtlAtom>>,
+    index: HashMap<(State, Box<[u32]>), u32>,
+    monitors: Vec<DetMonitor<RtlAtom>>,
+    frame: Frame<'d>,
     stats: GraphStats,
+    /// Edge rows built (cold, spliced or composed). Like the two counters
+    /// below, a work counter of this graph object, not part of
+    /// [`GraphStats`] (which snapshots serialize).
+    rows_built: u64,
+    /// [`Frame::settle`] passes over the design.
+    sim_settles: u64,
 }
 
-/// Masks `value` to `width` bits — the register-commit masking
-/// [`Simulator::step`] applies, replicated so spliced dirty-register
-/// values are bit-identical to simulated ones.
-fn mask64(value: u64, width: u8) -> u64 {
-    debug_assert!((1..=64).contains(&width));
-    if width == 64 {
-        value
-    } else {
-        value & ((1u64 << width) - 1)
+impl GraphCore<'_> {
+    /// Settles the frame at one `(state, input)` point.
+    fn settle(&mut self, state: &State, input: &[u64]) {
+        self.frame.settle(state, input);
+        self.sim_settles += 1;
+    }
+
+    /// Steps every assumption monitor from `ids` over the settled frame.
+    /// Returns the successor ids, or `None` when some monitor fails (the
+    /// cycle is pruned). Every monitor steps either way, so monitor
+    /// metrics do not depend on directive order.
+    fn step_monitors(&mut self, ids: &[u32]) -> Option<Box<[u32]>> {
+        let frame = &self.frame;
+        let mut admissible = true;
+        let next = self
+            .monitors
+            .iter_mut()
+            .zip(ids)
+            .map(|(m, &id)| {
+                let next = m.step(id, |a| frame.peek(a.sig) == a.value);
+                admissible &= next != FAILED;
+                next
+            })
+            .collect();
+        admissible.then_some(next)
+    }
+
+    /// Counts one admissible edge into the product node `(state,
+    /// assumptions)` and returns the node's id, materialising it on first
+    /// sight.
+    fn edge_to(&mut self, state: State, assumptions: Box<[u32]>) -> u32 {
+        self.stats.edges += 1;
+        let next = self.nodes.len();
+        match self.index.entry((state, assumptions)) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                let id = u32::try_from(next).expect("graph fits in u32 node ids");
+                let (state, assumptions) = e.key().clone();
+                self.nodes.push(GraphNode {
+                    state,
+                    assumptions,
+                    row: None,
+                });
+                e.insert(id);
+                id
+            }
+        }
+    }
+
+    /// Installs a finished row.
+    fn finish_row(&mut self, node: u32, dests: Vec<u32>, bits: Vec<u64>) {
+        self.stats.nodes = self.nodes.len();
+        self.rows_built += 1;
+        self.nodes[node as usize].row = Some(EdgeRow {
+            dests: dests.into_boxed_slice(),
+            bits: bits.into_boxed_slice(),
+        });
+    }
+
+    /// Interns a snapshot node's monitor states.
+    fn intern(&mut self, states: &[MonitorState]) -> Box<[u32]> {
+        self.monitors
+            .iter_mut()
+            .zip(states)
+            .map(|(m, s)| m.intern(s.clone()))
+            .collect()
+    }
+}
+
+/// Sets the bits of the atoms in `sig_atoms` that hold in a settled frame.
+fn fill_bits(frame: &Frame<'_>, sig_atoms: &[(SignalId, Vec<(usize, u64)>)], words: &mut [u64]) {
+    for (sig, atoms) in sig_atoms {
+        let v = frame.peek(*sig);
+        for &(ai, value) in atoms {
+            if v == value {
+                words[ai / 64] |= 1 << (ai % 64);
+            }
+        }
     }
 }
 
@@ -169,10 +249,13 @@ fn mask64(value: u64, width: u8) -> u64 {
 /// serialized in snapshots and must stay byte-identical to cold builds.
 struct SpliceState {
     baseline: Arc<CoreSnapshot>,
-    /// `(register values, monitor states)` → baseline node id.
-    index: HashMap<(Vec<u64>, Vec<MonitorState>), u32>,
-    /// `(dense register index, next-state expr, width)` per dirty register.
-    dirty_regs: Vec<(usize, ExprId, u8)>,
+    /// Product key (monitor states interned into this graph's monitors)
+    /// → baseline node id.
+    index: HashMap<(State, Box<[u32]>), u32>,
+    /// Interned monitor-state ids of each baseline node.
+    ids: Vec<Box<[u32]>>,
+    /// Dense register index per dirty register.
+    dirty_regs: Vec<usize>,
     /// The subset of `sig_atoms` whose signal is a dirty wire.
     dirty_sig_atoms: Vec<(SignalId, Vec<(usize, u64)>)>,
     /// Bitmask over atom words selecting the dirty atoms (cleared from
@@ -198,7 +281,6 @@ struct SpliceState {
 /// every property walk and the cover search. See the module docs.
 pub struct StateGraph<'p, 'd> {
     problem: &'p Problem<'d>,
-    sim: Simulator<'d>,
     /// All enumerated primary-input valuations (edge labels).
     inputs: Vec<Vec<u64>>,
     /// Sorted, deduplicated table of every atom any walk will evaluate.
@@ -207,7 +289,7 @@ pub struct StateGraph<'p, 'd> {
     sig_atoms: Vec<(SignalId, Vec<(usize, u64)>)>,
     /// u64 words per edge bitset.
     words: usize,
-    core: RefCell<GraphCore>,
+    core: RefCell<GraphCore<'d>>,
     /// Baseline-reuse context when this graph was assembled incrementally.
     splice: Option<SpliceState>,
     /// Modular-composition context when this graph assembles its rows from
@@ -283,30 +365,32 @@ impl<'p, 'd> StateGraph<'p, 'd> {
         let initial = sim
             .initial_state_with(&problem.init_pins)
             .expect("all free-init registers must be pinned by init assumptions");
-        let monitors: Vec<Monitor<RtlAtom>> = problem
+        let monitors: Vec<DetMonitor<RtlAtom>> = problem
             .assumptions
             .iter()
-            .map(|d| Monitor::new(&d.prop))
+            .map(|d| DetMonitor::new(&d.prop))
             .collect();
-        let init_states: Vec<MonitorState> = monitors.iter().map(|m| m.state().clone()).collect();
+        let init_ids: Box<[u32]> = vec![DetMonitor::<RtlAtom>::INITIAL; monitors.len()].into();
         let mut core = GraphCore {
             nodes: vec![GraphNode {
                 state: initial.clone(),
-                assumptions: init_states.clone(),
+                assumptions: init_ids.clone(),
                 row: None,
             }],
             index: HashMap::new(),
             monitors,
+            frame: sim.frame(),
             stats: GraphStats {
                 nodes: 1,
                 ..GraphStats::default()
             },
+            rows_built: 0,
+            sim_settles: 0,
         };
-        core.index.insert((initial, init_states), 0);
+        core.index.insert((initial, init_ids), 0);
 
         StateGraph {
             problem,
-            sim,
             inputs,
             atoms,
             sig_atoms,
@@ -342,19 +426,14 @@ impl<'p, 'd> StateGraph<'p, 'd> {
         // is independent of the node state — any state works for the peek;
         // the initial one is always available.
         let state = self.core.borrow().nodes[0].state.clone();
+        let mut frame = Simulator::new(self.problem.design).frame();
         comp.global_bits = self
             .inputs
             .iter()
             .map(|input| {
                 let mut words = vec![0u64; self.words];
-                for (sig, sig_atoms) in &comp.global_sig_atoms {
-                    let v = self.sim.peek(&state, input, *sig);
-                    for &(ai, value) in sig_atoms {
-                        if v == value {
-                            words[ai / 64] |= 1 << (ai % 64);
-                        }
-                    }
-                }
+                frame.settle(&state, input);
+                fill_bits(&frame, &comp.global_sig_atoms, &mut words);
                 words
             })
             .collect();
@@ -449,11 +528,10 @@ impl<'p, 'd> StateGraph<'p, 'd> {
         }
         let mut dirty_regs = Vec::with_capacity(dirty.regs.len());
         for &r in &dirty.regs {
-            let s = problem.design.signal(r);
-            let SignalKind::Reg { index, next, .. } = s.kind else {
+            let SignalKind::Reg { index, .. } = problem.design.signal(r).kind else {
                 return None;
             };
-            dirty_regs.push((index, next, s.width));
+            dirty_regs.push(index);
         }
         let mut dirty_sig_atoms = Vec::new();
         let mut dirty_atom_mask = vec![0u64; graph.words];
@@ -475,6 +553,8 @@ impl<'p, 'd> StateGraph<'p, 'd> {
         }
         let row_words = baseline.num_inputs.checked_mul(baseline.words)?;
         let mut index = HashMap::with_capacity(num_nodes);
+        let mut ids = Vec::with_capacity(num_nodes);
+        let mut core = graph.core.borrow_mut();
         let mut edges = 0u64;
         let mut pruned = 0u64;
         for (i, n) in baseline.nodes.iter().enumerate() {
@@ -495,13 +575,14 @@ impl<'p, 'd> StateGraph<'p, 'd> {
                     }
                 }
             }
-            if index
-                .insert((n.regs.clone(), n.assumptions.clone()), i as u32)
-                .is_some()
-            {
+            let node_ids = core.intern(&n.assumptions);
+            let key = (State::from_regs(n.regs.clone()), node_ids.clone());
+            if index.insert(key, i as u32).is_some() {
                 return None;
             }
+            ids.push(node_ids);
         }
+        drop(core);
         if edges != baseline.stats.edges || pruned != baseline.stats.pruned_edges {
             return None;
         }
@@ -511,6 +592,7 @@ impl<'p, 'd> StateGraph<'p, 'd> {
         graph.splice = Some(SpliceState {
             baseline,
             index,
+            ids,
             dirty_regs,
             dirty_sig_atoms,
             dirty_atom_mask,
@@ -555,7 +637,7 @@ impl<'p, 'd> StateGraph<'p, 'd> {
 
     /// Builds the edge row of one node: from the baseline when this graph
     /// is spliced and the node is copyable, by simulation otherwise.
-    fn build_row(&self, core: &mut GraphCore, node: u32) {
+    fn build_row(&self, core: &mut GraphCore<'d>, node: u32) {
         if let Some(comp) = &self.composition {
             self.build_row_composed(core, node, comp);
             return;
@@ -576,17 +658,19 @@ impl<'p, 'd> StateGraph<'p, 'd> {
     /// the dirty cones' contributions. Returns `false` — caller re-builds
     /// cold — when the node's product state is not in the baseline or its
     /// row was never materialised there.
-    fn build_row_spliced(&self, core: &mut GraphCore, node: u32, sp: &SpliceState) -> bool {
-        let (state, assumptions) = {
+    fn build_row_spliced(&self, core: &mut GraphCore<'d>, node: u32, sp: &SpliceState) -> bool {
+        let key = {
             let n = &core.nodes[node as usize];
             (n.state.clone(), n.assumptions.clone())
         };
-        let Some(&b) = sp.index.get(&(state.regs().to_vec(), assumptions.clone())) else {
+        let Some(&b) = sp.index.get(&key) else {
             return false;
         };
         let Some((bdests, bbits)) = &sp.baseline.nodes[b as usize].row else {
             return false;
         };
+        let (state, ids) = key;
+        let resimulate = sp.validate || !sp.dirty_regs.is_empty() || !sp.dirty_sig_atoms.is_empty();
         let num_inputs = self.inputs.len();
         let mut dests = Vec::with_capacity(num_inputs);
         let mut bits = vec![0u64; num_inputs * self.words];
@@ -597,68 +681,38 @@ impl<'p, 'd> StateGraph<'p, 'd> {
                 // are clean (checked at splice time): the baseline's
                 // pruning verdict transfers.
                 if sp.validate {
-                    self.validate_entry(&mut core.monitors, &state, &assumptions, input, None, &[]);
+                    core.settle(&state, input);
+                    self.validate_entry(core, &ids, None, &[]);
                 }
                 core.stats.pruned_edges += 1;
                 dests.push(PRUNED);
                 continue;
             }
-            let bdest = &sp.baseline.nodes[bd as usize];
-            // Atom bits: copy the row, clear the dirty atoms, re-peek them.
+            if resimulate {
+                core.settle(&state, input);
+            }
+            // Atom bits: copy the row, clear the dirty atoms, re-read them.
             let words = &mut bits[i * self.words..(i + 1) * self.words];
             words.copy_from_slice(&bbits[i * self.words..(i + 1) * self.words]);
             for (w, m) in words.iter_mut().zip(&sp.dirty_atom_mask) {
                 *w &= !m;
             }
-            for (sig, sig_atoms) in &sp.dirty_sig_atoms {
-                let v = self.sim.peek(&state, input, *sig);
-                for &(ai, value) in sig_atoms {
-                    if v == value {
-                        words[ai / 64] |= 1 << (ai % 64);
-                    }
-                }
-            }
+            fill_bits(&core.frame, &sp.dirty_sig_atoms, words);
             // Destination state: clean registers' next values are equal in
             // both designs (equal value-function fingerprints), so copy
             // them; re-evaluate only the dirty registers.
-            let mut regs = bdest.regs.clone();
-            for &(ri, next, width) in &sp.dirty_regs {
-                regs[ri] = mask64(self.sim.eval(&state, input, next), width);
+            let mut regs = sp.baseline.nodes[bd as usize].regs.clone();
+            for &ri in &sp.dirty_regs {
+                regs[ri] = core.frame.next_reg(ri);
             }
             let dest_state = State::from_regs(regs);
-            let next_states = bdest.assumptions.clone();
+            let next_ids = sp.ids[bd as usize].clone();
             if sp.validate {
-                self.validate_entry(
-                    &mut core.monitors,
-                    &state,
-                    &assumptions,
-                    input,
-                    Some((&dest_state, &next_states)),
-                    words,
-                );
+                self.validate_entry(core, &ids, Some((&dest_state, &next_ids)), words);
             }
-            let key = (dest_state, next_states);
-            let dest = match core.index.get(&key) {
-                Some(&d) => d,
-                None => {
-                    let d = u32::try_from(core.nodes.len()).expect("graph fits in u32 node ids");
-                    core.nodes.push(GraphNode {
-                        state: key.0.clone(),
-                        assumptions: key.1.clone(),
-                        row: None,
-                    });
-                    core.index.insert(key, d);
-                    d
-                }
-            };
-            core.stats.edges += 1;
-            dests.push(dest);
+            dests.push(core.edge_to(dest_state, next_ids));
         }
-        core.stats.nodes = core.nodes.len();
-        core.nodes[node as usize].row = Some(EdgeRow {
-            dests: dests.into_boxed_slice(),
-            bits: bits.into_boxed_slice(),
-        });
+        core.finish_row(node, dests, bits);
         let total = self.problem.design.num_regs() as u64;
         let dirty = sp.dirty_regs.len() as u64;
         if dirty == 0 && sp.dirty_sig_atoms.is_empty() {
@@ -671,60 +725,42 @@ impl<'p, 'd> StateGraph<'p, 'd> {
         true
     }
 
-    /// Re-derives one spliced `(node, input)` entry by full simulation and
-    /// asserts it matches the copied/patched data. `expected` is `None`
-    /// for a pruned entry.
+    /// Re-derives one spliced `(node, input)` entry from the settled frame
+    /// and asserts it matches the copied/patched data: `ids` are the
+    /// node's monitor states, `expected` the entry's destination (`None`
+    /// for a pruned entry).
     fn validate_entry(
         &self,
-        monitors: &mut [Monitor<RtlAtom>],
-        state: &State,
-        assumptions: &[MonitorState],
-        input: &[u64],
-        expected: Option<(&State, &[MonitorState])>,
+        core: &mut GraphCore<'d>,
+        ids: &[u32],
+        expected: Option<(&State, &[u32])>,
         expected_bits: &[u64],
     ) {
-        let mut admissible = true;
-        let mut next_states = Vec::with_capacity(monitors.len());
-        for (m_i, m) in monitors.iter_mut().enumerate() {
-            m.set_state(assumptions[m_i].clone());
-            m.step(&|a: &RtlAtom| self.sim.peek(state, input, a.sig) == a.value);
-            if m.failed() {
-                admissible = false;
-            }
-            next_states.push(m.state().clone());
-        }
+        let next = core.step_monitors(ids);
         match expected {
             None => assert!(
-                !admissible,
+                next.is_none(),
                 "splice validation: baseline prunes an edge the re-simulation admits"
             ),
             Some((dest, states)) => {
-                assert!(
-                    admissible,
-                    "splice validation: baseline admits an edge the re-simulation prunes"
-                );
+                let next = next.unwrap_or_else(|| {
+                    panic!("splice validation: baseline admits an edge the re-simulation prunes")
+                });
                 assert_eq!(
                     states,
-                    &next_states[..],
+                    &next[..],
                     "splice validation: monitor states diverge"
                 );
                 let mut bits = vec![0u64; self.words];
-                for (sig, sig_atoms) in &self.sig_atoms {
-                    let v = self.sim.peek(state, input, *sig);
-                    for &(ai, value) in sig_atoms {
-                        if v == value {
-                            bits[ai / 64] |= 1 << (ai % 64);
-                        }
-                    }
-                }
+                fill_bits(&core.frame, &self.sig_atoms, &mut bits);
                 assert_eq!(
                     expected_bits,
                     &bits[..],
                     "splice validation: atom bits diverge"
                 );
-                let sim_dest = self.sim.step(state, input);
                 assert_eq!(
-                    dest, &sim_dest,
+                    dest,
+                    &core.frame.next_state(),
                     "splice validation: destination state diverges"
                 );
             }
@@ -739,21 +775,17 @@ impl<'p, 'd> StateGraph<'p, 'd> {
     /// union. Region closure (see [`Composition::analyze`]) makes every
     /// memoized quantity exact at any node with the same projection, so
     /// the assembled row is identical to [`StateGraph::build_row_cold`]'s.
-    fn build_row_composed(&self, core: &mut GraphCore, node: u32, comp: &Composition) {
-        let (state, assumptions) = {
+    fn build_row_composed(&self, core: &mut GraphCore<'d>, node: u32, comp: &Composition) {
+        let (state, ids) = {
             let n = &core.nodes[node as usize];
             (n.state.clone(), n.assumptions.clone())
         };
         let regs = state.regs();
         let mut region_rows: Vec<Rc<RegionRow>> = Vec::with_capacity(comp.regions.len());
         for (ri, rc) in comp.regions.iter().enumerate() {
-            let key_regs: Vec<u64> = rc.regs.iter().map(|&(idx, _, _)| regs[idx]).collect();
-            let key_states: Vec<MonitorState> = rc
-                .monitors
-                .iter()
-                .map(|&di| assumptions[di].clone())
-                .collect();
-            let key = (key_regs, key_states);
+            let key_regs: Vec<u64> = rc.regs.iter().map(|&idx| regs[idx]).collect();
+            let key_ids: Vec<u32> = rc.monitors.iter().map(|&di| ids[di]).collect();
+            let key = (key_regs, key_ids);
             let cached = comp.memo.borrow()[ri].get(&key).cloned();
             let row = match cached {
                 Some(row) => {
@@ -790,86 +822,51 @@ impl<'p, 'd> StateGraph<'p, 'd> {
                 for (w, b) in words.iter_mut().zip(&entry.bits) {
                     *w |= b;
                 }
-                for (&(idx, _, _), &v) in rc.regs.iter().zip(&entry.next_regs) {
+                for (&idx, &v) in rc.regs.iter().zip(&entry.next_regs) {
                     next_regs[idx] = v;
                 }
             }
-            let dest_state = State::from_regs(next_regs);
-            let next_states: Vec<MonitorState> = (0..assumptions.len())
-                .map(|di| {
-                    let (ri, pos) = comp.monitor_slot[di];
-                    region_rows[ri].entries[i].next_states[pos].clone()
-                })
+            let next_ids = comp
+                .monitor_slot
+                .iter()
+                .map(|&(ri, pos)| region_rows[ri].entries[i].next_states[pos])
                 .collect();
-            let key = (dest_state, next_states);
-            let dest = match core.index.get(&key) {
-                Some(&d) => d,
-                None => {
-                    let d = u32::try_from(core.nodes.len()).expect("graph fits in u32 node ids");
-                    core.nodes.push(GraphNode {
-                        state: key.0.clone(),
-                        assumptions: key.1.clone(),
-                        row: None,
-                    });
-                    core.index.insert(key, d);
-                    d
-                }
-            };
-            core.stats.edges += 1;
-            dests.push(dest);
+            dests.push(core.edge_to(State::from_regs(next_regs), next_ids));
         }
-        core.stats.nodes = core.nodes.len();
-        core.nodes[node as usize].row = Some(EdgeRow {
-            dests: dests.into_boxed_slice(),
-            bits: bits.into_boxed_slice(),
-        });
+        core.finish_row(node, dests, bits);
     }
 
     /// Materialises one region's interface-spec row: for every input
     /// valuation, step the region's assumption monitors, evaluate the
-    /// region's registers' next values, and peek the region's atoms.
+    /// region's registers' next values, and read the region's atoms.
     /// `state` is the full product state of the node that missed the memo;
     /// every quantity computed here depends only on its projection onto
     /// this region (the memo key), so the row is exact wherever it is
     /// reused.
     fn compute_region_row(
         &self,
-        core: &mut GraphCore,
+        core: &mut GraphCore<'d>,
         state: &State,
-        key_states: &[MonitorState],
+        key_ids: &[u32],
         rc: &RegionCtx,
     ) -> RegionRow {
         let entries = self
             .inputs
             .iter()
             .map(|input| {
-                let mut failed = false;
-                let mut next_states = Vec::with_capacity(rc.monitors.len());
-                for (pos, &di) in rc.monitors.iter().enumerate() {
-                    let m = &mut core.monitors[di];
-                    m.set_state(key_states[pos].clone());
-                    m.step(&|a: &RtlAtom| self.sim.peek(state, input, a.sig) == a.value);
-                    if m.failed() {
-                        failed = true;
-                    }
-                    next_states.push(m.state().clone());
-                }
-                let next_regs = rc
-                    .regs
+                core.settle(state, input);
+                let frame = &core.frame;
+                let next_states: Vec<u32> = rc
+                    .monitors
                     .iter()
-                    .map(|&(_, next, width)| mask64(self.sim.eval(state, input, next), width))
+                    .zip(key_ids)
+                    .map(|(&di, &id)| core.monitors[di].step(id, |a| frame.peek(a.sig) == a.value))
                     .collect();
+                let next_regs = rc.regs.iter().map(|&idx| frame.next_reg(idx)).collect();
                 let mut bits = vec![0u64; self.words];
-                for (sig, sig_atoms) in &rc.sig_atoms {
-                    let v = self.sim.peek(state, input, *sig);
-                    for &(ai, value) in sig_atoms {
-                        if v == value {
-                            bits[ai / 64] |= 1 << (ai % 64);
-                        }
-                    }
-                }
+                fill_bits(frame, &rc.sig_atoms, &mut bits);
                 RegionEntry {
-                    failed,
+                    failed: next_states.contains(&FAILED),
                     next_states,
                     next_regs,
                     bits,
@@ -879,11 +876,12 @@ impl<'p, 'd> StateGraph<'p, 'd> {
         RegionRow { entries }
     }
 
-    /// Builds the edge row of one node by simulation: steps the assumption
-    /// monitors and the simulator once per input valuation, records
+    /// Builds the edge row of one node by simulation: settles the design
+    /// once per input valuation, steps the assumption monitors and reads
+    /// the atoms and the successor state from that frame, recording
     /// prunes, atom bitsets, and (deduplicated) destinations.
-    fn build_row_cold(&self, core: &mut GraphCore, node: u32) {
-        let (state, assumptions) = {
+    fn build_row_cold(&self, core: &mut GraphCore<'d>, node: u32) {
+        let (state, ids) = {
             let n = &core.nodes[node as usize];
             (n.state.clone(), n.assumptions.clone())
         };
@@ -891,53 +889,21 @@ impl<'p, 'd> StateGraph<'p, 'd> {
         let mut dests = Vec::with_capacity(num_inputs);
         let mut bits = vec![0u64; num_inputs * self.words];
         for (i, input) in self.inputs.iter().enumerate() {
-            let mut admissible = true;
-            let mut next_states = Vec::with_capacity(core.monitors.len());
-            for (m_i, m) in core.monitors.iter_mut().enumerate() {
-                m.set_state(assumptions[m_i].clone());
-                m.step(&|a: &RtlAtom| self.sim.peek(&state, input, a.sig) == a.value);
-                if m.failed() {
-                    admissible = false;
-                }
-                next_states.push(m.state().clone());
-            }
-            if !admissible {
+            core.settle(&state, input);
+            let Some(next_ids) = core.step_monitors(&ids) else {
                 core.stats.pruned_edges += 1;
                 dests.push(PRUNED);
                 continue;
-            }
-            let words = &mut bits[i * self.words..(i + 1) * self.words];
-            for (sig, sig_atoms) in &self.sig_atoms {
-                let v = self.sim.peek(&state, input, *sig);
-                for &(ai, value) in sig_atoms {
-                    if v == value {
-                        words[ai / 64] |= 1 << (ai % 64);
-                    }
-                }
-            }
-            let dest_state = self.sim.step(&state, input);
-            let key = (dest_state, next_states);
-            let dest = match core.index.get(&key) {
-                Some(&d) => d,
-                None => {
-                    let d = u32::try_from(core.nodes.len()).expect("graph fits in u32 node ids");
-                    core.nodes.push(GraphNode {
-                        state: key.0.clone(),
-                        assumptions: key.1.clone(),
-                        row: None,
-                    });
-                    core.index.insert(key, d);
-                    d
-                }
             };
-            core.stats.edges += 1;
-            dests.push(dest);
+            fill_bits(
+                &core.frame,
+                &self.sig_atoms,
+                &mut bits[i * self.words..(i + 1) * self.words],
+            );
+            let dest_state = core.frame.next_state();
+            dests.push(core.edge_to(dest_state, next_ids));
         }
-        core.stats.nodes = core.nodes.len();
-        core.nodes[node as usize].row = Some(EdgeRow {
-            dests: dests.into_boxed_slice(),
-            bits: bits.into_boxed_slice(),
-        });
+        core.finish_row(node, dests, bits);
     }
 
     /// Fetches the edge `(node, input)`: returns the destination node (or
@@ -1038,7 +1004,12 @@ impl<'p, 'd> StateGraph<'p, 'd> {
             .iter()
             .map(|n| NodeSnapshot {
                 regs: n.state.regs().to_vec(),
-                assumptions: n.assumptions.clone(),
+                assumptions: n
+                    .assumptions
+                    .iter()
+                    .zip(&core.monitors)
+                    .map(|(&id, m)| m.state(id).clone())
+                    .collect(),
                 row: n.row.as_ref().map(|r| (r.dests.to_vec(), r.bits.to_vec())),
             })
             .collect();
@@ -1094,9 +1065,12 @@ impl<'p, 'd> StateGraph<'p, 'd> {
             if core.monitors.len() != snap.num_monitors || snap.nodes.is_empty() {
                 return None;
             }
-            let init = &core.nodes[0];
-            if snap.nodes[0].regs != init.state.regs()
-                || snap.nodes[0].assumptions != init.assumptions
+            let init_states = core
+                .monitors
+                .iter()
+                .map(|m| m.state(DetMonitor::<RtlAtom>::INITIAL));
+            if snap.nodes[0].regs != core.nodes[0].state.regs()
+                || !snap.nodes[0].assumptions.iter().eq(init_states)
             {
                 return None;
             }
@@ -1135,15 +1109,16 @@ impl<'p, 'd> StateGraph<'p, 'd> {
                         })
                     }
                 };
+                let assumptions = core.intern(&n.assumptions);
                 let duplicate = index
-                    .insert((state.clone(), n.assumptions.clone()), i as u32)
+                    .insert((state.clone(), assumptions.clone()), i as u32)
                     .is_some();
                 if duplicate {
                     return None;
                 }
                 nodes.push(GraphNode {
                     state,
-                    assumptions: n.assumptions.clone(),
+                    assumptions,
                     row,
                 });
             }
@@ -1173,6 +1148,14 @@ impl<'p, 'd> StateGraph<'p, 'd> {
         collector.counter("graph.lookups", s.lookups, attrs![]);
         collector.counter("graph.reuse_hits", s.reuse_hits, attrs![]);
         collector.counter("graph.atoms", self.atoms.len() as u64, attrs![]);
+        collector.counter("graph.rows_built", core.rows_built, attrs![]);
+        collector.counter("graph.sim_settles", core.sim_settles, attrs![]);
+        let (steps, hits) = core
+            .monitors
+            .iter()
+            .fold((0, 0), |(s, h), m| (s + m.steps, h + m.memo_hits));
+        collector.counter("graph.assume_steps", steps, attrs![]);
+        collector.counter("graph.assume_memo_hits", hits, attrs![]);
         if let Some(comp) = &self.composition {
             collector.counter("composed.graphs", 1, attrs![]);
             collector.counter("composed.regions", comp.regions.len() as u64, attrs![]);
@@ -1196,8 +1179,8 @@ impl<'p, 'd> StateGraph<'p, 'd> {
             collector.counter("cone.rows_spliced", sp.rows_spliced.get(), attrs![]);
             collector.counter("cone.rows_recomputed", sp.rows_recomputed.get(), attrs![]);
         }
-        for (i, m) in core.monitors.iter().enumerate() {
-            m.report_to(collector, &self.problem.assumptions[i].name);
+        for (m, d) in core.monitors.iter().zip(&self.problem.assumptions) {
+            m.monitor.report_to(collector, &d.name);
         }
     }
 }

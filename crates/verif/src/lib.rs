@@ -32,6 +32,7 @@ pub mod atom;
 pub mod backend;
 pub mod cache;
 pub mod composed;
+mod det;
 pub mod engine;
 pub mod explore;
 pub mod graph;

@@ -63,10 +63,10 @@ pub fn replay(problem: &Problem<'_>, assertion: &Prop<RtlAtom>, trace: &Trace) -
         .map(|d| Monitor::new(&d.prop))
         .collect();
     let mut assertion_monitor = Monitor::new(assertion);
+    let mut frame = sim.frame();
     for cycle in 0..trace.len() {
-        let state = &trace.states[cycle];
-        let inputs = &trace.inputs[cycle];
-        let env = |a: &RtlAtom| sim.peek(state, inputs, a.sig) == a.value;
+        frame.settle(&trace.states[cycle], &trace.inputs[cycle]);
+        let env = |a: &RtlAtom| frame.peek(a.sig) == a.value;
         for (i, m) in assumption_monitors.iter_mut().enumerate() {
             m.step(&env);
             if m.failed() {

@@ -173,12 +173,15 @@ fn metrics_counters_match_report_totals() {
 }
 
 /// Suite-wide assertion- and assumption-monitor metrics, pinned to the
-/// totals of the unmemoised walk: a memoised walk transition replays its
-/// step's `attempts` and `first_filter_hits`, so the totals cannot drift.
-/// Also checks the walk's memo counters on the explicit backend: every
-/// property-walk transition is either a real monitor step or a memo hit,
-/// the fixed suite hits the memo at least 90% of the time, and the
-/// counters do not depend on the worker count.
+/// totals of the unmemoised walk and row build: a memoised monitor
+/// transition replays its step's `attempts` and `first_filter_hits`, so
+/// the totals cannot drift. Also checks the walk's memo counters on the
+/// explicit backend: every property-walk transition is either a real
+/// monitor step or a memo hit, the fixed suite hits the memo at least 90%
+/// of the time, and the counters do not depend on the worker count. The
+/// row build's work counters (`graph.rows_built`, `graph.sim_settles`,
+/// `graph.assume_steps`, `graph.assume_memo_hits`) are pinned exactly and
+/// are byte-identical across `--jobs 1` and `--jobs 8`.
 #[test]
 fn suite_monitor_metrics_and_memo_counters_are_pinned() {
     let config = VerifyConfig::quick();
@@ -187,9 +190,25 @@ fn suite_monitor_metrics_and_memo_counters_are_pinned() {
         run_suite_jobs_observed(memory, &config, jobs, &metrics);
         metrics.summary()
     };
-    for (memory, attempts, filter_hits) in [
-        (MemoryImpl::Fixed, 1_841_160, 1_823_052),
-        (MemoryImpl::Buggy, 7_535_216, 7_501_124),
+    const GRAPH_WORK: [&str; 4] = [
+        "graph.rows_built",
+        "graph.sim_settles",
+        "graph.assume_steps",
+        "graph.assume_memo_hits",
+    ];
+    for (memory, attempts, filter_hits, graph_work) in [
+        (
+            MemoryImpl::Fixed,
+            1_841_160,
+            1_823_052,
+            [4_880, 19_520, 2_379, 370_981],
+        ),
+        (
+            MemoryImpl::Buggy,
+            7_535_216,
+            7_501_124,
+            [19_929, 79_716, 2_566, 1_524_622],
+        ),
     ] {
         let summary = run(memory, 1);
         let total = |name: &str| summary.counter(name).map_or(0, |c| c.total);
@@ -199,6 +218,24 @@ fn suite_monitor_metrics_and_memo_counters_are_pinned() {
             filter_hits,
             "{memory:?}"
         );
+        assert_eq!(
+            GRAPH_WORK.map(total),
+            graph_work,
+            "{memory:?}: {GRAPH_WORK:?}"
+        );
+        assert_eq!(
+            total("graph.sim_settles"),
+            total("graph.edges") + total("graph.pruned_edges"),
+            "{memory:?}: a cold row settles the design once per input"
+        );
+        let parallel = run(memory, 8);
+        for name in GRAPH_WORK {
+            assert_eq!(
+                summary.counter(name),
+                parallel.counter(name),
+                "{name} depends on --jobs"
+            );
+        }
 
         let (steps, hits) = (
             total("engine.full.monitor_steps"),
@@ -214,7 +251,6 @@ fn suite_monitor_metrics_and_memo_counters_are_pinned() {
                 hits * 10 >= (steps + hits) * 9,
                 "memo hit rate below 90%: {hits} hits, {steps} steps"
             );
-            let parallel = run(memory, 8);
             for name in ["engine.full.monitor_steps", "engine.full.monitor_memo_hits"] {
                 assert_eq!(
                     summary.counter(name),
