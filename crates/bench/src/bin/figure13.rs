@@ -4,6 +4,7 @@
 //! Pass `--json <path>` to also dump the rows as JSON.
 
 use rtlcheck_bench::{bar_chart, run_suite};
+use rtlcheck_obs::NullCollector;
 use rtlcheck_rtl::multi_vscale::MemoryImpl;
 use rtlcheck_verif::VerifyConfig;
 
@@ -15,8 +16,9 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .cloned();
 
-    let hybrid = run_suite(MemoryImpl::Fixed, &VerifyConfig::hybrid());
-    let full = run_suite(MemoryImpl::Fixed, &VerifyConfig::full_proof());
+    let run = |config| run_suite(MemoryImpl::Fixed, &config, 1, &NullCollector, None);
+    let hybrid = run(VerifyConfig::hybrid());
+    let full = run(VerifyConfig::full_proof());
 
     println!("Figure 13: runtime to verification (fixed Multi-V-scale, 56 tests)\n");
     println!(

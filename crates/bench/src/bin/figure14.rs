@@ -2,12 +2,14 @@
 //! litmus tests under both configurations.
 
 use rtlcheck_bench::run_suite;
+use rtlcheck_obs::NullCollector;
 use rtlcheck_rtl::multi_vscale::MemoryImpl;
 use rtlcheck_verif::VerifyConfig;
 
 fn main() {
-    let hybrid = run_suite(MemoryImpl::Fixed, &VerifyConfig::hybrid());
-    let full = run_suite(MemoryImpl::Fixed, &VerifyConfig::full_proof());
+    let run = |config| run_suite(MemoryImpl::Fixed, &config, 1, &NullCollector, None);
+    let hybrid = run(VerifyConfig::hybrid());
+    let full = run(VerifyConfig::full_proof());
 
     println!("Figure 14: % fully proven properties (fixed Multi-V-scale, 56 tests)\n");
     println!(

@@ -2,6 +2,7 @@
 //! average bounded-proof depths, assumption-fast-path counts, and runtimes.
 
 use rtlcheck_bench::run_suite;
+use rtlcheck_obs::NullCollector;
 use rtlcheck_rtl::multi_vscale::MemoryImpl;
 use rtlcheck_verif::VerifyConfig;
 
@@ -11,8 +12,9 @@ fn main() {
         "{:<28} {:>12} {:>12} {:>16}",
         "metric", "Hybrid", "Full_Proof", "paper (H / FP)"
     );
-    let hybrid = run_suite(MemoryImpl::Fixed, &VerifyConfig::hybrid());
-    let full = run_suite(MemoryImpl::Fixed, &VerifyConfig::full_proof());
+    let run = |config| run_suite(MemoryImpl::Fixed, &config, 1, &NullCollector, None);
+    let hybrid = run(VerifyConfig::hybrid());
+    let full = run(VerifyConfig::full_proof());
     let row = |name: &str, h: String, f: String, paper: &str| {
         println!("{name:<28} {h:>12} {f:>12} {paper:>16}");
     };

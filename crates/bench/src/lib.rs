@@ -24,14 +24,12 @@ use rtlcheck_core::{Rtlcheck, TestReport};
 use rtlcheck_litmus::{suite, LitmusTest};
 pub use rtlcheck_obs::json::Json;
 use rtlcheck_obs::{
-    attrs, progress::UNIT_DONE, BufferCollector, Collector, MultiCollector, NullCollector,
-    TrackSink,
+    attrs, progress::UNIT_DONE, BufferCollector, Collector, MultiCollector, TrackSink,
 };
 use rtlcheck_rtl::multi_vscale::MemoryImpl;
 use rtlcheck_verif::{GraphCache, VerifyConfig};
 
 pub mod bench;
-pub mod composed;
 pub mod fuzz;
 pub mod mutation;
 pub mod serve;
@@ -205,51 +203,17 @@ impl SuiteResults {
     }
 }
 
-/// Runs every suite test under `config` on the given memory implementation.
-pub fn run_suite(memory: MemoryImpl, config: &VerifyConfig) -> SuiteResults {
-    run_suite_observed(memory, config, &NullCollector)
-}
-
-/// [`run_suite`] with instrumentation: every per-test Figure-7 phase
-/// reports to `collector` (see `rtlcheck_core::Rtlcheck::check_test_observed`).
-pub fn run_suite_observed(
-    memory: MemoryImpl,
-    config: &VerifyConfig,
-    collector: &dyn Collector,
-) -> SuiteResults {
-    run_suite_jobs_observed(memory, config, 1, collector)
-}
-
-/// [`run_suite`] with `jobs` worker threads; see [`check_tests_observed`]
-/// for the parallel execution and determinism contract.
-pub fn run_suite_jobs(memory: MemoryImpl, config: &VerifyConfig, jobs: usize) -> SuiteResults {
-    run_suite_jobs_observed(memory, config, jobs, &NullCollector)
-}
-
-/// [`run_suite_jobs`] with instrumentation.
-pub fn run_suite_jobs_observed(
+/// Runs every suite test under `config` on the given memory implementation;
+/// see [`check_tests`] for `jobs`, `collector` and `cache`.
+pub fn run_suite(
     memory: MemoryImpl,
     config: &VerifyConfig,
     jobs: usize,
     collector: &dyn Collector,
+    cache: Option<&GraphCache>,
 ) -> SuiteResults {
-    let reports = check_tests_observed(memory, &suite::all(), config, jobs, collector);
-    SuiteResults {
-        config: config.name.clone(),
-        rows: reports.iter().map(TestRow::from_report).collect(),
-    }
-}
-
-/// [`run_suite_jobs_observed`] through a [`GraphCache`]; see
-/// [`check_tests_cached`].
-pub fn run_suite_jobs_cached(
-    memory: MemoryImpl,
-    config: &VerifyConfig,
-    jobs: usize,
-    collector: &dyn Collector,
-    cache: &GraphCache,
-) -> SuiteResults {
-    let reports = check_tests_cached(memory, &suite::all(), config, jobs, collector, cache);
+    let tool = Rtlcheck::new(memory);
+    let reports = check_tests(&tool, &suite::all(), config, jobs, collector, cache, &[]);
     SuiteResults {
         config: config.name.clone(),
         rows: reports.iter().map(TestRow::from_report).collect(),
@@ -267,77 +231,26 @@ pub fn run_suite_jobs_cached(
 /// collector sees exactly the stream a sequential run would have produced
 /// (span durations are the workers' original measurements). The
 /// observability invariants — counters summing to report totals, balanced
-/// spans — therefore hold under any job count.
+/// spans — therefore hold under any job count. `jobs` ≤ 1 runs inline on
+/// the calling thread, reporting straight to `collector` with no buffering.
 ///
-/// `jobs` ≤ 1 runs inline on the calling thread, reporting straight to
-/// `collector` with no buffering.
-pub fn check_tests_observed(
-    memory: MemoryImpl,
-    tests: &[LitmusTest],
-    config: &VerifyConfig,
-    jobs: usize,
-    collector: &dyn Collector,
-) -> Vec<TestReport> {
-    check_tests_inner(
-        &Rtlcheck::new(memory),
-        tests,
-        config,
-        jobs,
-        collector,
-        None,
-        &[],
-    )
-}
-
-/// [`check_tests_observed`] through a cross-test [`GraphCache`]: each test's
-/// state graph is requested from the cache (shared warm cores in memory,
-/// optionally persisted on disk) instead of always being built cold.
-///
-/// The determinism contract extends to the cache: graph construction is
+/// With a cross-test [`GraphCache`], each test's state graph is requested
+/// from the cache (shared warm cores in memory, optionally persisted on
+/// disk) instead of always being built cold. Graph construction is
 /// *build-once, read-many* — the first request of each distinct fingerprint
 /// builds and publishes the core while concurrent same-key requests block —
 /// so `graph_cache.*` counters are pure functions of the test list, not of
-/// scheduling. The counters (and any corruption warnings) are reported to
-/// `collector` here, once, after all per-test streams have been replayed.
-pub fn check_tests_cached(
-    memory: MemoryImpl,
-    tests: &[LitmusTest],
-    config: &VerifyConfig,
-    jobs: usize,
-    collector: &dyn Collector,
-    cache: &GraphCache,
-) -> Vec<TestReport> {
-    let tool = Rtlcheck::new(memory);
-    let reports = check_tests_inner(&tool, tests, config, jobs, collector, Some(cache), &[]);
-    cache.report_to(collector);
-    reports
-}
-
-/// [`check_tests_observed`] with a caller-configured [`Rtlcheck`] tool —
-/// the entry point for non-default backends (`--backend symbolic`/`auto`)
-/// or translation-option overrides, with the same worker-pool determinism
-/// contract and optional [`GraphCache`].
-pub fn check_tests_with(
-    tool: &Rtlcheck,
-    tests: &[LitmusTest],
-    config: &VerifyConfig,
-    jobs: usize,
-    collector: &dyn Collector,
-    cache: Option<&GraphCache>,
-) -> Vec<TestReport> {
-    check_tests_live(tool, tests, config, jobs, collector, cache, &[])
-}
-
-/// [`check_tests_with`] plus live side-channel sinks ([`TrackSink`]):
-/// each worker additionally reports, as work happens and on its own track,
-/// to every sink in `live` — this is how `--trace-out` sees the real
-/// parallel schedule and `--progress` ticks in real time. The deterministic
-/// stream into `collector` is unaffected: live sinks are *extra* receivers,
-/// and the per-unit [`UNIT_DONE`] completion event goes **only** to them
-/// (its arrival order depends on scheduling, so it must never enter the
-/// buffered stream).
+/// scheduling. They (and any corruption warnings) are reported once, after
+/// all per-test streams have been replayed.
+///
+/// Each worker additionally reports, as work happens and on its own track,
+/// to every live sink ([`TrackSink`]) — this is how `--trace-out` sees the
+/// real parallel schedule and `--progress` ticks in real time. Live sinks
+/// are *extra* receivers: the per-unit [`UNIT_DONE`] completion event goes
+/// **only** to them (its arrival order depends on scheduling, so it must
+/// never enter the deterministic stream into `collector`).
 #[allow(clippy::too_many_arguments)]
-pub fn check_tests_live(
+pub fn check_tests(
     tool: &Rtlcheck,
     tests: &[LitmusTest],
     config: &VerifyConfig,

@@ -51,7 +51,7 @@
 //! ## Coalescing and admission control
 //!
 //! Concurrent jobs with the same fingerprint — for `check` jobs the
-//! [`Rtlcheck::coalescing_fingerprint`] problem identity plus the engine
+//! [`Rtlcheck::problem_fingerprint`] problem identity plus the engine
 //! configuration and the test name (the report row carries the name, so
 //! differently-named tests that ground to one problem run separately,
 //! sharing only the cached graph) — share a single engine run: followers
@@ -237,13 +237,12 @@ impl JobSpec {
 }
 
 /// Job identity for coalescing. For `check` jobs the last two words are
-/// the [`Rtlcheck::coalescing_fingerprint`] key/check pair (which, when the
-/// composed backend would run, also covers the module decomposition); the
-/// first word hashes everything else that can change the response: job
-/// kind, memory, backend, engine budgets, and the test name, which the
-/// report row carries. Two differently named tests that ground to the same
-/// verification problem therefore run separately, each answered under its
-/// own name, while sharing the cached graph.
+/// the [`Rtlcheck::problem_fingerprint`] key/check pair; the first word
+/// hashes everything else that can change the response: job kind, memory,
+/// backend, engine budgets, and the test name, which the report row carries.
+/// Two differently named tests that ground to the same verification problem
+/// therefore run separately, each answered under its own name, while sharing
+/// the cached graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct Fp(u64, u64, u64);
 
@@ -268,9 +267,7 @@ fn fingerprint(spec: &JobSpec) -> Fp {
             test,
         } => {
             let ctx = format!("check|{memory:?}|{backend:?}|{config:?}|{}", test.name());
-            let key = Rtlcheck::new(*memory)
-                .with_backend(*backend)
-                .coalescing_fingerprint(test);
+            let key = Rtlcheck::new(*memory).problem_fingerprint(test);
             Fp(fnv1a(ctx.as_bytes()), key.key, key.check)
         }
         JobSpec::Suite {
@@ -385,9 +382,7 @@ fn parse_flow_options(obj: &Json) -> Result<(MemoryImpl, BackendChoice, VerifyCo
         None => MemoryImpl::Fixed,
     };
     let backend = match get_str(obj, "backend")? {
-        Some(v) => BackendChoice::parse(v).ok_or(format!(
-            "unknown backend `{v}` (expected explicit, symbolic, composed, or auto)"
-        ))?,
+        Some(v) => BackendChoice::parse(v)?,
         None => BackendChoice::default(),
     };
     let mut config = match get_str(obj, "config")? {

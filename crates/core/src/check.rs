@@ -11,12 +11,12 @@ use rtlcheck_sva::emit;
 use rtlcheck_uspec::Spec;
 use rtlcheck_verif::{
     build_graph, check_cover_on_graph_observed, explore, verify_property_on_graph_observed,
-    Backend, BackendChoice, BackendKind, ComposedFallback, ComposedGraph, CoverVerdict, GraphCache,
-    Incremental, Problem, PropertyVerdict, SymbolicGraph, VerifyConfig,
+    Backend, BackendChoice, BackendKind, CoverVerdict, GraphCache, Incremental, Problem,
+    PropertyVerdict, SymbolicGraph, VerifyConfig,
 };
 
 use crate::assert_gen::{self, AssertionOptions, GeneratedAssertion};
-use crate::assume;
+use crate::assume::{self, GeneratedAssumptions};
 use crate::report::{CoverOutcome, PropertyReport, TestReport};
 
 /// The RTLCheck tool: µspec model + RTL design variant + translation
@@ -130,7 +130,8 @@ impl Rtlcheck {
         config: &VerifyConfig,
         collector: &dyn Collector,
     ) -> TestReport {
-        self.check_test_inner(test, config, None, collector)
+        self.check_test_mutated_inner(test, None, config, None, Incremental::Off, collector)
+            .expect("no mutation to fail")
     }
 
     /// [`Rtlcheck::check_test_observed`] through a [`GraphCache`]: the
@@ -152,7 +153,8 @@ impl Rtlcheck {
         cache: &GraphCache,
         collector: &dyn Collector,
     ) -> TestReport {
-        self.check_test_inner(test, config, Some(cache), collector)
+        self.check_test_mutated_inner(test, None, config, Some(cache), Incremental::Off, collector)
+            .expect("no mutation to fail")
     }
 
     /// [`Rtlcheck::check_test_observed`] on a **mutant** of the per-test
@@ -191,17 +193,6 @@ impl Rtlcheck {
         collector: &dyn Collector,
     ) -> Result<TestReport, MutateError> {
         self.check_test_mutated_inner(test, Some(mutation), config, cache, incremental, collector)
-    }
-
-    fn check_test_inner(
-        &self,
-        test: &LitmusTest,
-        config: &VerifyConfig,
-        cache: Option<&GraphCache>,
-        collector: &dyn Collector,
-    ) -> TestReport {
-        self.check_test_mutated_inner(test, None, config, cache, Incremental::Off, collector)
-            .expect("no mutation to fail")
     }
 
     fn check_test_mutated_inner(
@@ -250,14 +241,9 @@ impl Rtlcheck {
         g.attr("assertions", assertions.len());
         g.finish();
 
-        let mut problem = Problem::new(&mv.design);
-        problem.init_pins = assumptions.init_pins.clone();
-        problem.assumptions = assumptions.directives.clone();
-        problem.cover = Some(assumptions.cover.clone());
-
         let report = run_flow_cached(
             test.name(),
-            &problem,
+            &problem_of(&mv.design, assumptions),
             &assertions,
             config,
             self.backend,
@@ -284,54 +270,39 @@ impl Rtlcheck {
     /// the assumption/assertion generators run (cheap), but no state is
     /// explored. Two tests with equal fingerprints are served by one
     /// cached graph, so batch drivers (the fuzzing campaign's escalation
-    /// path) use this to bucket work units that can share an engine run.
+    /// path, the server's admission) use this to bucket work units that
+    /// can share an engine run.
     pub fn problem_fingerprint(&self, test: &LitmusTest) -> rtlcheck_verif::GraphKey {
-        let mv = self.build_design(test);
-        let assumptions = assume::generate(&mv, test);
-        let assertions = assert_gen::generate(&self.spec, &mv, test, self.options)
-            .expect("Multi-V-scale µspec is synthesizable");
-        let mut problem = Problem::new(&mv.design);
-        problem.init_pins = assumptions.init_pins.clone();
-        problem.assumptions = assumptions.directives.clone();
-        problem.cover = Some(assumptions.cover.clone());
+        let (mv, assumptions, assertions) = self.generate(test);
         let props: Vec<_> = assertions.iter().map(|a| &a.directive.prop).collect();
-        rtlcheck_verif::fingerprint_problem(&problem, &props)
+        rtlcheck_verif::fingerprint_problem(&problem_of(&mv.design, assumptions), &props)
     }
 
     /// The fingerprint batch drivers should coalesce this test's work
-    /// under. Identical to [`Rtlcheck::problem_fingerprint`] unless the
-    /// active backend resolves to the composed one for this test's design,
-    /// in which case it is the module-structured key
-    /// ([`rtlcheck_verif::fingerprint_modules`]): jobs bucket together
-    /// only when they share the whole graph *and* its module
-    /// decomposition. A composed test that would take the flat fallback
-    /// keys like a flat one.
+    /// under: the same key as [`Rtlcheck::problem_fingerprint`].
     pub fn coalescing_fingerprint(&self, test: &LitmusTest) -> rtlcheck_verif::GraphKey {
+        self.problem_fingerprint(test)
+    }
+
+    /// Builds the test's design and runs both generators on it: the front
+    /// half of the Figure-7 flow, without the per-phase spans
+    /// [`Rtlcheck::check_test_observed`] reports.
+    fn generate(
+        &self,
+        test: &LitmusTest,
+    ) -> (MultiVscale, GeneratedAssumptions, Vec<GeneratedAssertion>) {
         let mv = self.build_design(test);
         let assumptions = assume::generate(&mv, test);
         let assertions = assert_gen::generate(&self.spec, &mv, test, self.options)
             .expect("Multi-V-scale µspec is synthesizable");
-        let mut problem = Problem::new(&mv.design);
-        problem.init_pins = assumptions.init_pins.clone();
-        problem.assumptions = assumptions.directives.clone();
-        problem.cover = Some(assumptions.cover.clone());
-        let props: Vec<_> = assertions.iter().map(|a| &a.directive.prop).collect();
-        if self.backend.resolve(&mv.design) == BackendKind::Composed {
-            if let Some(key) = rtlcheck_verif::fingerprint_modules(&problem, &props) {
-                return key;
-            }
-        }
-        rtlcheck_verif::fingerprint_problem(&problem, &props)
+        (mv, assumptions, assertions)
     }
 
     /// Emits the complete per-test SystemVerilog property file — the
     /// artifact RTLCheck hands to the RTL verifier (one file per litmus
     /// test, §6): all generated assumptions followed by all assertions.
     pub fn emit_sva(&self, test: &LitmusTest) -> String {
-        let mv = self.build_design(test);
-        let assumptions = assume::generate(&mv, test);
-        let assertions = assert_gen::generate(&self.spec, &mv, test, self.options)
-            .expect("Multi-V-scale µspec is synthesizable");
+        let (mv, assumptions, assertions) = self.generate(test);
         let render = |a: &rtlcheck_verif::RtlAtom| a.render(&mv.design);
         let mut out = String::new();
         let _ = writeln!(
@@ -356,6 +327,17 @@ impl Rtlcheck {
         }
         out
     }
+}
+
+/// The verification problem of a design under its generated assumptions:
+/// the assumption directives, the initial-value pins, and the final-value
+/// cover condition.
+pub(crate) fn problem_of(design: &Design, assumptions: GeneratedAssumptions) -> Problem<'_> {
+    let mut problem = Problem::new(design);
+    problem.init_pins = assumptions.init_pins;
+    problem.assumptions = assumptions.directives;
+    problem.cover = Some(assumptions.cover);
+    problem
 }
 
 /// Runs the verification phases (cover search + per-property proofs) of the
@@ -401,7 +383,6 @@ pub(crate) fn run_flow_cached(
             Option<rtlcheck_verif::CacheTicket>,
         ),
         Symbolic(SymbolicGraph<'p, 'd>),
-        Composed(ComposedGraph<'p, 'd>, Option<rtlcheck_verif::CacheTicket>),
     }
 
     // Phase 0: build the shared state graph — the design × assumption
@@ -411,9 +392,15 @@ pub(crate) fn run_flow_cached(
     let kind = backend.resolve(problem.design);
     let mut g = span(collector, "graph_build", attrs!["test" => test_name]);
     g.attr("backend", kind.label());
-    let build_explicit = || match cache {
-        Some(cache) => {
-            let props: Vec<_> = assertions.iter().map(|a| &a.directive.prop).collect();
+    let props = || assertions.iter().map(|a| &a.directive.prop);
+    let built = match (kind, cache) {
+        (BackendKind::Symbolic, _) => BuiltGraph::Symbolic(SymbolicGraph::build(
+            problem,
+            props(),
+            config.cover_engine(),
+        )),
+        (BackendKind::Explicit, Some(cache)) => {
+            let props: Vec<_> = props().collect();
             let (graph, ticket) = match incremental {
                 Some((baseline, validate)) => cache.build_graph_incremental(
                     problem,
@@ -426,62 +413,13 @@ pub(crate) fn run_flow_cached(
             };
             BuiltGraph::Explicit(graph, Some(ticket))
         }
-        None => {
-            let graph = build_graph(
-                problem,
-                assertions.iter().map(|a| &a.directive.prop),
-                config.cover_engine(),
-            );
-            BuiltGraph::Explicit(graph, None)
-        }
-    };
-    let built = match kind {
-        BackendKind::Explicit => build_explicit(),
-        BackendKind::Symbolic => BuiltGraph::Symbolic(SymbolicGraph::build(
-            problem,
-            assertions.iter().map(|a| &a.directive.prop),
-            config.cover_engine(),
-        )),
-        BackendKind::Composed => {
-            let attempt: Result<BuiltGraph<'_, '_>, ComposedFallback> = match cache {
-                Some(cache) => {
-                    let props: Vec<_> = assertions.iter().map(|a| &a.directive.prop).collect();
-                    cache
-                        .build_graph_composed(problem, &props, config.cover_engine())
-                        .map(|(graph, ticket)| BuiltGraph::Composed(graph, Some(ticket)))
-                }
-                None => ComposedGraph::build(
-                    problem,
-                    assertions.iter().map(|a| &a.directive.prop),
-                    config.cover_engine(),
-                )
-                .map(|graph| BuiltGraph::Composed(graph, None)),
-            };
-            match attempt {
-                Ok(built) => built,
-                Err(fb) => {
-                    // The cut is non-conservative for this problem (single
-                    // region, or nothing to partition): never wrong, only
-                    // sometimes no faster — revert to the flat engine.
-                    g.attr("fallback", "explicit");
-                    collector.event(
-                        "composed.fallback",
-                        attrs!["test" => test_name, "reason" => fb.reason()],
-                    );
-                    collector.counter(
-                        "composed.fallback",
-                        1,
-                        attrs!["test" => test_name, "reason" => fb.reason()],
-                    );
-                    build_explicit()
-                }
-            }
+        (BackendKind::Explicit, None) => {
+            BuiltGraph::Explicit(build_graph(problem, props(), config.cover_engine()), None)
         }
     };
     let graph: &dyn Backend = match &built {
         BuiltGraph::Explicit(graph, _) => graph,
         BuiltGraph::Symbolic(graph) => graph,
-        BuiltGraph::Composed(graph, _) => graph,
     };
     collector.counter(
         &format!("backend.{}", kind.label()),
@@ -492,11 +430,8 @@ pub(crate) fn run_flow_cached(
     g.attr("nodes", gs.nodes);
     g.attr("edges", gs.edges);
     g.attr("complete", gs.complete);
-    match &built {
-        BuiltGraph::Explicit(_, Some(t)) | BuiltGraph::Composed(_, Some(t)) => {
-            g.attr("cache", t.source().label());
-        }
-        _ => {}
+    if let BuiltGraph::Explicit(_, Some(t)) = &built {
+        g.attr("cache", t.source().label());
     }
     g.finish();
 
@@ -590,17 +525,8 @@ pub(crate) fn run_flow_cached(
     // Persist the final (post-walk) core if this call is the cache's
     // designated writer for the key — a later run then replays the whole
     // exploration from disk. Symbolic graphs are never persisted.
-    if let Some(cache) = cache {
-        match &built {
-            BuiltGraph::Explicit(explicit, Some(ticket)) => cache.store_final(ticket, explicit),
-            // A composed core is byte-identical to a flat one, so it is
-            // stored through the same writer path (and a later flat run
-            // can load it).
-            BuiltGraph::Composed(graph, Some(ticket)) => {
-                cache.store_final(ticket, graph.as_flat());
-            }
-            _ => {}
-        }
+    if let (Some(cache), BuiltGraph::Explicit(explicit, Some(ticket))) = (cache, &built) {
+        cache.store_final(ticket, explicit);
     }
 
     TestReport {
@@ -663,14 +589,8 @@ impl Rtlcheck {
     /// see [`run_flow_reference`].
     #[doc(hidden)]
     pub fn check_test_reference(&self, test: &LitmusTest, config: &VerifyConfig) -> TestReport {
-        let mv = self.build_design(test);
-        let assumptions = assume::generate(&mv, test);
-        let assertions = assert_gen::generate(&self.spec, &mv, test, self.options)
-            .expect("Multi-V-scale µspec is synthesizable");
-        let mut problem = Problem::new(&mv.design);
-        problem.init_pins = assumptions.init_pins.clone();
-        problem.assumptions = assumptions.directives.clone();
-        problem.cover = Some(assumptions.cover.clone());
+        let (mv, assumptions, assertions) = self.generate(test);
+        let problem = problem_of(&mv.design, assumptions);
         run_flow_reference(test.name(), &problem, &assertions, config)
     }
 }

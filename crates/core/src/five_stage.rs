@@ -13,7 +13,7 @@ use rtlcheck_rtl::isa;
 use rtlcheck_sva::{Prop, Seq, SvaBool};
 use rtlcheck_uspec::five_stage as fs_spec;
 use rtlcheck_uspec::ground::GNode;
-use rtlcheck_verif::{Directive, Problem, RtlAtom, VerifyConfig};
+use rtlcheck_verif::{Directive, RtlAtom, VerifyConfig};
 
 use crate::assert_gen::{self, AssertionOptions};
 use crate::assume::GeneratedAssumptions;
@@ -240,14 +240,9 @@ pub fn check_test_mutated(
     g.attr("assertions", assertions.len());
     g.finish();
 
-    let mut problem = Problem::new(&fs.design);
-    problem.init_pins = assumptions.init_pins.clone();
-    problem.assumptions = assumptions.directives.clone();
-    problem.cover = Some(assumptions.cover.clone());
-
     let report = crate::check::run_flow_cached(
         test.name(),
-        &problem,
+        &crate::check::problem_of(&fs.design, assumptions),
         &assertions,
         config,
         backend,

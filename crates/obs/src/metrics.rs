@@ -583,14 +583,12 @@ impl MetricsSummary {
             let count = |name: &str| self.counter(name).map_or(0, |c| c.total);
             let explicit = count("backend.explicit");
             let symbolic = count("backend.symbolic");
-            let composed = count("backend.composed");
-            if explicit + symbolic + composed > 0 {
+            if explicit + symbolic > 0 {
                 let _ = writeln!(out, "\nBackend selection:");
                 let _ = writeln!(
                     out,
-                    "  {} flow(s) on the explicit backend, {} on the symbolic backend, \
-                     {} on the composed backend",
-                    explicit, symbolic, composed,
+                    "  {} flow(s) on the explicit backend, {} on the symbolic backend",
+                    explicit, symbolic,
                 );
                 if symbolic > 0 {
                     let _ = writeln!(
@@ -598,38 +596,6 @@ impl MetricsSummary {
                         "  symbolic: {} BDD node(s) allocated, {} edge class(es) enumerated",
                         count("backend.bdd_nodes"),
                         count("backend.classes"),
-                    );
-                }
-            }
-        }
-
-        {
-            let count = |name: &str| self.counter(name).map_or(0, |c| c.total);
-            let graphs = count("composed.graphs");
-            let fallbacks = count("composed.fallback");
-            if graphs + fallbacks > 0 {
-                let _ = writeln!(out, "\nModular composition:");
-                let _ = writeln!(
-                    out,
-                    "  {} composed graph(s) over {} module region(s) \
-                     ({} interface cut signal(s)); {} fell back to the flat engine",
-                    graphs,
-                    count("composed.regions"),
-                    count("composed.cut_signals"),
-                    fallbacks,
-                );
-                let computed = count("composed.region_rows");
-                let hits = count("composed.region_row_hits");
-                let probes = computed + hits;
-                if probes > 0 {
-                    let _ = writeln!(
-                        out,
-                        "  region rows: {} computed, {} served from the interface memo \
-                         ({:.0}% reuse); {} interface entr(ies) retained",
-                        computed,
-                        hits,
-                        100.0 * hits as f64 / probes as f64,
-                        count("composed.interface_entries"),
                     );
                 }
             }
@@ -1233,10 +1199,7 @@ mod tests {
         let text = m.summary().render();
         assert!(text.contains("Backend selection:"), "{text}");
         assert!(
-            text.contains(
-                "4 flow(s) on the explicit backend, 2 on the symbolic backend, \
-                 0 on the composed backend"
-            ),
+            text.contains("4 flow(s) on the explicit backend, 2 on the symbolic backend"),
             "{text}"
         );
         assert!(
@@ -1313,44 +1276,6 @@ mod tests {
         // No cone counters → no section.
         let empty = MetricsCollector::new().summary().render();
         assert!(!empty.contains("Cone reuse"), "{empty}");
-    }
-
-    #[test]
-    fn render_shows_the_modular_composition_section() {
-        let m = MetricsCollector::new();
-        m.counter("composed.graphs", 2, attrs![]);
-        m.counter("composed.regions", 6, attrs![]);
-        m.counter("composed.cut_signals", 4, attrs![]);
-        m.counter("composed.interface_entries", 12, attrs![]);
-        m.counter("composed.region_rows", 30, attrs![]);
-        m.counter("composed.region_row_hits", 90, attrs![]);
-        m.counter("composed.fallback", 1, attrs![]);
-        let text = m.summary().render();
-        assert!(text.contains("Modular composition:"), "{text}");
-        assert!(
-            text.contains(
-                "2 composed graph(s) over 6 module region(s) \
-                 (4 interface cut signal(s)); 1 fell back to the flat engine"
-            ),
-            "{text}"
-        );
-        assert!(
-            text.contains(
-                "region rows: 30 computed, 90 served from the interface memo \
-                 (75% reuse); 12 interface entr(ies) retained"
-            ),
-            "{text}"
-        );
-        // Fallback-only runs still get the section headline.
-        let m = MetricsCollector::new();
-        m.counter("composed.fallback", 3, attrs![]);
-        let text = m.summary().render();
-        assert!(text.contains("Modular composition:"), "{text}");
-        assert!(text.contains("3 fell back"), "{text}");
-        assert!(!text.contains("region rows:"), "{text}");
-        // No composed counters → no section.
-        let empty = MetricsCollector::new().summary().render();
-        assert!(!empty.contains("Modular composition"), "{empty}");
     }
 
     #[test]

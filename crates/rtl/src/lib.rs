@@ -52,8 +52,6 @@ pub mod five_stage;
 pub mod isa;
 pub mod multi_vscale;
 pub mod mutate;
-pub mod region;
-pub mod scaled;
 pub mod sim;
 pub mod tso;
 pub mod vcd;
@@ -64,4 +62,3 @@ pub use builder::DesignBuilder;
 pub use cone::{Cone, ConeAnalysis, ConeSet};
 pub use design::{Design, DesignError, Signal, SignalId, SignalKind};
 pub use expr::{BinOp, Expr, ExprId, UnOp};
-pub use region::{ModuleRegion, RegionPartition, SupportIndex};

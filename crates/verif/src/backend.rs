@@ -153,15 +153,6 @@ const AUTO_INPUT_VALUATIONS: u128 = 64;
 /// it over few valuations.
 const AUTO_REG_BITS: u32 = 128;
 
-/// Register (== cone) count at or past which `auto` prefers the composed
-/// backend on explicit-eligible designs: flat row construction is linear
-/// in the register count per (node, input), which is exactly the work
-/// per-region memoization amortises; below this the decomposition
-/// bookkeeping is not worth it. Sized above the litmus platforms
-/// (Multi-V-scale ≈ 46, TSO ≈ 60, five-stage ≈ 71 registers), which the
-/// differential suites pin to the explicit reference.
-const AUTO_COMPOSED_CONES: usize = 96;
-
 /// The `--backend` selection: which graph implementation serves a test's
 /// property walks.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -171,10 +162,6 @@ pub enum BackendChoice {
     Explicit,
     /// Always the symbolic [`crate::symbolic::SymbolicGraph`].
     Symbolic,
-    /// The modular [`crate::composed::ComposedGraph`] wherever the design
-    /// is explicit-eligible (symbolic on too-wide inputs); falls back to
-    /// flat explicit per problem when decomposition cannot help.
-    Composed,
     /// Per-design heuristic; see [`BackendChoice::resolve`].
     Auto,
 }
@@ -187,9 +174,6 @@ pub enum BackendKind {
     Explicit,
     /// The BDD-backed [`crate::symbolic::SymbolicGraph`].
     Symbolic,
-    /// The modular [`crate::composed::ComposedGraph`] (per-problem
-    /// fallback to flat explicit when decomposition cannot help).
-    Composed,
 }
 
 impl BackendKind {
@@ -198,21 +182,30 @@ impl BackendKind {
         match self {
             BackendKind::Explicit => "explicit",
             BackendKind::Symbolic => "symbolic",
-            BackendKind::Composed => "composed",
         }
     }
 }
 
 impl BackendChoice {
-    /// Parses a `--backend` CLI value.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "explicit" => Some(BackendChoice::Explicit),
-            "symbolic" => Some(BackendChoice::Symbolic),
-            "composed" => Some(BackendChoice::Composed),
-            "auto" => Some(BackendChoice::Auto),
-            _ => None,
+    /// Every choice, in the order [`BackendChoice::parse`]'s error lists them.
+    pub const ALL: [BackendChoice; 3] = [
+        BackendChoice::Explicit,
+        BackendChoice::Symbolic,
+        BackendChoice::Auto,
+    ];
+
+    /// Parses a `--backend` value. The error names the value and every
+    /// accepted label, ready for the CLI's and the server's error output.
+    pub fn parse(s: &str) -> Result<Self, String> {
+        if let Some(&c) = Self::ALL.iter().find(|c| c.label() == s) {
+            return Ok(c);
         }
+        let labels: Vec<&str> = Self::ALL.iter().map(|c| c.label()).collect();
+        let (last, rest) = labels.split_last().expect("ALL is not empty");
+        Err(format!(
+            "unknown backend `{s}` (expected {}, or {last})",
+            rest.join(", ")
+        ))
     }
 
     /// Stable lower-case label (the CLI value that selects this choice).
@@ -220,7 +213,6 @@ impl BackendChoice {
         match self {
             BackendChoice::Explicit => "explicit",
             BackendChoice::Symbolic => "symbolic",
-            BackendChoice::Composed => "composed",
             BackendChoice::Auto => "auto",
         }
     }
@@ -231,22 +223,11 @@ impl BackendChoice {
     /// explicit enumeration would panic mid-run), and when the input-width
     /// / register-count heuristic says class compression will win: a wide
     /// input space (> `AUTO_INPUT_VALUATIONS` valuations per cycle) over
-    /// a small state space (≤ `AUTO_REG_BITS` register bits). Among
-    /// explicit-eligible designs, `Auto` prefers the composed backend at
-    /// or past `AUTO_COMPOSED_CONES` registers — where flat per-row work
-    /// is dominated by register-count-linear evaluation that per-region
-    /// memoization amortises. `Composed` applies the same
-    /// cannot-run-explicit escape (composed rows enumerate input
-    /// valuations exactly like explicit ones).
+    /// a small state space (≤ `AUTO_REG_BITS` register bits).
     pub fn resolve(self, design: &Design) -> BackendKind {
         match self {
             BackendChoice::Explicit => BackendKind::Explicit,
             BackendChoice::Symbolic => BackendKind::Symbolic,
-            BackendChoice::Composed => match input_space(design) {
-                None => BackendKind::Symbolic,
-                Some(space) if space > MAX_INPUT_VALUATIONS as u128 => BackendKind::Symbolic,
-                Some(_) => BackendKind::Composed,
-            },
             BackendChoice::Auto => match input_space(design) {
                 None => BackendKind::Symbolic,
                 Some(space) if space > MAX_INPUT_VALUATIONS as u128 => BackendKind::Symbolic,
@@ -255,7 +236,6 @@ impl BackendChoice {
                 {
                     BackendKind::Symbolic
                 }
-                Some(_) if design.num_regs() >= AUTO_COMPOSED_CONES => BackendKind::Composed,
                 Some(_) => BackendKind::Explicit,
             },
         }
@@ -339,56 +319,14 @@ mod tests {
 
     #[test]
     fn parse_round_trips_labels() {
-        for c in [
-            BackendChoice::Explicit,
-            BackendChoice::Symbolic,
-            BackendChoice::Composed,
-            BackendChoice::Auto,
-        ] {
-            assert_eq!(BackendChoice::parse(c.label()), Some(c));
+        for c in BackendChoice::ALL {
+            assert_eq!(BackendChoice::parse(c.label()), Ok(c));
         }
-        assert_eq!(BackendChoice::parse("bdd"), None);
+        assert_eq!(
+            BackendChoice::parse("bdd"),
+            Err("unknown backend `bdd` (expected explicit, symbolic, or auto)".into())
+        );
         assert_eq!(BackendChoice::default(), BackendChoice::Explicit);
-    }
-
-    #[test]
-    fn composed_choice_escapes_to_symbolic_on_wide_inputs() {
-        // Composed rows enumerate inputs like explicit ones; a too-wide
-        // input space must take the same symbolic escape, never panic.
-        let narrow = design_with_input(2);
-        assert_eq!(
-            BackendChoice::Composed.resolve(&narrow),
-            BackendKind::Composed
-        );
-        let wide = design_with_input(20);
-        assert_eq!(
-            BackendChoice::Composed.resolve(&wide),
-            BackendKind::Symbolic
-        );
-        assert_eq!(BackendKind::Composed.label(), "composed");
-    }
-
-    #[test]
-    fn auto_prefers_composed_past_the_cone_threshold() {
-        // Many narrow registers over a narrow input: explicit-eligible,
-        // and past AUTO_COMPOSED_CONES the composed backend wins.
-        let build = |regs: usize| {
-            let mut b = DesignBuilder::new("d");
-            let i = b.input("in", 2);
-            let ie = b.sig(i);
-            let one = b.lit(1, 2);
-            let v = b.add(ie, one);
-            for k in 0..regs {
-                let r = b.reg(format!("r{k}"), 2, Some(0));
-                let _ = r;
-                b.set_next(r, v);
-            }
-            b.build().unwrap()
-        };
-        let small = build(AUTO_COMPOSED_CONES - 1);
-        assert_eq!(BackendChoice::Auto.resolve(&small), BackendKind::Explicit);
-        let big = build(AUTO_COMPOSED_CONES);
-        assert_eq!(BackendChoice::Auto.resolve(&big), BackendKind::Composed);
     }
 
     /// The litmus platforms must stay pinned to the explicit reference
@@ -399,7 +337,6 @@ mod tests {
         use rtlcheck_rtl::multi_vscale::{MemoryImpl, MultiVscale};
         let mp = rtlcheck_litmus::suite::get("mp").unwrap();
         let mv = MultiVscale::build(&mp, MemoryImpl::Fixed);
-        assert!(mv.design.num_regs() < AUTO_COMPOSED_CONES);
         assert_eq!(
             BackendChoice::Auto.resolve(&mv.design),
             BackendKind::Explicit

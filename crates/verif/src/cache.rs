@@ -91,7 +91,6 @@ use rtlcheck_rtl::{ConeSet, Design, SignalKind};
 use rtlcheck_sva::{emit, Monitor, MonitorState, Prop};
 
 use crate::atom::RtlAtom;
-use crate::composed::{ComposedFallback, ComposedGraph, Composition};
 use crate::engine::Engine;
 use crate::graph::{GraphStats, StateGraph};
 use crate::problem::Problem;
@@ -226,55 +225,6 @@ pub fn fingerprint(problem: &Problem<'_>, atoms: &[RtlAtom]) -> GraphKey {
 pub fn fingerprint_problem(problem: &Problem<'_>, props: &[&Prop<RtlAtom>]) -> GraphKey {
     let atoms = StateGraph::atom_table(problem, props.iter().copied());
     fingerprint(problem, &atoms)
-}
-
-/// The module-structured fingerprint of a problem under the composed
-/// backend: [`fingerprint_problem`]'s whole-graph key refined with the
-/// module-region decomposition — per region, the member registers and the
-/// interface cut signals. `None` when the problem does not decompose
-/// (the composed backend would take its flat fallback), so callers revert
-/// to [`fingerprint_problem`].
-///
-/// `rtlcheck serve` coalesces admission by this key when the composed
-/// backend is active: two jobs bucket together only if they would share
-/// both the whole graph *and* its module decomposition — i.e. every
-/// per-region interface-spec table is reusable between them, not just the
-/// final core.
-pub fn fingerprint_modules(problem: &Problem<'_>, props: &[&Prop<RtlAtom>]) -> Option<GraphKey> {
-    let atoms = StateGraph::atom_table(problem, props.iter().copied());
-    let comp = Composition::analyze(problem, &atoms).ok()?;
-    let base = fingerprint(problem, &atoms);
-    let design = problem.design;
-    let ordinal_of: HashMap<_, _> = design
-        .signals()
-        .enumerate()
-        .map(|(i, (id, _))| (id, i as u64))
-        .collect();
-    let mut key = Fnv64::new(FNV_OFFSET);
-    let mut check = Fnv64::new(FNV_CHECK_OFFSET);
-    let mut fold = |w: u64| {
-        key.write(&w.to_le_bytes());
-        check.write(&w.to_le_bytes());
-    };
-    fold(base.key);
-    fold(base.check);
-    fold(comp.regions.len() as u64);
-    for rc in &comp.regions {
-        // A sentinel no ordinal can collide with separates the regions, so
-        // region boundaries are part of the digest, not just the members.
-        fold(u64::MAX);
-        fold(rc.regs.len() as u64);
-        for &idx in &rc.regs {
-            fold(idx as u64);
-        }
-        for cut in &rc.cuts {
-            fold(ordinal_of[cut]);
-        }
-    }
-    Some(GraphKey {
-        key: key.finish(),
-        check: check.finish(),
-    })
 }
 
 /// One node of a [`CoreSnapshot`]: the product state plus its (optional)
@@ -936,94 +886,6 @@ impl GraphCache {
         validate: bool,
     ) -> (StateGraph<'p, 'd>, CacheTicket) {
         self.build_graph_inner(problem, props, engine, Some((baseline, validate)))
-    }
-
-    /// The composed counterpart of [`GraphCache::build_graph`]: the
-    /// returned [`ComposedGraph`] assembles its rows from per-region
-    /// interface specs, but its core is **byte-identical** to a flat
-    /// explicit build, so it shares the same fingerprint, the same cache
-    /// levels, and the same on-disk artifacts — a composed run can hit a
-    /// flat run's cache entries and vice versa.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`ComposedFallback`] when the problem does not
-    /// decompose, *before* any cache counter moves: the caller reverts to
-    /// [`GraphCache::build_graph`] as if this method was never called.
-    pub fn build_graph_composed<'p, 'd>(
-        &self,
-        problem: &'p Problem<'d>,
-        props: &[&Prop<RtlAtom>],
-        engine: Engine,
-    ) -> Result<(ComposedGraph<'p, 'd>, CacheTicket), ComposedFallback> {
-        let atoms = StateGraph::atom_table(problem, props.iter().copied());
-        Composition::analyze(problem, &atoms)?;
-        let key = fingerprint(problem, &atoms);
-        self.counters.requests.fetch_add(1, Ordering::Relaxed);
-        let cell = self.cell_for(key.key);
-
-        // Decomposition is deterministic on a fixed problem, so the
-        // re-analyses below cannot fail after the check above.
-        let analyzes = "the same problem analyzes identically";
-        let mut local: Option<(ComposedGraph<'p, 'd>, CacheSource)> = None;
-        let snap = cell
-            .get_or_init(|| {
-                self.counters.misses.fetch_add(1, Ordering::Relaxed);
-                if self.dir.is_some() {
-                    if let Some(snap) = self.load_from_disk(key, problem.design) {
-                        let resumed =
-                            ComposedGraph::from_snapshot(problem, props.iter().copied(), &snap)
-                                .expect(analyzes);
-                        match resumed {
-                            Some(graph) => {
-                                self.counters.disk_hits.fetch_add(1, Ordering::Relaxed);
-                                local = Some((graph, CacheSource::Disk));
-                                return Arc::new(snap);
-                            }
-                            None => {
-                                self.counters.collisions.fetch_add(1, Ordering::Relaxed);
-                                self.warn(
-                                    "graph_cache.key_collision",
-                                    self.artifact_path(key)
-                                        .map(|p| p.display().to_string())
-                                        .unwrap_or_default(),
-                                );
-                            }
-                        }
-                    }
-                }
-                let graph =
-                    ComposedGraph::build(problem, props.iter().copied(), engine).expect(analyzes);
-                let snap = Arc::new(graph.snapshot());
-                local = Some((graph, CacheSource::Cold));
-                snap
-            })
-            .clone();
-
-        let (graph, source) = match local {
-            Some(built) => built,
-            None => {
-                self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                let resumed = ComposedGraph::from_snapshot(problem, props.iter().copied(), &snap)
-                    .expect(analyzes);
-                match resumed {
-                    Some(graph) => (graph, CacheSource::Memory),
-                    None => {
-                        self.counters.collisions.fetch_add(1, Ordering::Relaxed);
-                        self.warn("graph_cache.key_collision", format!("{:016x}", key.key));
-                        (
-                            ComposedGraph::build(problem, props.iter().copied(), engine)
-                                .expect(analyzes),
-                            CacheSource::Cold,
-                        )
-                    }
-                }
-            }
-        };
-        let store = self.dir.is_some()
-            && matches!(source, CacheSource::Cold)
-            && snap_is(&snap, graph.as_flat());
-        Ok((graph, CacheTicket { key, source, store }))
     }
 
     /// Probes the in-memory level for a *baseline* core to splice

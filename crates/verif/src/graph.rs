@@ -30,7 +30,6 @@
 use std::cell::{Cell, RefCell};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
-use std::rc::Rc;
 use std::sync::Arc;
 
 use rtlcheck_obs::{attrs, Collector};
@@ -40,7 +39,6 @@ use rtlcheck_sva::{MonitorState, Prop, SvaBool};
 
 use crate::atom::{RtlAtom, RtlBool};
 use crate::cache::{CoreSnapshot, NodeSnapshot};
-use crate::composed::{Composition, RegionCtx, RegionEntry, RegionRow};
 use crate::det::{DetMonitor, FAILED};
 use crate::engine::Engine;
 use crate::problem::Problem;
@@ -151,7 +149,7 @@ struct GraphCore<'d> {
     monitors: Vec<DetMonitor<RtlAtom>>,
     frame: Frame<'d>,
     stats: GraphStats,
-    /// Edge rows built (cold, spliced or composed). Like the two counters
+    /// Edge rows built (cold or spliced). Like the two counters
     /// below, a work counter of this graph object, not part of
     /// [`GraphStats`] (which snapshots serialize).
     rows_built: u64,
@@ -292,9 +290,6 @@ pub struct StateGraph<'p, 'd> {
     core: RefCell<GraphCore<'d>>,
     /// Baseline-reuse context when this graph was assembled incrementally.
     splice: Option<SpliceState>,
-    /// Modular-composition context when this graph assembles its rows from
-    /// per-region interface specs (see [`crate::composed`]).
-    composition: Option<Composition>,
 }
 
 impl std::fmt::Debug for StateGraph<'_, '_> {
@@ -397,48 +392,7 @@ impl<'p, 'd> StateGraph<'p, 'd> {
             words,
             core: RefCell::new(core),
             splice: None,
-            composition: None,
         }
-    }
-
-    /// [`StateGraph::build`] with a pre-analyzed [`Composition`] attached:
-    /// the same eager breadth-first warm-up, with every row assembled from
-    /// per-region interface specs. Only called by
-    /// [`crate::composed::ComposedGraph`].
-    pub(crate) fn build_composed(
-        problem: &'p Problem<'d>,
-        atoms: Vec<RtlAtom>,
-        comp: Composition,
-        engine: Engine,
-    ) -> Self {
-        let mut graph = StateGraph::with_atoms(problem, atoms);
-        graph.attach_composition(comp);
-        graph.warm(engine);
-        graph
-    }
-
-    /// Finalizes and installs a composition: precomputes the global
-    /// (input-only) atom bits per input valuation and initialises the
-    /// per-region memo tables. Requires a freshly analyzed composition for
-    /// this exact problem/atom table.
-    pub(crate) fn attach_composition(&mut self, mut comp: Composition) {
-        // Global atoms read only inputs and constants, so their valuation
-        // is independent of the node state — any state works for the peek;
-        // the initial one is always available.
-        let state = self.core.borrow().nodes[0].state.clone();
-        let mut frame = Simulator::new(self.problem.design).frame();
-        comp.global_bits = self
-            .inputs
-            .iter()
-            .map(|input| {
-                let mut words = vec![0u64; self.words];
-                frame.settle(&state, input);
-                fill_bits(&frame, &comp.global_sig_atoms, &mut words);
-                words
-            })
-            .collect();
-        *comp.memo.borrow_mut() = vec![HashMap::new(); comp.regions.len()];
-        self.composition = Some(comp);
     }
 
     /// [`StateGraph::new`] followed by an eager breadth-first warm-up: node
@@ -638,10 +592,6 @@ impl<'p, 'd> StateGraph<'p, 'd> {
     /// Builds the edge row of one node: from the baseline when this graph
     /// is spliced and the node is copyable, by simulation otherwise.
     fn build_row(&self, core: &mut GraphCore<'d>, node: u32) {
-        if let Some(comp) = &self.composition {
-            self.build_row_composed(core, node, comp);
-            return;
-        }
         if let Some(sp) = &self.splice {
             if self.build_row_spliced(core, node, sp) {
                 return;
@@ -765,115 +715,6 @@ impl<'p, 'd> StateGraph<'p, 'd> {
                 );
             }
         }
-    }
-
-    /// Builds the edge row of one node from per-region interface specs:
-    /// each region's row is fetched from (or computed into) the memo keyed
-    /// by the node's projection onto that region's interface-visible state,
-    /// and the full row is their join — admissibility is the conjunction of
-    /// region verdicts, destinations the register scatter, atom bitsets the
-    /// union. Region closure (see [`Composition::analyze`]) makes every
-    /// memoized quantity exact at any node with the same projection, so
-    /// the assembled row is identical to [`StateGraph::build_row_cold`]'s.
-    fn build_row_composed(&self, core: &mut GraphCore<'d>, node: u32, comp: &Composition) {
-        let (state, ids) = {
-            let n = &core.nodes[node as usize];
-            (n.state.clone(), n.assumptions.clone())
-        };
-        let regs = state.regs();
-        let mut region_rows: Vec<Rc<RegionRow>> = Vec::with_capacity(comp.regions.len());
-        for (ri, rc) in comp.regions.iter().enumerate() {
-            let key_regs: Vec<u64> = rc.regs.iter().map(|&idx| regs[idx]).collect();
-            let key_ids: Vec<u32> = rc.monitors.iter().map(|&di| ids[di]).collect();
-            let key = (key_regs, key_ids);
-            let cached = comp.memo.borrow()[ri].get(&key).cloned();
-            let row = match cached {
-                Some(row) => {
-                    comp.memo_hits.set(comp.memo_hits.get() + 1);
-                    row
-                }
-                None => {
-                    comp.memo_misses.set(comp.memo_misses.get() + 1);
-                    let row = Rc::new(self.compute_region_row(core, &state, &key.1, rc));
-                    comp.memo.borrow_mut()[ri].insert(key, row.clone());
-                    row
-                }
-            };
-            region_rows.push(row);
-        }
-        let num_inputs = self.inputs.len();
-        let num_regs = self.problem.design.num_regs();
-        let mut dests = Vec::with_capacity(num_inputs);
-        let mut bits = vec![0u64; num_inputs * self.words];
-        for i in 0..num_inputs {
-            let admissible = region_rows.iter().all(|r| !r.entries[i].failed);
-            if !admissible {
-                core.stats.pruned_edges += 1;
-                dests.push(PRUNED);
-                continue;
-            }
-            let words = &mut bits[i * self.words..(i + 1) * self.words];
-            for (w, g) in words.iter_mut().zip(&comp.global_bits[i]) {
-                *w |= g;
-            }
-            let mut next_regs = vec![0u64; num_regs];
-            for (rc, row) in comp.regions.iter().zip(&region_rows) {
-                let entry = &row.entries[i];
-                for (w, b) in words.iter_mut().zip(&entry.bits) {
-                    *w |= b;
-                }
-                for (&idx, &v) in rc.regs.iter().zip(&entry.next_regs) {
-                    next_regs[idx] = v;
-                }
-            }
-            let next_ids = comp
-                .monitor_slot
-                .iter()
-                .map(|&(ri, pos)| region_rows[ri].entries[i].next_states[pos])
-                .collect();
-            dests.push(core.edge_to(State::from_regs(next_regs), next_ids));
-        }
-        core.finish_row(node, dests, bits);
-    }
-
-    /// Materialises one region's interface-spec row: for every input
-    /// valuation, step the region's assumption monitors, evaluate the
-    /// region's registers' next values, and read the region's atoms.
-    /// `state` is the full product state of the node that missed the memo;
-    /// every quantity computed here depends only on its projection onto
-    /// this region (the memo key), so the row is exact wherever it is
-    /// reused.
-    fn compute_region_row(
-        &self,
-        core: &mut GraphCore<'d>,
-        state: &State,
-        key_ids: &[u32],
-        rc: &RegionCtx,
-    ) -> RegionRow {
-        let entries = self
-            .inputs
-            .iter()
-            .map(|input| {
-                core.settle(state, input);
-                let frame = &core.frame;
-                let next_states: Vec<u32> = rc
-                    .monitors
-                    .iter()
-                    .zip(key_ids)
-                    .map(|(&di, &id)| core.monitors[di].step(id, |a| frame.peek(a.sig) == a.value))
-                    .collect();
-                let next_regs = rc.regs.iter().map(|&idx| frame.next_reg(idx)).collect();
-                let mut bits = vec![0u64; self.words];
-                fill_bits(frame, &rc.sig_atoms, &mut bits);
-                RegionEntry {
-                    failed: next_states.contains(&FAILED),
-                    next_states,
-                    next_regs,
-                    bits,
-                }
-            })
-            .collect();
-        RegionRow { entries }
     }
 
     /// Builds the edge row of one node by simulation: settles the design
@@ -1156,20 +997,6 @@ impl<'p, 'd> StateGraph<'p, 'd> {
             .fold((0, 0), |(s, h), m| (s + m.steps, h + m.memo_hits));
         collector.counter("graph.assume_steps", steps, attrs![]);
         collector.counter("graph.assume_memo_hits", hits, attrs![]);
-        if let Some(comp) = &self.composition {
-            collector.counter("composed.graphs", 1, attrs![]);
-            collector.counter("composed.regions", comp.regions.len() as u64, attrs![]);
-            let cut_signals: usize = comp.regions.iter().map(|r| r.cuts.len()).sum();
-            collector.counter("composed.cut_signals", cut_signals as u64, attrs![]);
-            let interface_entries: usize = comp.memo.borrow().iter().map(|m| m.len()).sum();
-            collector.counter(
-                "composed.interface_entries",
-                interface_entries as u64,
-                attrs![],
-            );
-            collector.counter("composed.region_rows", comp.memo_misses.get(), attrs![]);
-            collector.counter("composed.region_row_hits", comp.memo_hits.get(), attrs![]);
-        }
         if let Some(sp) = &self.splice {
             collector.counter("cone.graphs", 1, attrs![]);
             collector.counter("cone.total", sp.cones_total, attrs![]);

@@ -31,7 +31,6 @@
 pub mod atom;
 pub mod backend;
 pub mod cache;
-pub mod composed;
 mod det;
 pub mod engine;
 pub mod explore;
@@ -43,11 +42,9 @@ pub mod symbolic;
 pub use atom::RtlAtom;
 pub use backend::{Backend, BackendChoice, BackendKind, EdgeClass};
 pub use cache::{
-    fingerprint, fingerprint_modules, fingerprint_problem, snapshot_from_bytes, snapshot_to_bytes,
-    CacheSource, CacheStats, CacheTicket, CoreSnapshot, GraphCache, GraphKey, Incremental,
-    SnapshotError,
+    fingerprint, fingerprint_problem, snapshot_from_bytes, snapshot_to_bytes, CacheSource,
+    CacheStats, CacheTicket, CoreSnapshot, GraphCache, GraphKey, Incremental, SnapshotError,
 };
-pub use composed::{ComposedFallback, ComposedGraph};
 pub use engine::{Engine, EngineKind, PropertyVerdict, VerifyConfig};
 pub use explore::{
     build_graph, check_cover, check_cover_observed, check_cover_on_graph,

@@ -3,7 +3,7 @@
 //! ```text
 //! rtlcheck check <test.litmus | suite-test-name> [--memory fixed|buggy|tso]
 //!                [--config quick|hybrid|full-proof] [--trace] [--vcd <path>]
-//!                [--backend explicit|symbolic|composed|auto] [--graph-cache <dir>]
+//!                [--backend explicit|symbolic|auto] [--graph-cache <dir>]
 //!                [--events <out.jsonl>] [--metrics <out.json>]
 //! rtlcheck emit-sva <test.litmus | name> [--memory ...]
 //! rtlcheck emit-verilog <test.litmus | name> [--memory ...]
@@ -35,14 +35,10 @@
 //! `--backend` selects the reachable-set representation the verification
 //! phases run over: `explicit` (the default per-valuation state graph),
 //! `symbolic` (the BDD-backed image-computation backend — same verdicts,
-//! traces, and statistics, byte-identical reports), `composed` (the
-//! modular backend: the design is partitioned into module regions, each
-//! region verified against its interface spec, and the verdicts composed
-//! at the interfaces — byte-identical to explicit, falling back to the
-//! flat engine when the cut is non-conservative), or `auto` (per-design
+//! traces, and statistics, byte-identical reports), or `auto` (per-design
 //! routing: designs whose primary-input space is too wide for explicit
-//! enumeration go symbolic instead of aborting, and designs with enough
-//! cones to amortise the decomposition go composed).
+//! enumeration, or wide-input designs over a small state, go symbolic
+//! instead of aborting).
 //!
 //! `mutate` runs the mutation campaign: every catalogued mutant of the
 //! chosen design is checked against the litmus suite and classified as
@@ -86,7 +82,7 @@ fn main() -> ExitCode {
 const USAGE: &str = "\
 usage:
   rtlcheck check <test> [--memory fixed|buggy|tso] [--config quick|hybrid|full-proof] [--trace] [--vcd <path>]
-                 [--backend explicit|symbolic|composed|auto] [--graph-cache <dir>]
+                 [--backend explicit|symbolic|auto] [--graph-cache <dir>]
                  [--events <out.jsonl>] [--metrics <out.json>] [--trace-out <out.json>]
   rtlcheck emit-sva <test> [--memory ...]
   rtlcheck emit-verilog <test> [--memory ...]
@@ -105,7 +101,7 @@ usage:
                  [--graph-cache <dir>] [--json <out.json>]
                  [--events <out.jsonl>] [--metrics <out.json>]
                  [--trace-out <out.json>] [--progress]
-  rtlcheck bench [--workload suite,mutate,mutate-cold,check,composed] [--config a,b] [--backend a,b]
+  rtlcheck bench [--workload suite,mutate,mutate-cold,check] [--config a,b] [--backend a,b]
                  [--jobs 1,8] [--only a,b,c] [--iterations N] [--warmup N]
                  [--graph-cache <dir>] [--json <out.json>]
                  [--baseline <bench.json>] [--tolerance PCT]
@@ -127,11 +123,8 @@ the report or metrics streams.
 --jobs runs suite tests on N worker threads (deterministic output);
 --only restricts the suite to a comma-separated list of test names.
 --backend selects the reachable-set representation: explicit (default),
-symbolic (BDD image computation; identical verdicts and reports),
-composed (modular per-region verification composed at interface specs;
-identical verdicts and reports, flat-engine fallback when the design
-does not decompose), or auto (routes wide-input designs symbolic and
-high-cone-count designs composed).
+symbolic (BDD image computation; identical verdicts and reports), or
+auto (routes wide-input designs symbolic).
 --graph-cache persists warm state graphs to <dir> and reloads them on
 later runs (corrupt or stale files fall back to a cold build).
 `mutate` checks every catalogued mutant of --design against the suite and
@@ -153,9 +146,7 @@ product of the comma-separated lists) and writes an `rtlcheck-bench/1`
 document; with --baseline it exits non-zero when a case's median regresses
 past --tolerance percent (default 25). The `mutate` workload runs the
 campaign incrementally; `mutate-cold` is the same campaign with
---incremental=off (the before/after pair for splice speedups); the
-`composed` workload builds the scaled hub-and-lanes design's warm graph
-on each selected backend (the flat-vs-modular construction pair).
+--incremental=off (the before/after pair for splice speedups).
 `profile --diff` compares two metrics files: per-counter deltas and
 histogram shifts.
 `serve` runs the long-lived verification server: a TCP daemon accepting
@@ -275,9 +266,7 @@ fn common_args(
             }
             "--backend" => {
                 let v = it.next().ok_or("--backend needs a value")?;
-                BackendChoice::parse(v).ok_or(format!(
-                    "unknown backend `{v}` (expected explicit, symbolic, composed, or auto)"
-                ))?;
+                BackendChoice::parse(v)?;
                 flags.push(format!("--backend={v}"));
             }
             "--json" => {
@@ -320,7 +309,7 @@ fn flag_backend(flags: &[String]) -> BackendChoice {
     flags
         .iter()
         .find_map(|f| f.strip_prefix("--backend="))
-        .and_then(BackendChoice::parse)
+        .and_then(|v| BackendChoice::parse(v).ok())
         .unwrap_or_default()
 }
 
@@ -616,9 +605,7 @@ fn mutate_cmd(args: &[String]) -> Result<ExitCode, String> {
             }
             "--backend" => {
                 let v = it.next().ok_or("--backend needs a value")?;
-                options.backend = BackendChoice::parse(v).ok_or(format!(
-                    "unknown backend `{v}` (expected explicit, symbolic, composed, or auto)"
-                ))?;
+                options.backend = BackendChoice::parse(v)?;
             }
             "--graph-cache" => {
                 let v = it.next().ok_or("--graph-cache needs a directory")?;
@@ -762,9 +749,7 @@ fn fuzz_cmd(args: &[String]) -> Result<ExitCode, String> {
             }
             "--backend" => {
                 let v = it.next().ok_or("--backend needs a value")?;
-                options.backend = BackendChoice::parse(v).ok_or(format!(
-                    "unknown backend `{v}` (expected explicit, symbolic, composed, or auto)"
-                ))?;
+                options.backend = BackendChoice::parse(v)?;
             }
             "--json" => {
                 let v = it.next().ok_or("--json needs a path")?;
@@ -1143,30 +1128,31 @@ fn bench_cmd(args: &[String]) -> Result<ExitCode, String> {
         None => suite::all(),
     };
     for w in &workloads {
-        if !matches!(
-            w.as_str(),
-            "suite" | "mutate" | "mutate-cold" | "check" | "composed"
-        ) {
+        if !matches!(w.as_str(), "suite" | "mutate" | "mutate-cold" | "check") {
             return Err(format!(
-                "unknown workload `{w}` (expected suite, mutate, mutate-cold, check, or composed)"
+                "unknown workload `{w}` (expected suite, mutate, mutate-cold, or check)"
             ));
         }
     }
+    let configs = configs
+        .iter()
+        .map(|name| Ok((name, parse_config(name)?)))
+        .collect::<Result<Vec<_>, String>>()?;
+    let backends = backends
+        .iter()
+        .map(|name| Ok((name, BackendChoice::parse(name)?)))
+        .collect::<Result<Vec<_>, String>>()?;
     let cache = flag_graph_cache(&cache_flags)?;
 
     let mut report = BenchReport::default();
     for workload in &workloads {
-        for config_name in &configs {
-            let config = parse_config(config_name)?;
-            for backend_name in &backends {
-                let backend = BackendChoice::parse(backend_name).ok_or(format!(
-                    "unknown backend `{backend_name}` (expected explicit, symbolic, composed, or auto)"
-                ))?;
+        for (config_name, config) in &configs {
+            for &(backend_name, backend) in &backends {
                 for &jobs in &jobs_list {
                     let key = CaseKey {
                         workload: workload.clone(),
-                        config: config_name.clone(),
-                        backend: backend_name.clone(),
+                        config: config_name.to_string(),
+                        backend: backend_name.to_string(),
                         jobs,
                         graph_cache: cache.is_some(),
                     };
@@ -1178,13 +1164,14 @@ fn bench_cmd(args: &[String]) -> Result<ExitCode, String> {
                         "suite" => {
                             let tool = Rtlcheck::new(MemoryImpl::Fixed).with_backend(backend);
                             run_case(key, warmup, iterations, |metrics| {
-                                rtlcheck::bench::check_tests_with(
+                                rtlcheck::bench::check_tests(
                                     &tool,
                                     &tests,
-                                    &config,
+                                    config,
                                     jobs,
                                     metrics,
                                     cache.as_ref(),
+                                    &[],
                                 );
                             })
                         }
@@ -1193,22 +1180,11 @@ fn bench_cmd(args: &[String]) -> Result<ExitCode, String> {
                             let test = &tests[0];
                             run_case(key, warmup, iterations, |metrics| match &cache {
                                 Some(cache) => {
-                                    tool.check_test_cached(test, &config, cache, metrics);
+                                    tool.check_test_cached(test, config, cache, metrics);
                                 }
                                 None => {
-                                    tool.check_test_observed(test, &config, metrics);
+                                    tool.check_test_observed(test, config, metrics);
                                 }
-                            })
-                        }
-                        "composed" => {
-                            let engine = config.cover_engine();
-                            run_case(key, warmup, iterations, |metrics| {
-                                rtlcheck::bench::composed::run_composed_build(
-                                    backend,
-                                    rtlcheck::rtl::scaled::DEFAULT_LANES,
-                                    engine,
-                                    metrics,
-                                );
                             })
                         }
                         "mutate" | "mutate-cold" => {
@@ -1222,7 +1198,7 @@ fn bench_cmd(args: &[String]) -> Result<ExitCode, String> {
                                 Incremental::Off
                             };
                             run_case(key, warmup, iterations, |metrics| {
-                                run_campaign(&options, &config, metrics, cache.as_ref())
+                                run_campaign(&options, config, metrics, cache.as_ref())
                                     .expect("bench selections pre-validated");
                             })
                         }
@@ -1366,7 +1342,7 @@ fn suite_cmd(args: &[String]) -> Result<ExitCode, String> {
         live.push(p);
     }
     let tool = Rtlcheck::new(memory).with_backend(flag_backend(&flags));
-    let reports = rtlcheck::bench::check_tests_live(
+    let reports = rtlcheck::bench::check_tests(
         &tool,
         &tests,
         &config,

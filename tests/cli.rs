@@ -131,12 +131,39 @@ fn bad_usage_exits_2_with_usage_text() {
         &["bench", "--workload", "frobnicate"][..],
         &["bench", "--tolerance", "lots"][..],
         &["profile", "--diff", "only-one.json"][..],
+        &["check", "mp", "--backend", "composed"][..],
+        &["suite", "--only", "mp", "--backend", "composed"][..],
+        &["mutate", "--backend", "composed"][..],
+        &["fuzz", "--backend", "composed"][..],
     ] {
         let out = rtlcheck(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         let err = String::from_utf8(out.stderr).unwrap();
         assert!(err.contains("usage:"), "{err}");
     }
+
+    // `bench` validates its whole backend list before the first case, so
+    // a bad entry after a good one runs nothing.
+    let out = rtlcheck(&[
+        "bench",
+        "--workload",
+        "check",
+        "--only",
+        "mp",
+        "--backend",
+        "explicit,composed",
+    ]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        err.contains("unknown backend `composed` (expected explicit, symbolic, or auto)"),
+        "{err}"
+    );
+    assert!(err.contains("usage:"), "{err}");
+    assert!(
+        !err.contains("bench: "),
+        "a case ran before validation: {err}"
+    );
 }
 
 /// `--jobs 0` is a usage error everywhere a worker pool exists: zero

@@ -5,7 +5,7 @@
 use std::collections::HashMap;
 use std::process::Command;
 
-use rtlcheck::bench::run_suite_jobs_observed;
+use rtlcheck::bench::run_suite;
 use rtlcheck::core::Rtlcheck;
 use rtlcheck::obs::json::Json;
 use rtlcheck::obs::{attrs, Collector, JsonlCollector, MetricsCollector, MultiCollector, SpanId};
@@ -187,7 +187,7 @@ fn suite_monitor_metrics_and_memo_counters_are_pinned() {
     let config = VerifyConfig::quick();
     let run = |memory: MemoryImpl, jobs: usize| {
         let metrics = MetricsCollector::new();
-        run_suite_jobs_observed(memory, &config, jobs, &metrics);
+        run_suite(memory, &config, jobs, &metrics, None);
         metrics.summary()
     };
     const GRAPH_WORK: [&str; 4] = [

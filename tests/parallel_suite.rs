@@ -10,10 +10,8 @@
 
 use std::time::Duration;
 
-use rtlcheck::bench::{
-    run_suite_jobs, run_suite_jobs_cached, run_suite_jobs_observed, SuiteResults,
-};
-use rtlcheck::obs::MetricsCollector;
+use rtlcheck::bench::{run_suite, SuiteResults};
+use rtlcheck::obs::{MetricsCollector, NullCollector};
 use rtlcheck::prelude::{MemoryImpl, VerifyConfig};
 use rtlcheck::verif::GraphCache;
 
@@ -28,8 +26,8 @@ fn normalized_json(mut results: SuiteResults) -> String {
 #[test]
 fn suite_results_are_identical_across_job_counts() {
     let config = VerifyConfig::quick();
-    let sequential = run_suite_jobs(MemoryImpl::Fixed, &config, 1);
-    let parallel = run_suite_jobs(MemoryImpl::Fixed, &config, 4);
+    let sequential = run_suite(MemoryImpl::Fixed, &config, 1, &NullCollector, None);
+    let parallel = run_suite(MemoryImpl::Fixed, &config, 4, &NullCollector, None);
     assert_eq!(
         normalized_json(sequential),
         normalized_json(parallel),
@@ -42,11 +40,11 @@ fn suite_metrics_are_identical_across_job_counts() {
     let config = VerifyConfig::quick();
 
     let seq_metrics = MetricsCollector::new();
-    run_suite_jobs_observed(MemoryImpl::Fixed, &config, 1, &seq_metrics);
+    run_suite(MemoryImpl::Fixed, &config, 1, &seq_metrics, None);
     let seq = seq_metrics.summary();
 
     let par_metrics = MetricsCollector::new();
-    run_suite_jobs_observed(MemoryImpl::Fixed, &config, 4, &par_metrics);
+    run_suite(MemoryImpl::Fixed, &config, 4, &par_metrics, None);
     let par = par_metrics.summary();
 
     // Counters (states, transitions, graph.* reuse, …) are exact sums and
@@ -80,11 +78,23 @@ fn cached_suite_is_identical_across_job_counts() {
 
     let seq_metrics = MetricsCollector::new();
     let seq_cache = GraphCache::in_memory();
-    let sequential = run_suite_jobs_cached(MemoryImpl::Fixed, &config, 1, &seq_metrics, &seq_cache);
+    let sequential = run_suite(
+        MemoryImpl::Fixed,
+        &config,
+        1,
+        &seq_metrics,
+        Some(&seq_cache),
+    );
 
     let par_metrics = MetricsCollector::new();
     let par_cache = GraphCache::in_memory();
-    let parallel = run_suite_jobs_cached(MemoryImpl::Fixed, &config, 8, &par_metrics, &par_cache);
+    let parallel = run_suite(
+        MemoryImpl::Fixed,
+        &config,
+        8,
+        &par_metrics,
+        Some(&par_cache),
+    );
 
     assert_eq!(
         normalized_json(sequential),

@@ -116,6 +116,21 @@ fn abuse_cases_get_structured_errors_and_the_server_survives() {
         assert_eq!(error_kind(&read_terminal(&mut reader)), "bad_request");
     }
 
+    // An unknown backend is a bad request, like an unknown test.
+    {
+        let (mut stream, mut reader) = connect(&addr);
+        stream
+            .write_all(b"{\"id\":4,\"kind\":\"check\",\"test\":\"mp\",\"backend\":\"composed\"}\n")
+            .unwrap();
+        let frame = read_terminal(&mut reader);
+        assert_eq!(error_kind(&frame), "bad_request");
+        assert!(frame
+            .get("message")
+            .and_then(Json::as_str)
+            .unwrap()
+            .contains("unknown backend `composed` (expected explicit, symbolic, or auto)"));
+    }
+
     // Oversized frame: discarded with a structured rejection, and the
     // connection keeps working afterwards.
     {
