@@ -55,12 +55,14 @@ use rtlcheck_obs::json::Json;
 use rtlcheck_obs::{
     attrs, progress::UNIT_DONE, BufferCollector, Collector, MultiCollector, TrackSink,
 };
-use rtlcheck_rtl::multi_vscale::MemoryImpl;
+use rtlcheck_rtl::isa::MAX_THREAD_LEN;
+use rtlcheck_rtl::multi_vscale::{MemoryImpl, NUM_CORES};
 use rtlcheck_verif::{BackendChoice, GraphCache, VerifyConfig};
 
-/// The largest litmus test the Multi-V-scale design accommodates; shapes
-/// with more cores are triaged by the oracle but cannot be escalated.
-pub const MAX_DESIGN_CORES: usize = 4;
+/// The cores of the Multi-V-scale design. Shapes with more threads, or
+/// with a thread longer than [`MAX_THREAD_LEN`] instructions, are triaged
+/// by the oracle but cannot be escalated.
+pub const MAX_DESIGN_CORES: usize = NUM_CORES;
 
 /// Campaign parameters.
 #[derive(Debug, Clone)]
@@ -124,7 +126,8 @@ pub enum Escalation {
     Violation,
     /// Escalated as a high-frequency representative within the budget.
     Budget,
-    /// The test needs more cores than the design has; not escalatable.
+    /// The test does not fit the design ([`Rtlcheck::fit`]); not
+    /// escalatable.
     BeyondDesign,
 }
 
@@ -369,11 +372,23 @@ impl FuzzReport {
             self.disagreements(),
             self.engine_inconclusive()
         );
-        if self.beyond_design() > 0 {
+        let wide = self
+            .shapes
+            .iter()
+            .filter(|s| s.escalation == Escalation::BeyondDesign && s.cores > MAX_DESIGN_CORES)
+            .count();
+        if wide > 0 {
             let _ = writeln!(
                 out,
-                "  beyond     {} shapes need more than {MAX_DESIGN_CORES} cores (oracle-only)",
-                self.beyond_design()
+                "  beyond     {wide} shapes need more than {MAX_DESIGN_CORES} cores (oracle-only)"
+            );
+        }
+        if self.beyond_design() > wide {
+            let _ = writeln!(
+                out,
+                "  beyond     {} shapes have a thread longer than {MAX_THREAD_LEN} \
+                 instructions (oracle-only)",
+                self.beyond_design() - wide
             );
         }
         if self.violations() > 0 {
@@ -576,6 +591,21 @@ fn engine_label(report: &TestReport) -> &'static str {
     }
 }
 
+/// How triage routes a shape before the budget is spent: a shape that
+/// does not fit the design never escalates, while generator violations
+/// and unknown design verdicts always do.
+fn triage(test: &LitmusTest, sc_verdict: Verdict, design_verdict: Verdict) -> Escalation {
+    if Rtlcheck::fit(test).is_err() {
+        Escalation::BeyondDesign
+    } else if sc_verdict == Verdict::Observable {
+        Escalation::Violation
+    } else if design_verdict == Verdict::Unknown {
+        Escalation::Unknown
+    } else {
+        Escalation::OracleOnly
+    }
+}
+
 /// Runs the fuzzing campaign.
 ///
 /// See the module docs for the pipeline; the observability stream into
@@ -694,19 +724,13 @@ pub fn run_fuzz_live(
 
     // Phase 4a: pick the escalation set. Mandatory: unknown verdicts and
     // generator violations. Then the most frequent remaining shapes fill
-    // the budget (ties broken by first-seen order). Shapes wider than the
-    // design can never escalate.
+    // the budget (ties broken by first-seen order). Shapes that do not fit
+    // the design can never escalate.
     let budget = options
         .escalate_budget
         .unwrap_or_else(|| (results.len() / 10).max(1));
-    for r in results.iter_mut() {
-        if r.cores > MAX_DESIGN_CORES {
-            r.escalation = Escalation::BeyondDesign;
-        } else if r.sc_verdict == Verdict::Observable {
-            r.escalation = Escalation::Violation;
-        } else if r.design_verdict == Verdict::Unknown {
-            r.escalation = Escalation::Unknown;
-        }
+    for (r, s) in results.iter_mut().zip(&shapes) {
+        r.escalation = triage(&s.test, r.sc_verdict, r.design_verdict);
     }
     let mut ranked: Vec<usize> = (0..results.len()).collect();
     ranked.sort_by(|&a, &b| results[b].count.cmp(&results[a].count).then(a.cmp(&b)));
@@ -971,6 +995,36 @@ mod tests {
             axioms: vec!["po", "rf", "co", "fr"],
             bucket_sizes: vec![1],
         }
+    }
+
+    /// A diy shape within the design's four cores whose first thread has
+    /// 16 instructions, one past the PC window, stays with the oracle even
+    /// when its verdict would make escalation mandatory.
+    #[test]
+    fn shape_with_a_sixteen_instruction_thread_is_beyond_design() {
+        let mut cycle = vec![Edge::PodWW; 14];
+        cycle.extend([Edge::PodWR, Edge::Fre, Edge::PodWR, Edge::Fre]);
+        let test = diy::generate("long", &cycle).unwrap();
+        assert_eq!(test.num_cores(), 2);
+        assert_eq!(test.threads()[0].len(), 16);
+        for verdict in [Verdict::Forbidden, Verdict::Unknown] {
+            assert_eq!(
+                triage(&test, Verdict::Forbidden, verdict),
+                Escalation::BeyondDesign
+            );
+        }
+        assert_eq!(
+            triage(&test, Verdict::Observable, Verdict::Observable),
+            Escalation::BeyondDesign
+        );
+        let mut report = sample();
+        report.shapes[1].escalation = Escalation::BeyondDesign;
+        let text = report.render();
+        assert!(
+            text.contains("1 shapes have a thread longer than 15 instructions"),
+            "{text}"
+        );
+        assert!(!text.contains("cores (oracle-only)"), "{text}");
     }
 
     #[test]

@@ -255,9 +255,10 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Computes a job's coalescing fingerprint. Building the design for the
-/// problem fingerprint can assert on hostile litmus input, so the caller
-/// wraps this in `catch_unwind`.
+/// Computes a job's coalescing fingerprint. Request parsing admits only
+/// `check` tests that fit the design ([`Rtlcheck::admit`]); the caller
+/// still wraps this in `catch_unwind`, as the problem fingerprint builds
+/// the design from a client's litmus source.
 fn fingerprint(spec: &JobSpec) -> Fp {
     match spec {
         JobSpec::Check {
@@ -446,6 +447,7 @@ fn parse_request(value: &Json) -> Result<Request, (Json, String)> {
                     return Err(fail("check takes `test` or `litmus`, not both".into()))
                 }
             };
+            Rtlcheck::admit(&test).map_err(|e| fail(e.to_string()))?;
             RequestBody::Job(Box::new(JobSpec::Check {
                 memory,
                 backend,
@@ -1330,8 +1332,8 @@ fn handle_line(shared: &Shared, handle: &Arc<ConnHandle>, seq: u64, line: &[u8])
             });
         }
         RequestBody::Job(spec) => {
-            // The fingerprint grounds the problem (design build included),
-            // which can assert on hostile litmus programs — contain it.
+            // The fingerprint grounds the problem (design build included)
+            // from client input; contain any assertion it still hits.
             let fp = match catch_unwind(AssertUnwindSafe(|| fingerprint(&spec))) {
                 Ok(fp) => fp,
                 Err(_) => {

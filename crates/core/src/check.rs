@@ -1,10 +1,12 @@
 //! The end-to-end RTLCheck driver (paper Figure 7).
 
-use std::fmt::Write as _;
+use std::error::Error;
+use std::fmt::{self, Write as _};
 
-use rtlcheck_litmus::LitmusTest;
+use rtlcheck_litmus::{CondKind, LitmusTest};
 use rtlcheck_obs::{attrs, span, Collector, NullCollector};
-use rtlcheck_rtl::multi_vscale::{MemoryImpl, MultiVscale};
+use rtlcheck_rtl::isa::{self, FitError};
+use rtlcheck_rtl::multi_vscale::{MemoryImpl, MultiVscale, NUM_CORES};
 use rtlcheck_rtl::mutate::{MutateError, Mutation};
 use rtlcheck_rtl::Design;
 use rtlcheck_sva::emit;
@@ -18,6 +20,41 @@ use rtlcheck_verif::{
 use crate::assert_gen::{self, AssertionOptions, GeneratedAssertion};
 use crate::assume::{self, GeneratedAssumptions};
 use crate::report::{CoverOutcome, PropertyReport, TestReport};
+
+/// Why the RTL flow refuses a litmus test.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CheckError {
+    /// The test does not fit the Multi-V-scale design.
+    Fit(FitError),
+    /// The test's condition is `permit`. The flow checks forbidden outcomes
+    /// only: a covering trace of the condition is its violation witness.
+    Permitted {
+        /// The test's name.
+        test: String,
+    },
+}
+
+impl fmt::Display for CheckError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CheckError::Fit(e) => e.fmt(f),
+            CheckError::Permitted { test } => write!(
+                f,
+                "test `{test}` has a `permit` condition, but the RTL flow checks \
+                 `forbid` outcomes only (use `axiomatic` for permitted outcomes)"
+            ),
+        }
+    }
+}
+
+impl Error for CheckError {
+    fn source(&self) -> Option<&(dyn Error + 'static)> {
+        match self {
+            CheckError::Fit(e) => Some(e),
+            CheckError::Permitted { .. } => None,
+        }
+    }
+}
 
 /// The RTLCheck tool: µspec model + RTL design variant + translation
 /// options.
@@ -100,7 +137,41 @@ impl Rtlcheck {
         self.backend
     }
 
+    /// Checks that `test` fits the Multi-V-scale design: at most
+    /// [`NUM_CORES`] threads, none longer than the per-core PC window.
+    /// Every method that builds the design panics on a test that does not
+    /// fit.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`FitError`] naming the test and the limit it exceeds.
+    pub fn fit(test: &LitmusTest) -> Result<(), FitError> {
+        isa::check_fit(test, NUM_CORES)
+    }
+
+    /// Checks that the flow can give `test` a verdict: it fits the design
+    /// (see [`Rtlcheck::fit`]) and its condition is `forbid`. A `permit`
+    /// test would be checked as if forbidden, so an observable outcome
+    /// would read as a violation.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`CheckError`] for the first check that fails.
+    pub fn admit(test: &LitmusTest) -> Result<(), CheckError> {
+        Self::fit(test).map_err(CheckError::Fit)?;
+        match test.condition().kind() {
+            CondKind::Forbidden => Ok(()),
+            CondKind::Permitted => Err(CheckError::Permitted {
+                test: test.name().to_string(),
+            }),
+        }
+    }
+
     /// Builds the design for a test (exposed for inspection/emission).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the test does not fit the design (see [`Rtlcheck::fit`]).
     pub fn build_design(&self, test: &LitmusTest) -> MultiVscale {
         MultiVscale::build(test, self.memory)
     }
@@ -109,8 +180,8 @@ impl Rtlcheck {
     ///
     /// # Panics
     ///
-    /// Panics if the test does not fit the design (more than four cores) or
-    /// the µspec model falls outside the synthesizable subset.
+    /// Panics if the test does not fit the design (see [`Rtlcheck::fit`])
+    /// or the µspec model falls outside the synthesizable subset.
     pub fn check_test(&self, test: &LitmusTest, config: &VerifyConfig) -> TestReport {
         self.check_test_observed(test, config, &NullCollector)
     }

@@ -50,5 +50,5 @@ pub mod mapping;
 pub mod report;
 
 pub use assert_gen::{AssertionOptions, GeneratedAssertion};
-pub use check::Rtlcheck;
+pub use check::{CheckError, Rtlcheck};
 pub use report::{CoverOutcome, PropertyReport, TestReport};

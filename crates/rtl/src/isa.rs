@@ -6,6 +6,9 @@
 //! `(kind, address, data)` fields rather than RISC-V bit patterns — the
 //! consistency-relevant content of an instruction is exactly those fields.
 
+use std::error::Error;
+use std::fmt;
+
 use rtlcheck_litmus::{LitmusTest, Op};
 
 /// Instruction/pipeline-slot kind encodings (3 bits).
@@ -95,34 +98,99 @@ pub fn encode_thread(ops: &[Op]) -> Vec<EncInstr> {
     out
 }
 
+/// The most instructions one thread may have: the per-core PC window less
+/// the final halt.
+pub const MAX_THREAD_LEN: usize = (CORE_PC_STRIDE / PC_STEP) as usize - 1;
+
+/// Why a litmus test cannot be loaded into a design's instruction memories.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FitError {
+    /// The test has more threads than the design has cores.
+    TooManyThreads {
+        /// The test's name.
+        test: String,
+        /// Threads in the test.
+        threads: usize,
+        /// Cores in the design.
+        cores: usize,
+    },
+    /// A thread has more instructions than the per-core PC window holds.
+    ThreadTooLong {
+        /// The test's name.
+        test: String,
+        /// The offending thread.
+        thread: usize,
+        /// Its instruction count.
+        len: usize,
+    },
+}
+
+impl fmt::Display for FitError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FitError::TooManyThreads {
+                test,
+                threads,
+                cores,
+            } => write!(
+                f,
+                "test `{test}` needs {threads} cores but the design has {cores}"
+            ),
+            FitError::ThreadTooLong { test, thread, len } => write!(
+                f,
+                "thread {thread} of `{test}` has {len} instructions but the \
+                 per-core PC window holds {MAX_THREAD_LEN}"
+            ),
+        }
+    }
+}
+
+impl Error for FitError {}
+
+/// Checks that a litmus test fits a machine with `num_cores` cores: no more
+/// threads than cores, and no thread longer than [`MAX_THREAD_LEN`].
+///
+/// # Errors
+///
+/// Returns the first [`FitError`] found.
+pub fn check_fit(test: &LitmusTest, num_cores: usize) -> Result<(), FitError> {
+    if test.num_cores() > num_cores {
+        return Err(FitError::TooManyThreads {
+            test: test.name().to_string(),
+            threads: test.num_cores(),
+            cores: num_cores,
+        });
+    }
+    match test
+        .threads()
+        .iter()
+        .position(|ops| ops.len() > MAX_THREAD_LEN)
+    {
+        Some(thread) => Err(FitError::ThreadTooLong {
+            test: test.name().to_string(),
+            thread,
+            len: test.threads()[thread].len(),
+        }),
+        None => Ok(()),
+    }
+}
+
 /// Encodes all programs of a litmus test for a machine with `num_cores`
 /// cores. Cores beyond the test's threads run an immediate halt.
 ///
 /// # Panics
 ///
-/// Panics if the test has more threads than `num_cores`, or a thread longer
-/// than 15 instructions (the per-core PC window).
+/// Panics if the test does not fit the machine (see [`check_fit`]).
 pub fn encode_programs(test: &LitmusTest, num_cores: usize) -> Vec<Vec<EncInstr>> {
-    assert!(
-        test.num_cores() <= num_cores,
-        "test `{}` needs {} cores but the design has {num_cores}",
-        test.name(),
-        test.num_cores()
-    );
-    let mut programs = Vec::with_capacity(num_cores);
-    for c in 0..num_cores {
-        let prog = match test.threads().get(c) {
+    if let Err(e) = check_fit(test, num_cores) {
+        panic!("{e}");
+    }
+    (0..num_cores)
+        .map(|c| match test.threads().get(c) {
             Some(ops) => encode_thread(ops),
             None => vec![EncInstr::HALT],
-        };
-        assert!(
-            prog.len() as u64 * PC_STEP <= CORE_PC_STRIDE,
-            "thread {c} of `{}` exceeds the per-core PC window",
-            test.name()
-        );
-        programs.push(prog);
-    }
-    programs
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -172,6 +240,26 @@ mod tests {
     fn too_many_threads_panics() {
         let iriw = suite::get("iriw").unwrap();
         encode_programs(&iriw, 2);
+    }
+
+    #[test]
+    fn fit_allows_exactly_the_pc_window() {
+        let stores = |n: usize| {
+            let body = "st x, 1; ".repeat(n);
+            rtlcheck_litmus::parse(&format!(
+                "test long\n{{ x = 0; }}\ncore 0 {{ {body}}}\nforbid ( x = 0 )"
+            ))
+            .unwrap()
+        };
+        assert_eq!(check_fit(&stores(MAX_THREAD_LEN), 4), Ok(()));
+        assert_eq!(
+            check_fit(&stores(MAX_THREAD_LEN + 1), 4),
+            Err(FitError::ThreadTooLong {
+                test: "long".into(),
+                thread: 0,
+                len: 16
+            })
+        );
     }
 
     #[test]

@@ -142,7 +142,7 @@ impl MultiVscale {
     /// # Panics
     ///
     /// Panics if the test needs more than [`NUM_CORES`] cores or a thread
-    /// exceeds the per-core PC window (see [`isa::encode_programs`]).
+    /// exceeds the per-core PC window (see [`isa::check_fit`]).
     pub fn build(test: &LitmusTest, memory_impl: MemoryImpl) -> MultiVscale {
         let programs = isa::encode_programs(test, NUM_CORES);
         let num_words = test.num_locations().max(1);

@@ -174,11 +174,13 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         "check" => check(rest),
         "emit-sva" => {
             let (test, memory, _) = common_args(rest, true)?;
+            Rtlcheck::fit(&test).map_err(|e| e.to_string())?;
             print!("{}", Rtlcheck::new(memory).emit_sva(&test));
             Ok(ExitCode::SUCCESS)
         }
         "emit-verilog" => {
             let (test, memory, _) = common_args(rest, true)?;
+            Rtlcheck::fit(&test).map_err(|e| e.to_string())?;
             let mv = Rtlcheck::new(memory).build_design(&test);
             print!("{}", rtlcheck::rtl::verilog::emit(&mv.design));
             Ok(ExitCode::SUCCESS)
@@ -421,6 +423,7 @@ fn load_test(arg: &str) -> Result<LitmusTest, String> {
 
 fn check(args: &[String]) -> Result<ExitCode, String> {
     let (test, memory, flags) = common_args(args, true)?;
+    Rtlcheck::admit(&test).map_err(|e| e.to_string())?;
     let config = flag_config(&flags)?;
     let obs = Observability::from_flags(&flags)?;
     let cache = flag_graph_cache(&flags)?;

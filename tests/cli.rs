@@ -58,6 +58,78 @@ fn check_accepts_litmus_files_and_writes_vcd() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A litmus test the four-core design cannot hold is a usage error, not a
+/// panic: every command that builds the design exits 2, naming the test
+/// and the limit it exceeds.
+#[test]
+fn tests_beyond_the_design_exit_2_naming_the_limit() {
+    let dir = std::env::temp_dir().join(format!("rtlcheck-cli-fit-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let five_threads: String = (1..=5)
+        .map(|c| format!("core {} {{ st x, {c}; }}\n", c - 1))
+        .collect();
+    let cases = [
+        (
+            "five.litmus",
+            format!("test five\n{{ x = 0; }}\n{five_threads}forbid ( x = 0 )"),
+            "test `five` needs 5 cores but the design has 4",
+        ),
+        (
+            "long.litmus",
+            format!(
+                "test long\n{{ x = 0; }}\ncore 0 {{ {}}}\nforbid ( x = 0 )",
+                "st x, 1; ".repeat(16)
+            ),
+            "thread 0 of `long` has 16 instructions but the per-core PC window holds 15",
+        ),
+    ];
+    for (file, source, limit) in cases {
+        let path = dir.join(file);
+        std::fs::write(&path, source).unwrap();
+        for cmd in ["check", "emit-sva", "emit-verilog"] {
+            let out = rtlcheck(&[cmd, path.to_str().unwrap()]);
+            assert_eq!(out.status.code(), Some(2), "{cmd} {file}: {out:?}");
+            let err = String::from_utf8(out.stderr).unwrap();
+            assert!(err.contains(limit), "{cmd} {file}: {err}");
+            assert!(!err.contains("panicked"), "{cmd} {file}: {err}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The RTL flow checks forbidden outcomes only, so `check` refuses a
+/// `permit` test instead of reporting its observable outcome as a
+/// violation; `axiomatic` still decides it.
+#[test]
+fn check_rejects_permit_conditions_that_axiomatic_accepts() {
+    let dir = std::env::temp_dir().join(format!("rtlcheck-cli-permit-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let litmus = dir.join("mp-11.litmus");
+    std::fs::write(
+        &litmus,
+        "test mp-11\n{ x = 0; y = 0; }\ncore 0 { st x, 1; st y, 1; }\n\
+         core 1 { r1 = ld y; r2 = ld x; }\npermit ( 1:r1 = 1 /\\ 1:r2 = 1 )",
+    )
+    .unwrap();
+    let path = litmus.to_str().unwrap();
+
+    let out = rtlcheck(&["check", path, "--config", "hybrid"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(!String::from_utf8(out.stdout).unwrap().contains("VIOLATION"));
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        err.contains("test `mp-11` has a `permit` condition"),
+        "{err}"
+    );
+
+    let out = rtlcheck(&["axiomatic", path]);
+    assert!(out.status.success(), "{out:?}");
+    assert!(String::from_utf8(out.stdout)
+        .unwrap()
+        .contains("OBSERVABLE"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn emit_subcommands_produce_artifacts() {
     let out = rtlcheck(&["emit-sva", "mp"]);

@@ -191,6 +191,61 @@ fn abuse_cases_get_structured_errors_and_the_server_survives() {
     assert!(summary.completed >= 2, "{summary:?}");
 }
 
+/// A `check` the RTL flow cannot answer is refused at admission with a
+/// `bad_request` naming the reason: five threads on the four-core design,
+/// a thread past the 15-instruction PC window, or a `permit` condition
+/// (the flow checks forbidden outcomes only).
+#[test]
+fn checks_the_flow_cannot_answer_are_bad_requests() {
+    let (addr, handle) = start_server(ServeOptions {
+        jobs: 1,
+        ..ServeOptions::default()
+    });
+    let five_threads: String = (1..=5)
+        .map(|c| format!("core {} {{ st x, {c}; }}\n", c - 1))
+        .collect();
+    let cases = [
+        (
+            format!("test five\n{{ x = 0; }}\n{five_threads}forbid ( x = 0 )"),
+            "test `five` needs 5 cores but the design has 4",
+        ),
+        (
+            format!(
+                "test long\n{{ x = 0; }}\ncore 0 {{ {}}}\nforbid ( x = 0 )",
+                "st x, 1; ".repeat(16)
+            ),
+            "thread 0 of `long` has 16 instructions but the per-core PC window holds 15",
+        ),
+        (
+            "test mp-11\n{ x = 0; y = 0; }\ncore 0 { st x, 1; st y, 1; }\n\
+             core 1 { r1 = ld y; r2 = ld x; }\npermit ( 1:r1 = 1 /\\ 1:r2 = 1 )"
+                .to_string(),
+            "test `mp-11` has a `permit` condition",
+        ),
+    ];
+    let (mut stream, mut reader) = connect(&addr);
+    for (id, (source, reason)) in cases.iter().enumerate() {
+        let request = Json::Obj(vec![
+            ("id".into(), Json::Uint(id as u64)),
+            ("kind".into(), Json::Str("check".into())),
+            ("litmus".into(), Json::Str(source.clone())),
+        ]);
+        stream
+            .write_all(format!("{}\n", request.render()).as_bytes())
+            .unwrap();
+        let frame = read_terminal(&mut reader);
+        assert_eq!(error_kind(&frame), "bad_request", "{reason}");
+        assert_eq!(frame.get("id").and_then(Json::as_u64), Some(id as u64));
+        let message = frame.get("message").and_then(Json::as_str).unwrap();
+        assert!(message.contains(reason), "{message}");
+    }
+
+    shut_down(&addr);
+    let summary = handle.join().unwrap();
+    assert_eq!(summary.protocol_errors, 3, "{summary:?}");
+    assert_eq!(summary.jobs, 0, "nothing reached the queue: {summary:?}");
+}
+
 #[test]
 fn hello_banner_identifies_the_protocol() {
     let (addr, handle) = start_server(ServeOptions::default());
