@@ -32,8 +32,6 @@ pub struct CaseKey {
     pub workload: String,
     /// Verification configuration name (e.g. `hybrid`).
     pub config: String,
-    /// Backend choice label (`explicit`, `symbolic`, `auto`).
-    pub backend: String,
     /// Worker threads.
     pub jobs: usize,
     /// Whether a graph cache was in play.
@@ -44,10 +42,9 @@ impl CaseKey {
     /// Stable display form, e.g. `suite/hybrid/explicit/jobs=8/cache=off`.
     pub fn label(&self) -> String {
         format!(
-            "{}/{}/{}/jobs={}/cache={}",
+            "{}/{}/explicit/jobs={}/cache={}",
             self.workload,
             self.config,
-            self.backend,
             self.jobs,
             if self.graph_cache { "on" } else { "off" }
         )
@@ -185,7 +182,9 @@ impl BenchReport {
                             Json::obj(vec![
                                 ("workload", Json::Str(c.key.workload.clone())),
                                 ("config", Json::Str(c.key.config.clone())),
-                                ("backend", Json::Str(c.key.backend.clone())),
+                                // Constant since `--backend` was retired; the
+                                // reader ignores it.
+                                ("backend", Json::Str("explicit".into())),
                                 ("jobs", Json::Uint(c.key.jobs as u64)),
                                 ("graph_cache", Json::Bool(c.key.graph_cache)),
                                 ("warmup", Json::Uint(c.warmup as u64)),
@@ -266,7 +265,6 @@ impl BenchReport {
                 key: CaseKey {
                     workload: str_field(c, "workload")?,
                     config: str_field(c, "config")?,
-                    backend: str_field(c, "backend")?,
                     jobs: u64_field(c, "jobs")? as usize,
                     graph_cache: c
                         .get("graph_cache")
@@ -447,7 +445,6 @@ mod tests {
         CaseKey {
             workload: workload.into(),
             config: "hybrid".into(),
-            backend: "explicit".into(),
             jobs,
             graph_cache: false,
         }

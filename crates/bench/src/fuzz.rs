@@ -57,7 +57,7 @@ use rtlcheck_obs::{
 };
 use rtlcheck_rtl::isa::MAX_THREAD_LEN;
 use rtlcheck_rtl::multi_vscale::{MemoryImpl, NUM_CORES};
-use rtlcheck_verif::{BackendChoice, GraphCache, VerifyConfig};
+use rtlcheck_verif::{GraphCache, VerifyConfig};
 
 /// The cores of the Multi-V-scale design. Shapes with more threads, or
 /// with a thread longer than [`MAX_THREAD_LEN`] instructions, are triaged
@@ -77,8 +77,6 @@ pub struct FuzzOptions {
     pub memory: MemoryImpl,
     /// Worker threads for the engine phase (≤ 1 runs inline).
     pub jobs: usize,
-    /// Reachable-set backend for escalated checks.
-    pub backend: BackendChoice,
     /// Smallest cycle length sampled.
     pub min_len: usize,
     /// Largest cycle length sampled.
@@ -98,7 +96,6 @@ impl FuzzOptions {
             seed: 0,
             memory,
             jobs: 1,
-            backend: BackendChoice::default(),
             min_len: 3,
             max_len: 6,
             escalate_budget: None,
@@ -194,8 +191,6 @@ pub struct FuzzReport {
     pub model: Model,
     /// Verification configuration name.
     pub config: String,
-    /// Resolved backend label for escalated checks (`-` if none ran).
-    pub backend: String,
     /// Sampled length range, inclusive.
     pub len_range: (usize, usize),
     /// Cycles that failed to sample (no well-formed cycle found).
@@ -239,6 +234,16 @@ impl FuzzReport {
 
     fn design_verdicts(&self, v: Verdict) -> usize {
         self.shapes.iter().filter(|s| s.design_verdict == v).count()
+    }
+
+    /// The report's `backend` column: `explicit` once an engine bucket
+    /// ran, `-` otherwise.
+    fn backend(&self) -> &'static str {
+        if self.bucket_sizes.is_empty() {
+            "-"
+        } else {
+            "explicit"
+        }
     }
 
     /// Shapes handed to the engine.
@@ -367,7 +372,7 @@ impl FuzzReport {
             self.escalated(),
             self.bucket_sizes.len(),
             self.escalate_budget,
-            self.backend,
+            self.backend(),
             self.agreements(),
             self.disagreements(),
             self.engine_inconclusive()
@@ -460,7 +465,7 @@ impl FuzzReport {
             ("memory", Json::Str(self.memory.clone())),
             ("model", Json::Str(self.model.label().to_string())),
             ("config", Json::Str(self.config.clone())),
-            ("backend", Json::Str(self.backend.clone())),
+            ("backend", Json::Str(self.backend().to_string())),
             ("min_len", Json::Num(self.len_range.0 as f64)),
             ("max_len", Json::Num(self.len_range.1 as f64)),
             ("generated", Json::Num(self.generated() as f64)),
@@ -749,7 +754,7 @@ pub fn run_fuzz_live(
     // shapes whose generated tests compile to the same verification
     // problem share one engine run. Buckets are numbered in first-seen
     // (shape) order.
-    let tool = Rtlcheck::new(options.memory).with_backend(options.backend);
+    let tool = Rtlcheck::new(options.memory);
     let mut buckets: Vec<Vec<usize>> = Vec::new();
     let mut bucket_index: HashMap<(u64, u64), usize> = HashMap::new();
     for (i, r) in results.iter_mut().enumerate() {
@@ -764,14 +769,6 @@ pub fn run_fuzz_live(
         buckets[b].push(i);
         r.bucket = Some(b);
     }
-    let backend_label = match buckets.first() {
-        Some(bucket) => {
-            let design = tool.build_design(&shapes[bucket[0]].test).design;
-            options.backend.resolve(&design).label().to_string()
-        }
-        None => "-".to_string(),
-    };
-
     // Phase 4c: one engine run per bucket, on the suite runner's
     // deterministic pool.
     let check_bucket = |b: usize, collector: &dyn Collector| -> TestReport {
@@ -863,7 +860,6 @@ pub fn run_fuzz_live(
         memory: memory_label(options.memory).to_string(),
         model,
         config: config.name.clone(),
-        backend: backend_label,
         len_range: (options.min_len, options.max_len),
         sample_failures,
         duplicates,
@@ -983,7 +979,6 @@ mod tests {
             memory: "fixed".into(),
             model: Model::Sc,
             config: "T".into(),
-            backend: "explicit".into(),
             len_range: (3, 6),
             sample_failures: 2,
             duplicates: 96,

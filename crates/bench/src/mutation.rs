@@ -62,10 +62,9 @@ use rtlcheck_obs::json::Json;
 use rtlcheck_obs::{
     attrs, progress::UNIT_DONE, BufferCollector, Collector, MultiCollector, TrackSink,
 };
-use rtlcheck_rtl::five_stage::FiveStage;
-use rtlcheck_rtl::multi_vscale::{MemoryImpl, MultiVscale};
+use rtlcheck_rtl::multi_vscale::MemoryImpl;
 use rtlcheck_rtl::mutate::{catalog, CatalogTarget, Mutation};
-use rtlcheck_verif::{BackendChoice, GraphCache, Incremental, VerifyConfig};
+use rtlcheck_verif::{GraphCache, Incremental, VerifyConfig};
 
 /// The pseudo-axiom credited when the kill signal is the covering trace
 /// (a forbidden outcome becoming reachable, or a witnessed outcome
@@ -83,8 +82,6 @@ pub struct CampaignOptions {
     pub mutants: Option<Vec<String>>,
     /// If set, only suite tests with these names run.
     pub tests: Option<Vec<String>>,
-    /// Reachable-set backend for every check in the campaign.
-    pub backend: BackendChoice,
     /// Whether mutant graphs splice from the baseline cores
     /// (`--incremental`; [`Incremental::Off`] preserves the cold path for
     /// differential CI).
@@ -99,7 +96,6 @@ impl CampaignOptions {
             jobs: 1,
             mutants: None,
             tests: None,
-            backend: BackendChoice::default(),
             incremental: Incremental::default(),
         }
     }
@@ -149,10 +145,6 @@ pub struct MutantResult {
     pub description: String,
     /// Classification.
     pub verdict: MutantVerdict,
-    /// The resolved reachable-set backend this unit's checks ran on
-    /// ([`rtlcheck_verif::BackendKind::label`], resolved once per campaign
-    /// against the first selected test's baseline design).
-    pub backend: String,
     /// The tests that killed it (empty for survivors).
     pub killed_by: Vec<KillRecord>,
 }
@@ -334,7 +326,8 @@ impl CampaignReport {
                                 ("family", Json::Str(m.family.clone())),
                                 ("description", Json::Str(m.description.clone())),
                                 ("verdict", Json::Str(m.verdict.label().to_string())),
-                                ("backend", Json::Str(m.backend.clone())),
+                                // Constant since `--backend` was retired.
+                                ("backend", Json::Str("explicit".to_string())),
                                 (
                                     "killed_by",
                                     Json::Arr(
@@ -391,10 +384,8 @@ impl CampaignReport {
 
 /// One (design variant, test) check in the flat work list. `mutant` is
 /// `None` for the baseline run of the unmutated design.
-#[allow(clippy::too_many_arguments)]
 fn check_one(
     target: CatalogTarget,
-    backend: BackendChoice,
     mutant: Option<&Mutation>,
     test: &LitmusTest,
     config: &VerifyConfig,
@@ -406,8 +397,7 @@ fn check_one(
         CatalogTarget::MultiVscale => Some(Rtlcheck::new(MemoryImpl::Fixed)),
         CatalogTarget::Tso => Some(Rtlcheck::tso()),
         CatalogTarget::FiveStage => None,
-    }
-    .map(|t| t.with_backend(backend));
+    };
     let run = match (tool, mutant) {
         (Some(tool), Some(m)) => {
             tool.check_test_mutated(test, m, config, cache, incremental, collector)
@@ -416,15 +406,9 @@ fn check_one(
             Some(c) => tool.check_test_cached(test, config, c, collector),
             None => tool.check_test_observed(test, config, collector),
         }),
-        (None, _) => five_stage::check_test_mutated(
-            test,
-            mutant,
-            config,
-            backend,
-            cache,
-            incremental,
-            collector,
-        ),
+        (None, _) => {
+            five_stage::check_test_mutated(test, mutant, config, cache, incremental, collector)
+        }
     };
     run.unwrap_or_else(|e| {
         panic!(
@@ -510,19 +494,6 @@ pub fn run_campaign_live(
         return Err("no litmus tests selected".into());
     }
 
-    // The campaign-level backend label for the report: the choice resolved
-    // against the first selected test's baseline design (every unit of a
-    // target resolves the same way — the catalog mutations keep the input
-    // space and register count).
-    let backend_kind = {
-        let design = match options.target {
-            CatalogTarget::MultiVscale => MultiVscale::build(&tests[0], MemoryImpl::Fixed).design,
-            CatalogTarget::Tso => MultiVscale::build(&tests[0], MemoryImpl::Tso).design,
-            CatalogTarget::FiveStage => FiveStage::build(&tests[0]).design,
-        };
-        options.backend.resolve(&design)
-    };
-
     // Splicing needs somewhere to publish the baseline cores: use the
     // caller's cache when there is one, otherwise an internal in-memory
     // cache whose counters are never reported (so the deterministic
@@ -550,7 +521,6 @@ pub fn run_campaign_live(
                     sinks.extend(tracks.iter().map(|b| &**b));
                     check_one(
                         options.target,
-                        options.backend,
                         designs[d],
                         &tests[t],
                         config,
@@ -604,7 +574,6 @@ pub fn run_campaign_live(
                                 sinks.extend(tracks.iter().map(|b| &**b));
                                 check_one(
                                     options.target,
-                                    options.backend,
                                     designs[d],
                                     &tests[t],
                                     config,
@@ -640,15 +609,7 @@ pub fn run_campaign_live(
     }
 
     let (baseline, mutant_reports) = reports.split_at(tests.len());
-    let report = classify(
-        options,
-        config,
-        &tests,
-        &mutants,
-        baseline,
-        mutant_reports,
-        backend_kind.label(),
-    );
+    let report = classify(options, config, &tests, &mutants, baseline, mutant_reports);
 
     // Campaign counters and per-mutant events, in fixed (catalog) order —
     // after all replays, so the stream is scheduling-independent.
@@ -688,7 +649,6 @@ pub fn run_campaign_live(
 }
 
 /// Folds the raw reports into the campaign classification.
-#[allow(clippy::too_many_arguments)]
 fn classify(
     options: &CampaignOptions,
     config: &VerifyConfig,
@@ -696,7 +656,6 @@ fn classify(
     mutants: &[Mutation],
     baseline: &[TestReport],
     mutant_reports: &[TestReport],
-    backend: &str,
 ) -> CampaignReport {
     // Kill-matrix columns: cover first, then every axiom the baseline's
     // properties mention, in first-seen order.
@@ -752,7 +711,6 @@ fn classify(
                 family: m.family.label().to_string(),
                 description: m.description.clone(),
                 verdict,
-                backend: backend.to_string(),
                 killed_by,
             }
         })
@@ -777,7 +735,6 @@ mod tests {
             family: "drop_stall".into(),
             description: String::new(),
             verdict,
-            backend: "explicit".into(),
             killed_by,
         }
     }

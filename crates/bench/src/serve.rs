@@ -79,7 +79,7 @@ use rtlcheck_obs::{
 };
 use rtlcheck_rtl::multi_vscale::MemoryImpl;
 use rtlcheck_rtl::mutate::CatalogTarget;
-use rtlcheck_verif::{BackendChoice, GraphCache, Incremental, VerifyConfig};
+use rtlcheck_verif::{GraphCache, Incremental, VerifyConfig};
 
 use crate::fuzz::{run_fuzz, FuzzOptions};
 use crate::mutation::{run_campaign, CampaignOptions};
@@ -205,13 +205,11 @@ fn bump(c: &AtomicU64) {
 enum JobSpec {
     Check {
         memory: MemoryImpl,
-        backend: BackendChoice,
         config: VerifyConfig,
         test: LitmusTest,
     },
     Suite {
         memory: MemoryImpl,
-        backend: BackendChoice,
         config: VerifyConfig,
         tests: Vec<LitmusTest>,
     },
@@ -239,7 +237,7 @@ impl JobSpec {
 /// Job identity for coalescing. For `check` jobs the last two words are
 /// the [`Rtlcheck::problem_fingerprint`] key/check pair; the first word
 /// hashes everything else that can change the response: job kind, memory,
-/// backend, engine budgets, and the test name, which the report row carries.
+/// engine budgets, and the test name, which the report row carries.
 /// Two differently named tests that ground to the same verification problem
 /// therefore run separately, each answered under its own name, while sharing
 /// the cached graph.
@@ -263,22 +261,20 @@ fn fingerprint(spec: &JobSpec) -> Fp {
     match spec {
         JobSpec::Check {
             memory,
-            backend,
             config,
             test,
         } => {
-            let ctx = format!("check|{memory:?}|{backend:?}|{config:?}|{}", test.name());
+            let ctx = format!("check|{memory:?}|{config:?}|{}", test.name());
             let key = Rtlcheck::new(*memory).problem_fingerprint(test);
             Fp(fnv1a(ctx.as_bytes()), key.key, key.check)
         }
         JobSpec::Suite {
             memory,
-            backend,
             config,
             tests,
         } => {
             let names: Vec<&str> = tests.iter().map(LitmusTest::name).collect();
-            let ctx = format!("suite|{memory:?}|{backend:?}|{config:?}|{names:?}");
+            let ctx = format!("suite|{memory:?}|{config:?}|{names:?}");
             Fp(fnv1a(ctx.as_bytes()), 0, 1)
         }
         JobSpec::Mutate { options, config } => {
@@ -373,18 +369,14 @@ fn parse_config(v: &str) -> Result<VerifyConfig, String> {
     }
 }
 
-/// The common `memory` / `config` / `backend` / `max_states` job options.
+/// The common `memory` / `config` / `max_states` job options.
 /// `max_states` is the per-job state budget: it clamps every engine's
 /// budget and the cover budget, matching the CLI's budget-exhaustion
 /// (`budget_limited`) semantics at a job-chosen scale.
-fn parse_flow_options(obj: &Json) -> Result<(MemoryImpl, BackendChoice, VerifyConfig), String> {
+fn parse_flow_options(obj: &Json) -> Result<(MemoryImpl, VerifyConfig), String> {
     let memory = match get_str(obj, "memory")? {
         Some(v) => parse_memory(v)?,
         None => MemoryImpl::Fixed,
-    };
-    let backend = match get_str(obj, "backend")? {
-        Some(v) => BackendChoice::parse(v)?,
-        None => BackendChoice::default(),
     };
     let mut config = match get_str(obj, "config")? {
         Some(v) => parse_config(v)?,
@@ -397,7 +389,7 @@ fn parse_flow_options(obj: &Json) -> Result<(MemoryImpl, BackendChoice, VerifyCo
         }
         config.cover_max_states = config.cover_max_states.min(budget);
     }
-    Ok((memory, backend, config))
+    Ok((memory, config))
 }
 
 fn lookup_tests(names: &[String]) -> Result<Vec<LitmusTest>, String> {
@@ -414,6 +406,13 @@ fn parse_request(value: &Json) -> Result<Request, (Json, String)> {
     if value.as_obj().is_none() {
         return Err(fail("request frame must be a JSON object".into()));
     }
+    // Unknown fields are otherwise ignored; an old client's `backend` must
+    // not fall back silently.
+    if value.get("backend").is_some() {
+        return Err(fail(
+            "the `backend` option is retired: every check runs on the explicit state graph".into(),
+        ));
+    }
     let kind = get_str(value, "kind")
         .map_err(&fail)?
         .ok_or_else(|| fail("request needs a `kind` field".into()))?
@@ -429,7 +428,7 @@ fn parse_request(value: &Json) -> Result<Request, (Json, String)> {
         "stats" => RequestBody::Stats,
         "shutdown" => RequestBody::Shutdown,
         "check" => {
-            let (memory, backend, config) = parse_flow_options(value).map_err(&fail)?;
+            let (memory, config) = parse_flow_options(value).map_err(&fail)?;
             let test = match (
                 get_str(value, "test").map_err(&fail)?,
                 get_str(value, "litmus").map_err(&fail)?,
@@ -450,13 +449,12 @@ fn parse_request(value: &Json) -> Result<Request, (Json, String)> {
             Rtlcheck::admit(&test).map_err(|e| fail(e.to_string()))?;
             RequestBody::Job(Box::new(JobSpec::Check {
                 memory,
-                backend,
                 config,
                 test,
             }))
         }
         "suite" => {
-            let (memory, backend, config) = parse_flow_options(value).map_err(&fail)?;
+            let (memory, config) = parse_flow_options(value).map_err(&fail)?;
             let tests = match get_names(value, "only").map_err(&fail)? {
                 Some(names) if names.is_empty() => {
                     return Err(fail("`only` selected no tests".into()))
@@ -466,13 +464,12 @@ fn parse_request(value: &Json) -> Result<Request, (Json, String)> {
             };
             RequestBody::Job(Box::new(JobSpec::Suite {
                 memory,
-                backend,
                 config,
                 tests,
             }))
         }
         "mutate" => {
-            let (_, backend, config) = parse_flow_options(value).map_err(&fail)?;
+            let (_, config) = parse_flow_options(value).map_err(&fail)?;
             let target = match get_str(value, "design").map_err(&fail)? {
                 Some(v) => CatalogTarget::parse(v).ok_or_else(|| {
                     fail(format!(
@@ -482,7 +479,6 @@ fn parse_request(value: &Json) -> Result<Request, (Json, String)> {
                 None => CatalogTarget::MultiVscale,
             };
             let mut options = CampaignOptions::new(target);
-            options.backend = backend;
             options.mutants = get_names(value, "mutants").map_err(&fail)?;
             options.tests = get_names(value, "only").map_err(&fail)?;
             options.incremental = match get_str(value, "incremental").map_err(&fail)? {
@@ -498,9 +494,8 @@ fn parse_request(value: &Json) -> Result<Request, (Json, String)> {
             RequestBody::Job(Box::new(JobSpec::Mutate { options, config }))
         }
         "fuzz" => {
-            let (memory, backend, config) = parse_flow_options(value).map_err(&fail)?;
+            let (memory, config) = parse_flow_options(value).map_err(&fail)?;
             let mut options = FuzzOptions::new(memory);
-            options.backend = backend;
             if let Some(count) = get_u64(value, "count").map_err(&fail)? {
                 if count == 0 {
                     return Err(fail("`count` must be positive".into()));
@@ -719,11 +714,10 @@ fn execute(
     match spec {
         JobSpec::Check {
             memory,
-            backend,
             config,
             test,
         } => {
-            let tool = Rtlcheck::new(*memory).with_backend(*backend);
+            let tool = Rtlcheck::new(*memory);
             let report = tool.check_test_cached(test, config, cache, collector);
             Ok((
                 report_status(&report).to_string(),
@@ -732,11 +726,10 @@ fn execute(
         }
         JobSpec::Suite {
             memory,
-            backend,
             config,
             tests,
         } => {
-            let tool = Rtlcheck::new(*memory).with_backend(*backend);
+            let tool = Rtlcheck::new(*memory);
             let mut rows = Vec::with_capacity(tests.len());
             let mut violations = 0u64;
             let mut inconclusive = 0u64;
@@ -1552,7 +1545,6 @@ mod tests {
     fn spec_for(name: &str) -> JobSpec {
         JobSpec::Check {
             memory: MemoryImpl::Fixed,
-            backend: BackendChoice::default(),
             config: VerifyConfig::quick(),
             test: suite::get(name).unwrap(),
         }
@@ -1567,7 +1559,6 @@ mod tests {
         assert_ne!(a, c);
         let tight = JobSpec::Check {
             memory: MemoryImpl::Fixed,
-            backend: BackendChoice::default(),
             config: {
                 let mut c = VerifyConfig::quick();
                 for e in &mut c.engines {

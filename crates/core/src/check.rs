@@ -13,8 +13,7 @@ use rtlcheck_sva::emit;
 use rtlcheck_uspec::Spec;
 use rtlcheck_verif::{
     build_graph, check_cover_on_graph_observed, explore, verify_property_on_graph_observed,
-    Backend, BackendChoice, BackendKind, CoverVerdict, GraphCache, Incremental, Problem,
-    PropertyVerdict, SymbolicGraph, VerifyConfig,
+    CoverVerdict, GraphCache, Incremental, Problem, PropertyVerdict, VerifyConfig,
 };
 
 use crate::assert_gen::{self, AssertionOptions, GeneratedAssertion};
@@ -73,7 +72,6 @@ pub struct Rtlcheck {
     memory: MemoryImpl,
     spec: Spec,
     options: AssertionOptions,
-    backend: BackendChoice,
 }
 
 impl Rtlcheck {
@@ -90,7 +88,6 @@ impl Rtlcheck {
             memory,
             spec,
             options: AssertionOptions::paper(),
-            backend: BackendChoice::default(),
         }
     }
 
@@ -118,23 +115,9 @@ impl Rtlcheck {
         self
     }
 
-    /// Selects the reachable-set backend for the verification phases:
-    /// explicit per-valuation enumeration (the default), the symbolic BDD
-    /// backend, or [`BackendChoice::Auto`] — which routes each per-test
-    /// design by its input width and register count.
-    pub fn with_backend(mut self, backend: BackendChoice) -> Self {
-        self.backend = backend;
-        self
-    }
-
     /// The active translation options.
     pub fn options(&self) -> AssertionOptions {
         self.options
-    }
-
-    /// The active backend choice.
-    pub fn backend(&self) -> BackendChoice {
-        self.backend
     }
 
     /// Checks that `test` fits the Multi-V-scale design: at most
@@ -317,7 +300,6 @@ impl Rtlcheck {
             &problem_of(&mv.design, assumptions),
             &assertions,
             config,
-            self.backend,
             cache,
             baseline.as_ref().map(|b| (b, incremental.validate())),
             collector,
@@ -428,49 +410,23 @@ pub(crate) fn problem_of(design: &Design, assumptions: GeneratedAssumptions) -> 
 /// to splice the graph from the baseline's published core before falling
 /// back to the ordinary levels — the `cache` attribute then reads
 /// `spliced`.
-///
-/// `backend` selects the reachable-set representation; under
-/// [`BackendChoice::Auto`] the per-design resolution happens here, so a
-/// design whose input space would overflow the explicit enumeration is
-/// routed to the symbolic backend instead of panicking. The symbolic
-/// backend bypasses the graph cache: its rows are cheap to rebuild and the
-/// snapshot format is explicit-row shaped.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_flow_cached(
     test_name: &str,
     problem: &Problem<'_>,
     assertions: &[GeneratedAssertion],
     config: &VerifyConfig,
-    backend: BackendChoice,
     cache: Option<&GraphCache>,
     incremental: Option<(&Design, bool)>,
     collector: &dyn Collector,
 ) -> TestReport {
-    /// The built graph, either representation, plus the explicit cache
-    /// ticket when there is one.
-    enum BuiltGraph<'p, 'd> {
-        Explicit(
-            rtlcheck_verif::StateGraph<'p, 'd>,
-            Option<rtlcheck_verif::CacheTicket>,
-        ),
-        Symbolic(SymbolicGraph<'p, 'd>),
-    }
-
     // Phase 0: build the shared state graph — the design × assumption
     // product that the cover search and every property walk reuse. Warmed
     // under the cover engine's budget; walks extend it lazily if their own
     // budget reaches further.
-    let kind = backend.resolve(problem.design);
     let mut g = span(collector, "graph_build", attrs!["test" => test_name]);
-    g.attr("backend", kind.label());
     let props = || assertions.iter().map(|a| &a.directive.prop);
-    let built = match (kind, cache) {
-        (BackendKind::Symbolic, _) => BuiltGraph::Symbolic(SymbolicGraph::build(
-            problem,
-            props(),
-            config.cover_engine(),
-        )),
-        (BackendKind::Explicit, Some(cache)) => {
+    let (graph, ticket) = match cache {
+        Some(cache) => {
             let props: Vec<_> = props().collect();
             let (graph, ticket) = match incremental {
                 Some((baseline, validate)) => cache.build_graph_incremental(
@@ -482,33 +438,22 @@ pub(crate) fn run_flow_cached(
                 ),
                 None => cache.build_graph(problem, &props, config.cover_engine()),
             };
-            BuiltGraph::Explicit(graph, Some(ticket))
+            (graph, Some(ticket))
         }
-        (BackendKind::Explicit, None) => {
-            BuiltGraph::Explicit(build_graph(problem, props(), config.cover_engine()), None)
-        }
+        None => (build_graph(problem, props(), config.cover_engine()), None),
     };
-    let graph: &dyn Backend = match &built {
-        BuiltGraph::Explicit(graph, _) => graph,
-        BuiltGraph::Symbolic(graph) => graph,
-    };
-    collector.counter(
-        &format!("backend.{}", kind.label()),
-        1,
-        attrs!["test" => test_name],
-    );
     let gs = graph.stats();
     g.attr("nodes", gs.nodes);
     g.attr("edges", gs.edges);
     g.attr("complete", gs.complete);
-    if let BuiltGraph::Explicit(_, Some(t)) = &built {
+    if let Some(t) = &ticket {
         g.attr("cache", t.source().label());
     }
     g.finish();
 
     // Phase 1: covering-trace search (§4.1).
     let mut g = span(collector, "cover_search", attrs!["test" => test_name]);
-    let cover_verdict = check_cover_on_graph_observed(graph, config.cover_engine(), collector);
+    let cover_verdict = check_cover_on_graph_observed(&graph, config.cover_engine(), collector);
     let cover_stats = cover_verdict.stats();
     g.attr("states", cover_stats.states);
     let cover_elapsed = g.finish();
@@ -550,7 +495,7 @@ pub(crate) fn run_flow_cached(
             attrs!["test" => test_name, "property" => name, "axiom" => &a.axiom],
         );
         let verdict =
-            verify_property_on_graph_observed(graph, &a.directive.prop, config, name, collector);
+            verify_property_on_graph_observed(&graph, &a.directive.prop, config, name, collector);
         let stats = verdict.stats();
         collector.counter(
             "property.states",
@@ -595,9 +540,9 @@ pub(crate) fn run_flow_cached(
 
     // Persist the final (post-walk) core if this call is the cache's
     // designated writer for the key — a later run then replays the whole
-    // exploration from disk. Symbolic graphs are never persisted.
-    if let (Some(cache), BuiltGraph::Explicit(explicit, Some(ticket))) = (cache, &built) {
-        cache.store_final(ticket, explicit);
+    // exploration from disk.
+    if let (Some(cache), Some(ticket)) = (cache, &ticket) {
+        cache.store_final(ticket, &graph);
     }
 
     TestReport {

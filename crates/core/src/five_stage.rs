@@ -170,7 +170,6 @@ pub fn check_test_observed(
         test,
         None,
         config,
-        rtlcheck_verif::BackendChoice::default(),
         None,
         rtlcheck_verif::Incremental::Off,
         collector,
@@ -192,12 +191,10 @@ pub fn check_test_observed(
 /// # Panics
 ///
 /// As [`check_test`].
-#[allow(clippy::too_many_arguments)]
 pub fn check_test_mutated(
     test: &LitmusTest,
     mutation: Option<&rtlcheck_rtl::mutate::Mutation>,
     config: &VerifyConfig,
-    backend: rtlcheck_verif::BackendChoice,
     cache: Option<&rtlcheck_verif::GraphCache>,
     incremental: rtlcheck_verif::Incremental,
     collector: &dyn rtlcheck_obs::Collector,
@@ -245,7 +242,6 @@ pub fn check_test_mutated(
         &crate::check::problem_of(&fs.design, assumptions),
         &assertions,
         config,
-        backend,
         cache,
         baseline.as_ref().map(|b| (b, incremental.validate())),
         collector,

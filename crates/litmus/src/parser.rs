@@ -44,7 +44,7 @@ use crate::test::{LitmusTest, Op};
 /// # Ok::<(), rtlcheck_litmus::ParseLitmusError>(())
 /// ```
 pub fn parse(src: &str) -> Result<LitmusTest, ParseLitmusError> {
-    Parser::new(src).parse()
+    Parser::new(src)?.parse()
 }
 
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,7 +63,9 @@ struct Parser {
 }
 
 impl Parser {
-    fn new(src: &str) -> Self {
+    /// Tokenises `src`. Fails on an integer literal that does not fit in
+    /// 32 bits, naming its line.
+    fn new(src: &str) -> Result<Self, ParseLitmusError> {
         let mut toks = Vec::new();
         for (lineno, raw) in src.lines().enumerate() {
             let line = raw.split('#').next().unwrap_or("");
@@ -74,16 +76,16 @@ impl Parser {
                 if c.is_whitespace() {
                     chars.next();
                 } else if c.is_ascii_digit() {
-                    let mut n = 0u32;
-                    while let Some(&d) = chars.peek() {
-                        match d.to_digit(10) {
-                            Some(v) => {
-                                n = n * 10 + v;
-                                chars.next();
-                            }
-                            None => break,
-                        }
+                    let mut digits = String::new();
+                    while let Some(d) = chars.next_if(char::is_ascii_digit) {
+                        digits.push(d);
                     }
+                    let n = digits.parse().map_err(|_| {
+                        ParseLitmusError::new(
+                            lineno,
+                            format!("integer `{digits}` does not fit in 32 bits"),
+                        )
+                    })?;
                     toks.push((Tok::Int(n), lineno));
                 } else if c.is_alphabetic() || c == '_' {
                     let mut s = String::new();
@@ -110,7 +112,7 @@ impl Parser {
                 }
             }
         }
-        Parser { toks, pos: 0 }
+        Ok(Parser { toks, pos: 0 })
     }
 
     fn line(&self) -> usize {
@@ -366,6 +368,32 @@ mod tests {
         let src = "test t\n{ }\ncore 0 { st x 1; }\nforbid ( x = 1 )";
         let err = parse(src).unwrap_err();
         assert_eq!(err.line, 3);
+    }
+
+    /// Integer literals past `u32::MAX` are errors naming their line, not
+    /// values wrapped into another test.
+    #[test]
+    fn rejects_integers_past_32_bits() {
+        let value = "test t\n{ }\ncore 0 { st x, 4294967297; }\nforbid ( x = 1 )";
+        let err = parse(value).unwrap_err();
+        assert_eq!(err.line, 3);
+        assert!(err.message.contains("`4294967297`"), "{err}");
+        let core = "test t\n{ }\ncore 4294967296 { st x, 1; }\nforbid ( x = 1 )";
+        let err = parse(core).unwrap_err();
+        assert_eq!(err.line, 3);
+        assert!(err.message.contains("does not fit in 32 bits"), "{err}");
+        // u32::MAX itself fits the RTL's 32-bit data field.
+        let max = "test t\n{ }\ncore 0 { st x, 4294967295; }\nforbid ( x = 4294967295 )";
+        let t = parse(max).unwrap();
+        assert_eq!(t.instr(InstrUid(0)).store_value(), Some(Val(u32::MAX)));
+        let x = t.loc_by_name("x").unwrap();
+        assert_eq!(
+            t.condition().clauses(),
+            [CondClause::MemEq {
+                loc: x,
+                val: Val(u32::MAX)
+            }]
+        );
     }
 
     #[test]

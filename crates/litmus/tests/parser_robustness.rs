@@ -20,6 +20,7 @@ proptest! {
             Just("permit"), Just("r1"), Just("x"), Just("y"), Just("{"),
             Just("}"), Just("("), Just(")"), Just("="), Just(";"), Just(","),
             Just(":"), Just("/\\"), Just("0"), Just("1"), Just("99"),
+            Just("4294967296"),
         ],
         0..20,
     )) {

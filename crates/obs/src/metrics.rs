@@ -579,28 +579,6 @@ impl MetricsSummary {
             }
         }
 
-        {
-            let count = |name: &str| self.counter(name).map_or(0, |c| c.total);
-            let explicit = count("backend.explicit");
-            let symbolic = count("backend.symbolic");
-            if explicit + symbolic > 0 {
-                let _ = writeln!(out, "\nBackend selection:");
-                let _ = writeln!(
-                    out,
-                    "  {} flow(s) on the explicit backend, {} on the symbolic backend",
-                    explicit, symbolic,
-                );
-                if symbolic > 0 {
-                    let _ = writeln!(
-                        out,
-                        "  symbolic: {} BDD node(s) allocated, {} edge class(es) enumerated",
-                        count("backend.bdd_nodes"),
-                        count("backend.classes"),
-                    );
-                }
-            }
-        }
-
         if let Some(requests) = self.counter("graph_cache.requests") {
             let count = |name: &str| self.counter(name).map_or(0, |c| c.total);
             let hits = count("graph_cache.hits");
@@ -865,8 +843,8 @@ impl MetricsSummary {
     /// Three sections: per-phase wall-clock deltas, histogram shifts
     /// (p50/p99 movement per phase), and per-counter total deltas. Names
     /// present in only one run render with a `-` on the missing side, so
-    /// two different backends or two different subcommands can still be
-    /// compared directly.
+    /// two different configurations or two different subcommands can still
+    /// be compared directly.
     pub fn render_diff(&self, other: &MetricsSummary, label_a: &str, label_b: &str) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "RTLCheck profile diff");
@@ -1187,34 +1165,6 @@ mod tests {
             text.contains("graph reuse: 75% of 200 edge lookups"),
             "{text}"
         );
-    }
-
-    #[test]
-    fn render_shows_the_backend_selection_section() {
-        let m = MetricsCollector::new();
-        m.counter("backend.explicit", 4, attrs!["test" => "mp"]);
-        m.counter("backend.symbolic", 2, attrs!["test" => "sb"]);
-        m.counter("backend.bdd_nodes", 130, attrs![]);
-        m.counter("backend.classes", 48, attrs![]);
-        let text = m.summary().render();
-        assert!(text.contains("Backend selection:"), "{text}");
-        assert!(
-            text.contains("4 flow(s) on the explicit backend, 2 on the symbolic backend"),
-            "{text}"
-        );
-        assert!(
-            text.contains("130 BDD node(s) allocated, 48 edge class(es) enumerated"),
-            "{text}"
-        );
-        // Explicit-only runs skip the symbolic detail line; no backend
-        // counters at all → no section.
-        let m = MetricsCollector::new();
-        m.counter("backend.explicit", 4, attrs![]);
-        let text = m.summary().render();
-        assert!(text.contains("Backend selection:"), "{text}");
-        assert!(!text.contains("BDD node(s)"), "{text}");
-        let empty = MetricsCollector::new().summary().render();
-        assert!(!empty.contains("Backend selection"), "{empty}");
     }
 
     #[test]

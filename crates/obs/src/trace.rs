@@ -14,8 +14,8 @@
 //! Span enter/exit pairs become complete (`"X"`) duration events, discrete
 //! events become instants (`"i"`), and at every span boundary the derived
 //! counter tracks are sampled: cumulative states/sec, graph-cache hit rate,
-//! BDD unique-table size, and the cone-reuse rate (share of row segments
-//! copied rather than re-simulated by incremental splicing).
+//! and the cone-reuse rate (share of row segments copied rather than
+//! re-simulated by incremental splicing).
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
@@ -157,7 +157,7 @@ impl TraceCollector {
 
     /// Emits the derived counter tracks ("C" events on the process track),
     /// sampled at span boundaries: cumulative states/sec, graph-cache hit
-    /// rate, BDD unique-table size, and cone-reuse rate.
+    /// rate, and cone-reuse rate.
     fn sample_counters(inner: &mut TraceInner, now_us: u64) {
         let get = |name: &str| inner.totals.get(name).copied().unwrap_or(0);
         let states: u64 = inner
@@ -169,7 +169,6 @@ impl TraceCollector {
             .sum();
         let requests = get("graph_cache.requests");
         let hits = get("graph_cache.hits") + get("graph_cache.disk_hits");
-        let bdd = get("backend.bdd_nodes");
         let rows_copied = get("cone.rows_copied");
         let rows_recomputed = get("cone.rows_recomputed");
 
@@ -181,9 +180,6 @@ impl TraceCollector {
         if requests > 0 {
             let rate = (100.0 * hits as f64 / requests as f64).round();
             samples.push(("cache hit-rate %", Json::Num(rate)));
-        }
-        if bdd > 0 {
-            samples.push(("bdd unique-table", Json::Uint(bdd)));
         }
         if rows_copied + rows_recomputed > 0 {
             let rate =
@@ -353,7 +349,6 @@ mod tests {
         trace.counter("engine.full.states", 500, attrs![]);
         trace.counter("graph_cache.requests", 4, attrs![]);
         trace.counter("graph_cache.hits", 3, attrs![]);
-        trace.counter("backend.bdd_nodes", 120, attrs![]);
         trace.counter("cone.rows_copied", 90, attrs![]);
         trace.counter("cone.rows_recomputed", 10, attrs![]);
         {
@@ -362,7 +357,6 @@ mod tests {
         let text = trace.render();
         assert!(text.contains("states/sec"), "{text}");
         assert!(text.contains("cache hit-rate %"), "{text}");
-        assert!(text.contains("bdd unique-table"), "{text}");
         assert!(text.contains("cone reuse %"), "{text}");
         // Counter events carry a numeric args value.
         assert!(text.contains("\"ph\":\"C\""), "{text}");

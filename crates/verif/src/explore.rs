@@ -26,7 +26,6 @@ use rtlcheck_rtl::waveform::Trace;
 use rtlcheck_sva::{Monitor, MonitorState, Prop, SvaBool};
 
 use crate::atom::RtlAtom;
-use crate::backend::Backend;
 use crate::det::{DetMonitor, FAILED};
 use crate::engine::{Engine, EngineKind, PropertyVerdict, VerifyConfig};
 use crate::graph::{input_valuations, StateGraph, PRUNED};
@@ -96,13 +95,6 @@ enum Step {
     Covered,
 }
 
-/// Clamps a symbolic edge-class multiplicity into the `u64` statistics
-/// domain. Saturation is unreachable below 64 free input bits per cycle,
-/// far past anything a litmus harness generates.
-fn clamp_count(v: u128) -> u64 {
-    u64::try_from(v).unwrap_or(u64::MAX)
-}
-
 /// Builds the shared state graph for a problem and the properties that will
 /// be checked against it, eagerly warmed under `engine`'s budget. This is
 /// the "build once per test" entry point; hand the result to
@@ -131,8 +123,7 @@ const NO_MONITOR: u32 = u32::MAX;
 struct WalkNode {
     graph_node: u32,
     monitor: u32,
-    /// `(parent walk-node index, edge-class index of the edge into this
-    /// node)`.
+    /// `(parent walk-node index, input index of the edge into this node)`.
     parent: Option<(usize, usize)>,
 }
 
@@ -141,17 +132,12 @@ fn atom_holds(bits: &[u64], i: usize) -> bool {
     bits[i / 64] & (1 << (i % 64)) != 0
 }
 
-/// A breadth-first walk of one monitor over a [`Backend`] graph. Mirrors
-/// the reference exploration exactly: same frontier order, same per-input
+/// A breadth-first walk of one monitor over a [`StateGraph`]. Mirrors the
+/// reference exploration exactly: same frontier order, same per-input
 /// budget checks, same statistics — the only difference is that design
-/// stepping and assumption pruning are served by the graph. Over the
-/// symbolic backend each step covers a whole edge class; statistics are
-/// weighted by class multiplicity, and a walk that stops mid-row settles
-/// them back to per-valuation counts via [`Backend::class_prefix`], so the
-/// observable behaviour is identical per valuation (see the `backend`
-/// module docs).
-struct Walk<'g> {
-    graph: &'g dyn Backend,
+/// stepping and assumption pruning are served by the graph.
+struct Walk<'g, 'p, 'd> {
+    graph: &'g StateGraph<'p, 'd>,
     /// The assertion monitor (compiled over atom-table indices), if any.
     monitor: Option<DetMonitor<usize>>,
     /// The cover condition (over atom-table indices), if searched for.
@@ -162,15 +148,14 @@ struct Walk<'g> {
     /// Scratch bitset for the edge currently being examined.
     bits: Vec<u64>,
     stats: ExploreStats,
-    /// Transitions/prunes contributed by the row currently being iterated —
-    /// subtracted again when the walk stops mid-row (see
-    /// [`Walk::settle_partial_row`]).
-    row_transitions: u64,
-    row_pruned: u64,
 }
 
-impl<'g> Walk<'g> {
-    fn new(graph: &'g dyn Backend, assertion: Option<&Prop<RtlAtom>>, check_cover: bool) -> Self {
+impl<'g, 'p, 'd> Walk<'g, 'p, 'd> {
+    fn new(
+        graph: &'g StateGraph<'p, 'd>,
+        assertion: Option<&Prop<RtlAtom>>,
+        check_cover: bool,
+    ) -> Self {
         let monitor = assertion.map(|p| DetMonitor::new(&graph.map_prop(p)));
         let cover = if check_cover {
             graph.problem().cover.as_ref().map(|c| graph.map_bool(c))
@@ -185,8 +170,6 @@ impl<'g> Walk<'g> {
             index: HashMap::new(),
             bits: Vec::new(),
             stats: ExploreStats::default(),
-            row_transitions: 0,
-            row_pruned: 0,
         }
     }
 
@@ -219,29 +202,21 @@ impl<'g> Walk<'g> {
             }
             let mut next_frontier = Vec::new();
             for &node_idx in &frontier {
-                let graph_node = self.nodes[node_idx].graph_node;
-                let num_classes = self.graph.num_edge_classes(graph_node);
-                self.row_transitions = 0;
-                self.row_pruned = 0;
-                for class in 0..num_classes {
-                    let step = self.transition(node_idx, class);
-                    match step {
+                for input in 0..self.graph.num_inputs() {
+                    match self.transition(node_idx, input) {
                         Step::Pruned => {}
                         Step::Known => {}
                         Step::New(idx) => next_frontier.push(idx),
                         Step::AssertFailed => {
-                            self.settle_partial_row(graph_node, class, false);
-                            let trace = self.rebuild_trace(node_idx, class);
+                            let trace = self.rebuild_trace(node_idx, input);
                             return RunOutcome::AssertFailed(trace);
                         }
                         Step::Covered => {
-                            self.settle_partial_row(graph_node, class, false);
-                            let trace = self.rebuild_trace(node_idx, class);
+                            let trace = self.rebuild_trace(node_idx, input);
                             return RunOutcome::Covered(trace);
                         }
                     }
                     if self.stats.states > engine.max_states {
-                        self.settle_partial_row(graph_node, class, matches!(step, Step::Pruned));
                         self.stats.depth_completed = depth;
                         return RunOutcome::BudgetHit;
                     }
@@ -252,51 +227,17 @@ impl<'g> Walk<'g> {
         }
     }
 
-    /// Rewrites the current row's statistics contribution after stopping at
-    /// `class` mid-row: class-multiplicity counts are replaced by the exact
-    /// per-valuation counts up to and including the stopping class's
-    /// *lowest-index* valuation — which is the valuation the explicit
-    /// engine would have stopped at (a verdict or a new state always occurs
-    /// first at the lowest input index exhibiting it). For the explicit
-    /// backend this is the identity.
-    fn settle_partial_row(&mut self, graph_node: u32, class: usize, stopped_on_pruned: bool) {
-        let (admissible, pruned) = self.graph.class_prefix(graph_node, class);
-        let mut transitions = clamp_count(admissible);
-        let mut pruned = clamp_count(pruned);
-        // The stopping class itself contributes exactly its lowest member.
-        if stopped_on_pruned {
-            pruned = pruned.saturating_add(1);
-        } else {
-            transitions = transitions.saturating_add(1);
-        }
-        self.stats.transitions = self
-            .stats
-            .transitions
-            .saturating_sub(self.row_transitions)
-            .saturating_add(transitions);
-        self.stats.pruned_by_assumptions = self
-            .stats
-            .pruned_by_assumptions
-            .saturating_sub(self.row_pruned)
-            .saturating_add(pruned);
-    }
-
-    fn transition(&mut self, node_idx: usize, class: usize) -> Step {
+    fn transition(&mut self, node_idx: usize, input: usize) -> Step {
         let graph_node = self.nodes[node_idx].graph_node;
-        let edge = self.graph.edge_class(graph_node, class, &mut self.bits);
-        let count = clamp_count(edge.multiplicity);
-        if edge.dest == PRUNED {
+        let dest = self.graph.edge(graph_node, input, &mut self.bits);
+        if dest == PRUNED {
             // The trace leaves the assumed envelope this cycle: discard it,
             // including any simultaneous assertion failure (there is no
             // admissible execution extending this prefix).
-            self.stats.pruned_by_assumptions =
-                self.stats.pruned_by_assumptions.saturating_add(count);
-            self.row_pruned = self.row_pruned.saturating_add(count);
+            self.stats.pruned_by_assumptions += 1;
             return Step::Pruned;
         }
-        self.stats.transitions = self.stats.transitions.saturating_add(count);
-        self.row_transitions = self.row_transitions.saturating_add(count);
-        let dest = edge.dest;
+        self.stats.transitions += 1;
 
         let next_monitor = match &mut self.monitor {
             Some(m) => match m.step(self.nodes[node_idx].monitor, |&i| atom_holds(&self.bits, i)) {
@@ -318,7 +259,7 @@ impl<'g> Walk<'g> {
         self.nodes.push(WalkNode {
             graph_node: dest,
             monitor: next_monitor,
-            parent: Some((node_idx, class)),
+            parent: Some((node_idx, input)),
         });
         self.stats.states += 1;
         Step::New(idx)
@@ -358,27 +299,23 @@ impl<'g> Walk<'g> {
         }
     }
 
-    /// Rebuilds the trace ending with the cycle `(node, final_class)`. Edge
-    /// labels are each class's lowest-index valuation — exactly the inputs
-    /// the explicit engine's trace would carry.
-    fn rebuild_trace(&self, node_idx: usize, final_class: usize) -> Trace {
-        let mut rev: Vec<(State, Vec<u64>)> = vec![(
+    /// Rebuilds the trace ending with the cycle `(node, final_input)`.
+    fn rebuild_trace(&self, node_idx: usize, final_input: usize) -> Trace {
+        let mut rev: Vec<(State, &[u64])> = vec![(
             self.graph.node_state(self.nodes[node_idx].graph_node),
-            self.graph
-                .class_input(self.nodes[node_idx].graph_node, final_class),
+            self.graph.input(final_input),
         )];
         let mut cur = node_idx;
-        while let Some((parent, class)) = self.nodes[cur].parent {
-            let parent_graph_node = self.nodes[parent].graph_node;
+        while let Some((parent, input)) = self.nodes[cur].parent {
             rev.push((
-                self.graph.node_state(parent_graph_node),
-                self.graph.class_input(parent_graph_node, class),
+                self.graph.node_state(self.nodes[parent].graph_node),
+                self.graph.input(input),
             ));
             cur = parent;
         }
         let mut trace = Trace::new();
         for (state, input) in rev.into_iter().rev() {
-            trace.push(state, input);
+            trace.push(state, input.to_vec());
         }
         trace
     }
@@ -420,15 +357,13 @@ pub fn verify_property_observed(
     verify_property_on_graph_observed(&graph, assertion, config, property, collector)
 }
 
-/// Verifies one assertion as an NFA walk over a prebuilt [`Backend`] graph
-/// (explicit [`StateGraph`] or symbolic
-/// [`crate::symbolic::SymbolicGraph`]).
+/// Verifies one assertion as an NFA walk over a prebuilt [`StateGraph`].
 ///
 /// # Panics
 ///
 /// Panics if the assertion mentions an atom the graph was not built with.
 pub fn verify_property_on_graph(
-    graph: &dyn Backend,
+    graph: &StateGraph<'_, '_>,
     assertion: &Prop<RtlAtom>,
     config: &VerifyConfig,
 ) -> PropertyVerdict {
@@ -441,7 +376,7 @@ pub fn verify_property_on_graph(
 /// `budget_exhausted` event. `property` labels the stream (use the
 /// assertion's directive name).
 pub fn verify_property_on_graph_observed(
-    graph: &dyn Backend,
+    graph: &StateGraph<'_, '_>,
     assertion: &Prop<RtlAtom>,
     config: &VerifyConfig,
     property: &str,
@@ -548,13 +483,13 @@ pub fn check_cover_observed(
     check_cover_on_graph_observed(&graph, engine, collector)
 }
 
-/// Searches for a covering trace as a walk over a prebuilt [`Backend`]
-/// graph.
+/// Searches for a covering trace as a walk over a prebuilt
+/// [`StateGraph`].
 ///
 /// # Panics
 ///
 /// Panics if the graph's problem has no cover condition.
-pub fn check_cover_on_graph(graph: &dyn Backend, engine: Engine) -> CoverVerdict {
+pub fn check_cover_on_graph(graph: &StateGraph<'_, '_>, engine: Engine) -> CoverVerdict {
     check_cover_on_graph_observed(graph, engine, &NullCollector)
 }
 
@@ -564,7 +499,7 @@ pub fn check_cover_on_graph(graph: &dyn Backend, engine: Engine) -> CoverVerdict
 /// `cover.unknown` events — plus `budget_exhausted` when the budget ran out
 /// and `conflicting_assumptions` when no execution was admissible at all.
 pub fn check_cover_on_graph_observed(
-    graph: &dyn Backend,
+    graph: &StateGraph<'_, '_>,
     engine: Engine,
     collector: &dyn Collector,
 ) -> CoverVerdict {

@@ -44,27 +44,10 @@ use crate::engine::Engine;
 use crate::problem::Problem;
 
 /// Maximum number of primary-input valuations enumerated per cycle.
-pub(crate) const MAX_INPUT_VALUATIONS: usize = 256;
+const MAX_INPUT_VALUATIONS: usize = 256;
 
 /// Edge destination marking a cycle discarded by the assumptions.
-///
-/// Both backends report pruned edge classes with this sentinel in
-/// [`crate::backend::EdgeClass::dest`].
 pub const PRUNED: u32 = u32::MAX;
-
-/// The size of a design's primary-input space (the cartesian product of
-/// every input's value range), or `None` when it overflows `u128` — the
-/// sizing input of the `--backend auto` heuristics.
-pub(crate) fn input_space(design: &Design) -> Option<u128> {
-    let mut space: u128 = 1;
-    for (_, s) in design.signals() {
-        let SignalKind::Input { .. } = s.kind else {
-            continue;
-        };
-        space = space.checked_mul(1u128 << s.width)?;
-    }
-    Some(space)
-}
 
 /// Enumerates all primary-input valuations of a design: the cartesian
 /// product of every input signal's value range, in signal declaration
@@ -762,19 +745,6 @@ impl<'p, 'd> StateGraph<'p, 'd> {
         bits_out.clear();
         bits_out.extend_from_slice(&row.bits[input * self.words..(input + 1) * self.words]);
         row.dests[input]
-    }
-
-    /// `(admissible, pruned)` edge counts among the inputs strictly before
-    /// `upto` in this node's row. Only called by walks that stop mid-row
-    /// (verdict or budget), after [`StateGraph::edge`] has built the row.
-    pub(crate) fn row_prefix(&self, node: u32, upto: usize) -> (u64, u64) {
-        let core = self.core.borrow();
-        let row = core.nodes[node as usize]
-            .row
-            .as_ref()
-            .expect("prefix queries follow an edge fetch, which builds the row");
-        let pruned = row.dests[..upto].iter().filter(|&&d| d == PRUNED).count() as u64;
-        (upto as u64 - pruned, pruned)
     }
 
     /// The problem this graph was built from.

@@ -37,10 +37,9 @@ pub mod explore;
 pub mod graph;
 pub mod problem;
 pub mod replay;
-pub mod symbolic;
 
 pub use atom::RtlAtom;
-pub use backend::{Backend, BackendChoice, BackendKind, EdgeClass};
+pub use backend::Backend;
 pub use cache::{
     fingerprint, fingerprint_problem, snapshot_from_bytes, snapshot_to_bytes, CacheSource,
     CacheStats, CacheTicket, CoreSnapshot, GraphCache, GraphKey, Incremental, SnapshotError,
@@ -54,4 +53,3 @@ pub use explore::{
 pub use graph::{GraphStats, StateGraph};
 pub use problem::{Directive, DirectiveKind, Problem};
 pub use replay::{check_transitions, replay, ReplayVerdict};
-pub use symbolic::SymbolicGraph;

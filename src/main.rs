@@ -3,20 +3,19 @@
 //! ```text
 //! rtlcheck check <test.litmus | suite-test-name> [--memory fixed|buggy|tso]
 //!                [--config quick|hybrid|full-proof] [--trace] [--vcd <path>]
-//!                [--backend explicit|symbolic|auto] [--graph-cache <dir>]
-//!                [--events <out.jsonl>] [--metrics <out.json>]
+//!                [--graph-cache <dir>] [--events <out.jsonl>] [--metrics <out.json>]
 //! rtlcheck emit-sva <test.litmus | name> [--memory ...]
 //! rtlcheck emit-verilog <test.litmus | name> [--memory ...]
 //! rtlcheck axiomatic <test.litmus | name> [--memory ...] [--dot]
 //! rtlcheck suite [--memory ...] [--config ...] [--jobs N] [--only a,b,c]
-//!                [--backend ...] [--graph-cache <dir>] [--json <out.json>]
+//!                [--graph-cache <dir>] [--json <out.json>]
 //!                [--events <out.jsonl>] [--metrics <out.json>]
 //! rtlcheck mutate [--design multi_vscale|five_stage|tso] [--config ...]
 //!                 [--jobs N] [--only a,b,c] [--mutants a,b,c]
-//!                 [--backend ...] [--graph-cache <dir>] [--json <out.json>]
+//!                 [--graph-cache <dir>] [--json <out.json>]
 //!                 [--events <out.jsonl>] [--metrics <out.json>]
 //! rtlcheck fuzz [--count N] [--seed S] [--memory ...] [--config ...]
-//!               [--jobs N] [--len MIN..MAX] [--escalate N] [--backend ...]
+//!               [--jobs N] [--len MIN..MAX] [--escalate N]
 //!               [--graph-cache <dir>] [--json <out.json>]
 //! rtlcheck profile <metrics.json>
 //! rtlcheck list
@@ -31,14 +30,6 @@
 //! persists each test's warm state graph to DIR and reloads it on later
 //! runs, skipping the graph-build phase; stale or corrupt cache files are
 //! detected and fall back to a cold build.
-//!
-//! `--backend` selects the reachable-set representation the verification
-//! phases run over: `explicit` (the default per-valuation state graph),
-//! `symbolic` (the BDD-backed image-computation backend — same verdicts,
-//! traces, and statistics, byte-identical reports), or `auto` (per-design
-//! routing: designs whose primary-input space is too wide for explicit
-//! enumeration, or wide-input designs over a small state, go symbolic
-//! instead of aborting).
 //!
 //! `mutate` runs the mutation campaign: every catalogued mutant of the
 //! chosen design is checked against the litmus suite and classified as
@@ -64,7 +55,7 @@ use rtlcheck::obs::{
 use rtlcheck::prelude::*;
 use rtlcheck::uhb::solve;
 use rtlcheck::uspec::ground::{ground, DataMode};
-use rtlcheck::verif::{BackendChoice, GraphCache, Incremental, PropertyVerdict};
+use rtlcheck::verif::{GraphCache, Incremental, PropertyVerdict};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -82,26 +73,26 @@ fn main() -> ExitCode {
 const USAGE: &str = "\
 usage:
   rtlcheck check <test> [--memory fixed|buggy|tso] [--config quick|hybrid|full-proof] [--trace] [--vcd <path>]
-                 [--backend explicit|symbolic|auto] [--graph-cache <dir>]
+                 [--graph-cache <dir>]
                  [--events <out.jsonl>] [--metrics <out.json>] [--trace-out <out.json>]
   rtlcheck emit-sva <test> [--memory ...]
   rtlcheck emit-verilog <test> [--memory ...]
   rtlcheck axiomatic <test> [--memory ...] [--dot]
   rtlcheck suite [--memory ...] [--config ...] [--jobs N] [--only a,b,c]
-                 [--backend ...] [--graph-cache <dir>] [--json <out.json>]
+                 [--graph-cache <dir>] [--json <out.json>]
                  [--events <out.jsonl>] [--metrics <out.json>]
                  [--trace-out <out.json>] [--progress]
   rtlcheck mutate [--design multi_vscale|five_stage|tso] [--config ...] [--jobs N]
-                 [--only a,b,c] [--mutants a,b,c] [--backend ...] [--graph-cache <dir>]
+                 [--only a,b,c] [--mutants a,b,c] [--graph-cache <dir>]
                  [--incremental[=off|on|validate]] [--json <out.json>]
                  [--events <out.jsonl>] [--metrics <out.json>]
                  [--trace-out <out.json>] [--progress]
   rtlcheck fuzz [--count N] [--seed S] [--memory fixed|buggy|tso] [--config ...]
-                 [--jobs N] [--len MIN..MAX] [--escalate N] [--backend ...]
+                 [--jobs N] [--len MIN..MAX] [--escalate N]
                  [--graph-cache <dir>] [--json <out.json>]
                  [--events <out.jsonl>] [--metrics <out.json>]
                  [--trace-out <out.json>] [--progress]
-  rtlcheck bench [--workload suite,mutate,mutate-cold,check] [--config a,b] [--backend a,b]
+  rtlcheck bench [--workload suite,mutate,mutate-cold,check] [--config a,b]
                  [--jobs 1,8] [--only a,b,c] [--iterations N] [--warmup N]
                  [--graph-cache <dir>] [--json <out.json>]
                  [--baseline <bench.json>] [--tolerance PCT]
@@ -122,9 +113,6 @@ track per worker; --progress renders a live stderr ticker. Neither changes
 the report or metrics streams.
 --jobs runs suite tests on N worker threads (deterministic output);
 --only restricts the suite to a comma-separated list of test names.
---backend selects the reachable-set representation: explicit (default),
-symbolic (BDD image computation; identical verdicts and reports), or
-auto (routes wide-input designs symbolic).
 --graph-cache persists warm state graphs to <dir> and reloads them on
 later runs (corrupt or stale files fall back to a cold build).
 `mutate` checks every catalogued mutant of --design against the suite and
@@ -266,11 +254,6 @@ fn common_args(
                 let v = it.next().ok_or("--graph-cache needs a directory")?;
                 flags.push(format!("--graph-cache={v}"));
             }
-            "--backend" => {
-                let v = it.next().ok_or("--backend needs a value")?;
-                BackendChoice::parse(v)?;
-                flags.push(format!("--backend={v}"));
-            }
             "--json" => {
                 let v = it.next().ok_or("--json needs a path")?;
                 flags.push(format!("--json={v}"));
@@ -304,15 +287,6 @@ fn flag_config(flags: &[String]) -> Result<VerifyConfig, String> {
         }
     }
     Ok(VerifyConfig::quick())
-}
-
-/// The `--backend` choice (explicit when absent).
-fn flag_backend(flags: &[String]) -> BackendChoice {
-    flags
-        .iter()
-        .find_map(|f| f.strip_prefix("--backend="))
-        .and_then(|v| BackendChoice::parse(v).ok())
-        .unwrap_or_default()
 }
 
 /// Builds the on-disk graph cache if `--graph-cache DIR` was given.
@@ -427,7 +401,7 @@ fn check(args: &[String]) -> Result<ExitCode, String> {
     let config = flag_config(&flags)?;
     let obs = Observability::from_flags(&flags)?;
     let cache = flag_graph_cache(&flags)?;
-    let tool = Rtlcheck::new(memory).with_backend(flag_backend(&flags));
+    let tool = Rtlcheck::new(memory);
     let report = {
         let collector = obs.collector();
         // Live sinks (the trace timeline) get a direct track: `check` is
@@ -606,10 +580,6 @@ fn mutate_cmd(args: &[String]) -> Result<ExitCode, String> {
                 let v = it.next().ok_or("--json needs a path")?;
                 json_path = Some(v.clone());
             }
-            "--backend" => {
-                let v = it.next().ok_or("--backend needs a value")?;
-                options.backend = BackendChoice::parse(v)?;
-            }
             "--graph-cache" => {
                 let v = it.next().ok_or("--graph-cache needs a directory")?;
                 shared_flags.push(format!("--graph-cache={v}"));
@@ -749,10 +719,6 @@ fn fuzz_cmd(args: &[String]) -> Result<ExitCode, String> {
                     v.parse()
                         .map_err(|_| format!("--escalate needs an unsigned integer, got `{v}`"))?,
                 );
-            }
-            "--backend" => {
-                let v = it.next().ok_or("--backend needs a value")?;
-                options.backend = BackendChoice::parse(v)?;
             }
             "--json" => {
                 let v = it.next().ok_or("--json needs a path")?;
@@ -1015,7 +981,7 @@ fn connect_cmd(args: &[String]) -> Result<ExitCode, String> {
 }
 
 /// The `bench` subcommand: warmup + timed iterations over the cross
-/// product of `--workload` × `--config` × `--backend` × `--jobs`, phase
+/// product of `--workload` × `--config` × `--jobs`, phase
 /// breakdowns from the obs metrics, and optional `--baseline` regression
 /// gating. Structurally it is a thin CLI over [`rtlcheck::bench::bench`]:
 /// the harness owns timing/statistics, this function owns case
@@ -1036,7 +1002,6 @@ fn bench_cmd(args: &[String]) -> Result<ExitCode, String> {
     };
     let mut workloads = vec!["suite".to_string()];
     let mut configs = vec!["quick".to_string()];
-    let mut backends = vec!["explicit".to_string()];
     let mut jobs_list = vec![1usize];
     let mut only: Option<Vec<String>> = None;
     let mut iterations = 3usize;
@@ -1055,10 +1020,6 @@ fn bench_cmd(args: &[String]) -> Result<ExitCode, String> {
             "--config" => {
                 let v = it.next().ok_or("--config needs a comma-separated list")?;
                 configs = split_list(v);
-            }
-            "--backend" => {
-                let v = it.next().ok_or("--backend needs a comma-separated list")?;
-                backends = split_list(v);
             }
             "--jobs" => {
                 let v = it.next().ok_or("--jobs needs a comma-separated list")?;
@@ -1115,8 +1076,8 @@ fn bench_cmd(args: &[String]) -> Result<ExitCode, String> {
             other => return Err(format!("unexpected argument `{other}`")),
         }
     }
-    if workloads.is_empty() || configs.is_empty() || backends.is_empty() || jobs_list.is_empty() {
-        return Err("empty --workload/--config/--backend/--jobs list".into());
+    if workloads.is_empty() || configs.is_empty() || jobs_list.is_empty() {
+        return Err("empty --workload/--config/--jobs list".into());
     }
 
     // Resolve everything up front so a typo fails before minutes of timing.
@@ -1141,74 +1102,66 @@ fn bench_cmd(args: &[String]) -> Result<ExitCode, String> {
         .iter()
         .map(|name| Ok((name, parse_config(name)?)))
         .collect::<Result<Vec<_>, String>>()?;
-    let backends = backends
-        .iter()
-        .map(|name| Ok((name, BackendChoice::parse(name)?)))
-        .collect::<Result<Vec<_>, String>>()?;
     let cache = flag_graph_cache(&cache_flags)?;
 
     let mut report = BenchReport::default();
     for workload in &workloads {
         for (config_name, config) in &configs {
-            for &(backend_name, backend) in &backends {
-                for &jobs in &jobs_list {
-                    let key = CaseKey {
-                        workload: workload.clone(),
-                        config: config_name.to_string(),
-                        backend: backend_name.to_string(),
-                        jobs,
-                        graph_cache: cache.is_some(),
-                    };
-                    eprintln!(
-                        "bench: {} ({warmup} warmup + {iterations} timed)",
-                        key.label()
-                    );
-                    let case = match workload.as_str() {
-                        "suite" => {
-                            let tool = Rtlcheck::new(MemoryImpl::Fixed).with_backend(backend);
-                            run_case(key, warmup, iterations, |metrics| {
-                                rtlcheck::bench::check_tests(
-                                    &tool,
-                                    &tests,
-                                    config,
-                                    jobs,
-                                    metrics,
-                                    cache.as_ref(),
-                                    &[],
-                                );
-                            })
-                        }
-                        "check" => {
-                            let tool = Rtlcheck::new(MemoryImpl::Fixed).with_backend(backend);
-                            let test = &tests[0];
-                            run_case(key, warmup, iterations, |metrics| match &cache {
-                                Some(cache) => {
-                                    tool.check_test_cached(test, config, cache, metrics);
-                                }
-                                None => {
-                                    tool.check_test_observed(test, config, metrics);
-                                }
-                            })
-                        }
-                        "mutate" | "mutate-cold" => {
-                            let mut options = CampaignOptions::new(CatalogTarget::MultiVscale);
-                            options.jobs = jobs;
-                            options.backend = backend;
-                            options.tests = only.clone();
-                            options.incremental = if workload == "mutate" {
-                                Incremental::On
-                            } else {
-                                Incremental::Off
-                            };
-                            run_case(key, warmup, iterations, |metrics| {
-                                run_campaign(&options, config, metrics, cache.as_ref())
-                                    .expect("bench selections pre-validated");
-                            })
-                        }
-                        _ => unreachable!("workloads validated above"),
-                    };
-                    report.cases.push(case);
-                }
+            for &jobs in &jobs_list {
+                let key = CaseKey {
+                    workload: workload.clone(),
+                    config: config_name.to_string(),
+                    jobs,
+                    graph_cache: cache.is_some(),
+                };
+                eprintln!(
+                    "bench: {} ({warmup} warmup + {iterations} timed)",
+                    key.label()
+                );
+                let case = match workload.as_str() {
+                    "suite" => {
+                        let tool = Rtlcheck::new(MemoryImpl::Fixed);
+                        run_case(key, warmup, iterations, |metrics| {
+                            rtlcheck::bench::check_tests(
+                                &tool,
+                                &tests,
+                                config,
+                                jobs,
+                                metrics,
+                                cache.as_ref(),
+                                &[],
+                            );
+                        })
+                    }
+                    "check" => {
+                        let tool = Rtlcheck::new(MemoryImpl::Fixed);
+                        let test = &tests[0];
+                        run_case(key, warmup, iterations, |metrics| match &cache {
+                            Some(cache) => {
+                                tool.check_test_cached(test, config, cache, metrics);
+                            }
+                            None => {
+                                tool.check_test_observed(test, config, metrics);
+                            }
+                        })
+                    }
+                    "mutate" | "mutate-cold" => {
+                        let mut options = CampaignOptions::new(CatalogTarget::MultiVscale);
+                        options.jobs = jobs;
+                        options.tests = only.clone();
+                        options.incremental = if workload == "mutate" {
+                            Incremental::On
+                        } else {
+                            Incremental::Off
+                        };
+                        run_case(key, warmup, iterations, |metrics| {
+                            run_campaign(&options, config, metrics, cache.as_ref())
+                                .expect("bench selections pre-validated");
+                        })
+                    }
+                    _ => unreachable!("workloads validated above"),
+                };
+                report.cases.push(case);
             }
         }
     }
@@ -1344,7 +1297,7 @@ fn suite_cmd(args: &[String]) -> Result<ExitCode, String> {
     if let Some(p) = &progress {
         live.push(p);
     }
-    let tool = Rtlcheck::new(memory).with_backend(flag_backend(&flags));
+    let tool = Rtlcheck::new(memory);
     let reports = rtlcheck::bench::check_tests(
         &tool,
         &tests,

@@ -97,6 +97,41 @@ fn tests_beyond_the_design_exit_2_naming_the_limit() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// An integer literal past 32 bits is a parse error naming its line: the
+/// tools must not wrap it and analyse a different test.
+#[test]
+fn integers_past_32_bits_exit_2_instead_of_wrapping() {
+    let dir = std::env::temp_dir().join(format!("rtlcheck-cli-int-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let cases = [
+        (
+            "value.litmus",
+            "test mp-wide\n{ x = 0; y = 0; }\ncore 0 { st x, 4294967297; st y, 1; }\n\
+             core 1 { r1 = ld y; r2 = ld x; }\nforbid ( 1:r1 = 1 /\\ 1:r2 = 1 )",
+            "line 3: integer `4294967297` does not fit in 32 bits",
+        ),
+        (
+            "core.litmus",
+            "test core-wide\n{ x = 0; }\ncore 4294967296 { st x, 1; }\nforbid ( x = 0 )",
+            "line 3: integer `4294967296` does not fit in 32 bits",
+        ),
+    ];
+    for (file, source, reason) in cases {
+        let path = dir.join(file);
+        std::fs::write(&path, source).unwrap();
+        for cmd in ["check", "axiomatic"] {
+            let out = rtlcheck(&[cmd, path.to_str().unwrap()]);
+            assert_eq!(out.status.code(), Some(2), "{cmd} {file}: {out:?}");
+            let stdout = String::from_utf8(out.stdout).unwrap();
+            assert!(!stdout.contains("VIOLATION"), "{cmd} {file}: {stdout}");
+            let err = String::from_utf8(out.stderr).unwrap();
+            assert!(err.contains(reason), "{cmd} {file}: {err}");
+            assert!(!err.contains("panicked"), "{cmd} {file}: {err}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The RTL flow checks forbidden outcomes only, so `check` refuses a
 /// `permit` test instead of reporting its observable outcome as a
 /// violation; `axiomatic` still decides it.
@@ -207,6 +242,9 @@ fn bad_usage_exits_2_with_usage_text() {
         &["suite", "--only", "mp", "--backend", "composed"][..],
         &["mutate", "--backend", "composed"][..],
         &["fuzz", "--backend", "composed"][..],
+        // `--backend` is retired: even its former default is unknown.
+        &["check", "mp", "--backend", "explicit"][..],
+        &["bench", "--backend", "explicit"][..],
     ] {
         let out = rtlcheck(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
@@ -214,7 +252,7 @@ fn bad_usage_exits_2_with_usage_text() {
         assert!(err.contains("usage:"), "{err}");
     }
 
-    // `bench` validates its whole backend list before the first case, so
+    // `bench` validates its whole config list before the first case, so
     // a bad entry after a good one runs nothing.
     let out = rtlcheck(&[
         "bench",
@@ -222,15 +260,12 @@ fn bad_usage_exits_2_with_usage_text() {
         "check",
         "--only",
         "mp",
-        "--backend",
-        "explicit,composed",
+        "--config",
+        "hybrid,frobnicate",
     ]);
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     let err = String::from_utf8(out.stderr).unwrap();
-    assert!(
-        err.contains("unknown backend `composed` (expected explicit, symbolic, or auto)"),
-        "{err}"
-    );
+    assert!(err.contains("unknown config `frobnicate`"), "{err}");
     assert!(err.contains("usage:"), "{err}");
     assert!(
         !err.contains("bench: "),

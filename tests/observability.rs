@@ -175,10 +175,10 @@ fn metrics_counters_match_report_totals() {
 /// Suite-wide assertion- and assumption-monitor metrics, pinned to the
 /// totals of the unmemoised walk and row build: a memoised monitor
 /// transition replays its step's `attempts` and `first_filter_hits`, so
-/// the totals cannot drift. Also checks the walk's memo counters on the
-/// explicit backend: every property-walk transition is either a real
-/// monitor step or a memo hit, the fixed suite hits the memo at least 90%
-/// of the time, and the counters do not depend on the worker count. The
+/// the totals cannot drift. Also checks the walk's memo counters: every
+/// property-walk transition is either a real monitor step or a memo hit,
+/// the fixed suite hits the memo at least 90% of the time, and the
+/// counters do not depend on the worker count. The
 /// row build's work counters (`graph.rows_built`, `graph.sim_settles`,
 /// `graph.assume_steps`, `graph.assume_memo_hits`) are pinned exactly and
 /// are byte-identical across `--jobs 1` and `--jobs 8`.

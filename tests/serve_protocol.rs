@@ -116,7 +116,7 @@ fn abuse_cases_get_structured_errors_and_the_server_survives() {
         assert_eq!(error_kind(&read_terminal(&mut reader)), "bad_request");
     }
 
-    // An unknown backend is a bad request, like an unknown test.
+    // The retired `backend` option is a bad request, not a silent fallback.
     {
         let (mut stream, mut reader) = connect(&addr);
         stream
@@ -128,7 +128,7 @@ fn abuse_cases_get_structured_errors_and_the_server_survives() {
             .get("message")
             .and_then(Json::as_str)
             .unwrap()
-            .contains("unknown backend `composed` (expected explicit, symbolic, or auto)"));
+            .contains("the `backend` option is retired"));
     }
 
     // Oversized frame: discarded with a structured rejection, and the
