@@ -14,8 +14,13 @@
 //!
 //! Regression gating compares the **median** (robust to one noisy
 //! iteration) of each case present in both documents: a case regresses
-//! when `current > baseline * (1 + tolerance/100)`. Cases present in only
-//! one document are ignored, so baselines survive workload additions.
+//! when `current > baseline * (1 + tolerance/100)`. Each case also records
+//! the last timed iteration's deterministic work counters
+//! ([`WORK_COUNTERS`]), gated at 0%: any rise over the baseline fails,
+//! whatever the tolerance, so a lost optimisation cannot hide in a noisy
+//! wall clock. Cases present in only one document are ignored, and so are
+//! counters missing from either, so baselines survive workload and counter
+//! additions.
 
 use std::time::Instant;
 
@@ -24,6 +29,10 @@ use rtlcheck_obs::{fmt_us, MetricsCollector, MetricsSummary};
 
 /// Schema tag of the bench JSON document.
 pub const SCHEMA: &str = "rtlcheck-bench/1";
+
+/// The deterministic work counters each case records and gates on: rows
+/// the state graphs built and edges the walks fetched.
+pub const WORK_COUNTERS: [&str; 2] = ["graph.rows_built", "graph.lookups"];
 
 /// Identity of one benchmark case — the key regression gating matches on.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -73,6 +82,9 @@ pub struct BenchCase {
     pub times_us: Vec<u64>,
     /// Per-phase breakdown of the last timed iteration.
     pub phases: Vec<PhaseRow>,
+    /// The last timed iteration's totals of the [`WORK_COUNTERS`] it
+    /// emitted, as `(name, total)`.
+    pub work: Vec<(String, u64)>,
 }
 
 impl BenchCase {
@@ -95,11 +107,16 @@ impl BenchCase {
     pub fn max_us(&self) -> u64 {
         self.times_us.iter().copied().max().unwrap_or(0)
     }
+
+    /// The recorded total of work counter `name`.
+    pub fn work(&self, name: &str) -> Option<u64> {
+        self.work.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
+    }
 }
 
 /// Runs one benchmark case: `warmup` untimed then `iterations` timed runs
 /// of `run`, each against a fresh [`MetricsCollector`]. The phase table
-/// comes from the last timed iteration.
+/// and the work counters come from the last timed iteration.
 pub fn run_case(
     key: CaseKey,
     warmup: usize,
@@ -118,29 +135,34 @@ pub fn run_case(
         times_us.push(start.elapsed().as_micros() as u64);
         last = Some(metrics.summary());
     }
-    let phases = last
-        .map(|s| {
-            s.spans
-                .iter()
-                .map(|sp| PhaseRow {
-                    name: sp.name.clone(),
-                    count: sp.hist.count(),
-                    total_us: sp.hist.sum_us(),
-                })
-                .collect()
+    let spans = last.as_ref().map_or(&[][..], |s| &s.spans[..]);
+    let phases = spans
+        .iter()
+        .map(|sp| PhaseRow {
+            name: sp.name.clone(),
+            count: sp.hist.count(),
+            total_us: sp.hist.sum_us(),
         })
-        .unwrap_or_default();
+        .collect();
+    let work = WORK_COUNTERS
+        .iter()
+        .filter_map(|&name| Some((name.to_string(), last.as_ref()?.counter(name)?.total)))
+        .collect();
     BenchCase {
         key,
         warmup,
         times_us,
         phases,
+        work,
     }
 }
 
 /// A complete bench document (`rtlcheck-bench/1`).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BenchReport {
+    /// Logical CPUs of the machine that measured it (absent in documents
+    /// written before it was recorded).
+    pub nproc: Option<u64>,
     /// Measured cases, in run order.
     pub cases: Vec<BenchCase>,
 }
@@ -173,6 +195,7 @@ impl BenchReport {
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
             ("schema", Json::Str(SCHEMA.into())),
+            ("nproc", self.nproc.map_or(Json::Null, Json::Uint)),
             (
                 "cases",
                 Json::Arr(
@@ -207,6 +230,15 @@ impl BenchReport {
                                                     ("total_us", Json::Uint(p.total_us)),
                                                 ])
                                             })
+                                            .collect(),
+                                    ),
+                                ),
+                                (
+                                    "work",
+                                    Json::obj(
+                                        c.work
+                                            .iter()
+                                            .map(|(n, v)| (n.as_str(), Json::Uint(*v)))
                                             .collect(),
                                     ),
                                 ),
@@ -261,6 +293,11 @@ impl BenchReport {
                     total_us: u64_field(p, "total_us")?,
                 });
             }
+            // Absent from documents written before work was recorded.
+            let mut work = Vec::new();
+            for (name, v) in c.get("work").and_then(Json::as_obj).unwrap_or_default() {
+                work.push((name.clone(), v.as_u64().ok_or_else(|| bad("work entry"))?));
+            }
             cases.push(BenchCase {
                 key: CaseKey {
                     workload: str_field(c, "workload")?,
@@ -274,9 +311,14 @@ impl BenchReport {
                 warmup: u64_field(c, "warmup")? as usize,
                 times_us,
                 phases,
+                work,
             });
         }
-        Ok(BenchReport { cases })
+        let nproc = match v.get("nproc") {
+            None | Some(Json::Null) => None,
+            Some(n) => Some(n.as_u64().ok_or_else(|| bad("nproc"))?),
+        };
+        Ok(BenchReport { nproc, cases })
     }
 
     /// Parses a serialized bench document.
@@ -291,7 +333,11 @@ impl BenchReport {
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        let _ = writeln!(out, "RTLCheck benchmark ({SCHEMA})");
+        let nproc = self
+            .nproc
+            .map(|n| format!(", nproc {n}"))
+            .unwrap_or_default();
+        let _ = writeln!(out, "RTLCheck benchmark ({SCHEMA}{nproc})");
         let width = self
             .cases
             .iter()
@@ -319,11 +365,16 @@ impl BenchReport {
             if c.phases.is_empty() {
                 continue;
             }
-            let _ = writeln!(out, "\n  {} (last iteration phases):", c.key.label());
+            let _ = writeln!(
+                out,
+                "\n  {} (last iteration phases and work):",
+                c.key.label()
+            );
             let pw = c
                 .phases
                 .iter()
                 .map(|p| p.name.len())
+                .chain(c.work.iter().map(|(n, _)| n.len()))
                 .max()
                 .unwrap_or(5)
                 .max(5);
@@ -336,6 +387,9 @@ impl BenchReport {
                     fmt_us(p.total_us)
                 );
             }
+            for (name, v) in &c.work {
+                let _ = writeln!(out, "    {name:pw$}  {v:>7}");
+            }
         }
         out
     }
@@ -345,22 +399,55 @@ impl BenchReport {
     }
 }
 
-/// One case that exceeded the regression tolerance.
+/// One case measurement that exceeded its gate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Regression {
     /// Case identity label.
     pub case: String,
-    /// Baseline median, µs.
-    pub baseline_us: u64,
-    /// Current median, µs.
-    pub current_us: u64,
+    /// What regressed: `median_us`, or a work counter's name.
+    pub metric: String,
+    /// Baseline value.
+    pub baseline: u64,
+    /// Current value.
+    pub current: u64,
     /// Percent change from baseline.
     pub pct: f64,
 }
 
+fn pct_change(base: u64, cur: u64) -> f64 {
+    if base == 0 {
+        0.0
+    } else {
+        100.0 * (cur as f64 - base as f64) / base as f64
+    }
+}
+
+/// Every gated comparison of `c` against its baseline case `b`: the
+/// median against `tolerance_pct`, then each work counter present in both
+/// at 0%. Yields `(metric, baseline, current, regressed)`.
+fn comparisons<'a>(
+    c: &'a BenchCase,
+    b: &'a BenchCase,
+    tolerance_pct: f64,
+) -> impl Iterator<Item = (&'a str, u64, u64, bool)> + 'a {
+    let (cur, base) = (c.median_us(), b.median_us());
+    let median = (
+        "median_us",
+        base,
+        cur,
+        base > 0 && pct_change(base, cur) > tolerance_pct,
+    );
+    let work = c.work.iter().filter_map(move |(name, cur)| {
+        let base = b.work(name)?;
+        Some((name.as_str(), base, *cur, *cur > base))
+    });
+    std::iter::once(median).chain(work)
+}
+
 /// Compares `current` against `baseline`: a case regresses when its median
-/// exceeds the baseline median by more than `tolerance_pct` percent. Only
-/// cases present in both documents are compared.
+/// exceeds the baseline median by more than `tolerance_pct` percent, or
+/// when any work counter recorded in both exceeds the baseline's value.
+/// Only cases present in both documents are compared.
 pub fn regressions(
     current: &BenchReport,
     baseline: &BenchReport,
@@ -371,18 +458,16 @@ pub fn regressions(
         let Some(b) = baseline.case(&c.key) else {
             continue;
         };
-        let (cur, base) = (c.median_us(), b.median_us());
-        if base == 0 {
-            continue;
-        }
-        let pct = 100.0 * (cur as f64 - base as f64) / base as f64;
-        if pct > tolerance_pct {
-            found.push(Regression {
-                case: c.key.label(),
-                baseline_us: base,
-                current_us: cur,
-                pct,
-            });
+        for (metric, base, cur, regressed) in comparisons(c, b, tolerance_pct) {
+            if regressed {
+                found.push(Regression {
+                    case: c.key.label(),
+                    metric: metric.to_string(),
+                    baseline: base,
+                    current: cur,
+                    pct: pct_change(base, cur),
+                });
+            }
         }
     }
     found
@@ -398,7 +483,10 @@ pub fn render_comparison(
     use std::fmt::Write as _;
     let mut out = String::new();
     let regs = regressions(current, baseline, tolerance_pct);
-    let _ = writeln!(out, "Baseline comparison (tolerance {tolerance_pct:.0}%):");
+    let _ = writeln!(
+        out,
+        "Baseline comparison (tolerance {tolerance_pct:.0}%; work counters 0%):"
+    );
     let mut compared = 0usize;
     for c in &current.cases {
         let Some(b) = baseline.case(&c.key) else {
@@ -406,25 +494,19 @@ pub fn render_comparison(
             continue;
         };
         compared += 1;
-        let (cur, base) = (c.median_us(), b.median_us());
-        let pct = if base > 0 {
-            100.0 * (cur as f64 - base as f64) / base as f64
-        } else {
-            0.0
-        };
-        let verdict = if pct > tolerance_pct {
-            "REGRESSED"
-        } else {
-            "ok"
-        };
-        let _ = writeln!(
-            out,
-            "  {:<40}  {:>10} -> {:>10}  {:>+7.1}%  {verdict}",
-            c.key.label(),
-            fmt_us(base),
-            fmt_us(cur),
-            pct,
-        );
+        for (metric, base, cur, regressed) in comparisons(c, b, tolerance_pct) {
+            let verdict = if regressed { "REGRESSED" } else { "ok" };
+            let pct = pct_change(base, cur);
+            let (label, base, cur) = if metric == "median_us" {
+                (c.key.label(), fmt_us(base), fmt_us(cur))
+            } else {
+                (format!("  {metric}"), base.to_string(), cur.to_string())
+            };
+            let _ = writeln!(
+                out,
+                "  {label:<40}  {base:>10} -> {cur:>10}  {pct:>+7.1}%  {verdict}"
+            );
+        }
     }
     let _ = writeln!(
         out,
@@ -460,6 +542,7 @@ mod tests {
                 count: 2,
                 total_us: 500,
             }],
+            work: vec![("graph.lookups".into(), 1_000)],
         }
     }
 
@@ -474,18 +557,22 @@ mod tests {
                 Duration::from_micros(40),
                 attrs![],
             );
+            metrics.counter("graph.lookups", calls, attrs![]);
         });
         assert_eq!(calls, 4, "1 warmup + 3 timed");
         assert_eq!(c.times_us.len(), 3);
         assert_eq!(c.phases.len(), 1);
         assert_eq!(c.phases[0].name, "graph_build");
         assert_eq!(c.phases[0].total_us, 40);
+        assert_eq!(c.work, [("graph.lookups".to_string(), 4)], "last iteration");
+        assert_eq!(c.work("graph.rows_built"), None, "not emitted");
         assert!(c.min_us() <= c.median_us() && c.median_us() <= c.max_us());
     }
 
     #[test]
     fn stats_and_json_round_trip() {
         let report = BenchReport {
+            nproc: Some(2),
             cases: vec![case("suite", 8, &[300, 100, 200])],
         };
         assert_eq!(report.cases[0].min_us(), 100);
@@ -495,6 +582,13 @@ mod tests {
         assert!(text.contains("rtlcheck-bench/1"), "{text}");
         let back = BenchReport::parse(&text).unwrap();
         assert_eq!(back, report);
+        // Documents written before `nproc` and `work` still load.
+        let old = text
+            .replace("\"nproc\": 2,", "")
+            .replace("\"graph.lookups\": 1000", "");
+        let back = BenchReport::parse(&old).unwrap();
+        assert_eq!(back.nproc, None);
+        assert!(back.cases[0].work.is_empty(), "{old}");
     }
 
     #[test]
@@ -508,9 +602,11 @@ mod tests {
     #[test]
     fn regression_gate_fires_only_beyond_tolerance() {
         let baseline = BenchReport {
+            nproc: None,
             cases: vec![case("suite", 1, &[100, 100, 100]), case("mutate", 1, &[50])],
         };
         let current = BenchReport {
+            nproc: None,
             cases: vec![
                 case("suite", 1, &[140, 140, 140]), // +40%
                 case("mutate", 1, &[50]),           // flat
@@ -521,6 +617,7 @@ mod tests {
         let regs = regressions(&current, &baseline, 25.0);
         assert_eq!(regs.len(), 1);
         assert_eq!(regs[0].case, "suite/hybrid/explicit/jobs=1/cache=off");
+        assert_eq!(regs[0].metric, "median_us");
         assert!((regs[0].pct - 40.0).abs() < 1e-9);
         let text = render_comparison(&current, &baseline, 25.0);
         assert!(text.contains("REGRESSED"), "{text}");
@@ -528,8 +625,31 @@ mod tests {
     }
 
     #[test]
+    fn work_counters_gate_at_zero_tolerance() {
+        let baseline = BenchReport {
+            nproc: None,
+            cases: vec![case("suite", 1, &[100]), case("mutate", 1, &[100])],
+        };
+        let mut current = baseline.clone();
+        current.cases[0].work[0].1 = 1_001; // one more lookup
+        current.cases[1].work[0].1 = 900; // less work passes
+        let regs = regressions(&current, &baseline, 400.0);
+        assert_eq!(regs.len(), 1, "{regs:?}");
+        assert_eq!(regs[0].metric, "graph.lookups");
+        assert_eq!((regs[0].baseline, regs[0].current), (1_000, 1_001));
+        let text = render_comparison(&current, &baseline, 400.0);
+        assert!(text.contains("1000 ->       1001"), "{text}");
+        assert!(text.contains("1000 ->        900"), "{text}");
+        assert!(text.contains("1 regression(s)"), "{text}");
+        // A counter missing from either document is skipped.
+        current.cases[0].work.clear();
+        assert!(regressions(&current, &baseline, 400.0).is_empty());
+    }
+
+    #[test]
     fn render_lists_cases_and_phases() {
         let report = BenchReport {
+            nproc: Some(2),
             cases: vec![case("suite", 8, &[300, 100, 200])],
         };
         let text = report.render();
@@ -538,6 +658,8 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("graph_build"), "{text}");
+        assert!(text.contains("graph.lookups"), "{text}");
         assert!(text.contains("median"), "{text}");
+        assert!(text.contains("nproc 2"), "{text}");
     }
 }

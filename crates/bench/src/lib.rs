@@ -343,6 +343,35 @@ fn check_tests_inner(
         .collect()
 }
 
+/// Resolves user-supplied names in order with `find`. A name listed twice
+/// is an error (`duplicate {what} `name``): the run would otherwise check
+/// and count it twice.
+pub fn resolve_names<S: AsRef<str>, T>(
+    names: &[S],
+    what: &str,
+    find: impl Fn(&str) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    let mut seen = std::collections::HashSet::new();
+    names
+        .iter()
+        .map(|name| {
+            let name = name.as_ref();
+            if !seen.insert(name) {
+                return Err(format!("duplicate {what} `{name}`"));
+            }
+            find(name)
+        })
+        .collect()
+}
+
+/// Resolves a list of suite test names (`--only`, serve `suite`); unknown
+/// and repeated names are errors.
+pub fn suite_tests<S: AsRef<str>>(names: &[S]) -> Result<Vec<LitmusTest>, String> {
+    resolve_names(names, "suite test", |name| {
+        suite::get(name).ok_or(format!("unknown suite test `{name}`"))
+    })
+}
+
 /// Renders an ASCII bar chart: one row per `(label, value)`, scaled to
 /// `width` columns, annotated with the formatted value.
 pub fn bar_chart(items: &[(String, f64)], width: usize, unit: &str) -> String {

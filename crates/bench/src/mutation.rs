@@ -463,32 +463,24 @@ pub fn run_campaign_live(
     let all_tests = suite::all();
     let tests: Vec<LitmusTest> = match &options.tests {
         None => all_tests,
-        Some(names) => {
-            let mut picked = Vec::new();
-            for n in names {
-                let t = all_tests
-                    .iter()
-                    .find(|t| t.name() == n)
-                    .ok_or_else(|| format!("unknown litmus test `{n}`"))?;
-                picked.push(t.clone());
-            }
-            picked
-        }
+        Some(names) => crate::resolve_names(names, "litmus test", |n| {
+            all_tests
+                .iter()
+                .find(|t| t.name() == n)
+                .cloned()
+                .ok_or_else(|| format!("unknown litmus test `{n}`"))
+        })?,
     };
     let full_catalog = catalog(options.target);
     let mutants: Vec<Mutation> = match &options.mutants {
         None => full_catalog,
-        Some(names) => {
-            let mut picked = Vec::new();
-            for n in names {
-                let m = full_catalog
-                    .iter()
-                    .find(|m| &m.name == n)
-                    .ok_or_else(|| format!("unknown mutant `{n}` for {}", options.target))?;
-                picked.push(m.clone());
-            }
-            picked
-        }
+        Some(names) => crate::resolve_names(names, "mutant", |n| {
+            full_catalog
+                .iter()
+                .find(|m| m.name == n)
+                .cloned()
+                .ok_or_else(|| format!("unknown mutant `{n}` for {}", options.target))
+        })?,
     };
     if tests.is_empty() {
         return Err("no litmus tests selected".into());

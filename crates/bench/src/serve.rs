@@ -392,14 +392,6 @@ fn parse_flow_options(obj: &Json) -> Result<(MemoryImpl, VerifyConfig), String> 
     Ok((memory, config))
 }
 
-fn lookup_tests(names: &[String]) -> Result<Vec<LitmusTest>, String> {
-    let mut tests = Vec::with_capacity(names.len());
-    for name in names {
-        tests.push(suite::get(name).ok_or(format!("unknown suite test `{name}`"))?);
-    }
-    Ok(tests)
-}
-
 fn parse_request(value: &Json) -> Result<Request, (Json, String)> {
     let id = value.get("id").cloned().unwrap_or(Json::Null);
     let fail = |msg: String| (id.clone(), msg);
@@ -459,7 +451,7 @@ fn parse_request(value: &Json) -> Result<Request, (Json, String)> {
                 Some(names) if names.is_empty() => {
                     return Err(fail("`only` selected no tests".into()))
                 }
-                Some(names) => lookup_tests(&names).map_err(&fail)?,
+                Some(names) => crate::suite_tests(&names).map_err(&fail)?,
                 None => suite::all(),
             };
             RequestBody::Job(Box::new(JobSpec::Suite {

@@ -577,6 +577,18 @@ impl MetricsSummary {
                     );
                 }
             }
+            if let (Some(_), Some(full)) = (
+                self.counter("engine.bounded.states"),
+                self.counter("engine.full.states"),
+            ) {
+                let _ = writeln!(
+                    out,
+                    "  full-engine runs: {} of {} answered from the bounded walk",
+                    self.counter("walk.derived_full_runs")
+                        .map_or(0, |c| c.total),
+                    full.samples,
+                );
+            }
         }
 
         if let Some(requests) = self.counter("graph_cache.requests") {
@@ -1163,6 +1175,24 @@ mod tests {
         assert!(text.contains("120 node(s), 400 edge(s)"), "{text}");
         assert!(
             text.contains("graph reuse: 75% of 200 edge lookups"),
+            "{text}"
+        );
+        assert!(!text.contains("full-engine runs"), "{text}");
+    }
+
+    #[test]
+    fn render_counts_full_runs_answered_from_the_bounded_walk() {
+        let m = MetricsCollector::new();
+        m.counter("graph.nodes", 120, attrs![]);
+        for states in [40, 211, 7] {
+            m.counter("engine.bounded.states", states, attrs![]);
+            m.counter("engine.full.states", states.min(211), attrs![]);
+        }
+        m.counter("walk.derived_full_runs", 1, attrs![]);
+        m.counter("walk.derived_full_runs", 1, attrs![]);
+        let text = m.summary().render();
+        assert!(
+            text.contains("full-engine runs: 2 of 3 answered from the bounded walk"),
             "{text}"
         );
     }

@@ -268,7 +268,7 @@ struct Compiled<A> {
 }
 
 /// Observation counters describing one monitor's structure and activity,
-/// reported through the observability layer ([`Monitor::report_to`]).
+/// reported through the observability layer ([`MonitorMetrics::report_to`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MonitorMetrics {
     /// Total states across the property's compiled sequence NFAs — the
@@ -283,6 +283,28 @@ pub struct MonitorMetrics {
     /// top-level implication antecedent was false that cycle — the
     /// `first |->` guard (§4.4) doing its filtering work.
     pub first_filter_hits: u64,
+}
+
+impl MonitorMetrics {
+    /// Reports the metrics as `monitor.*` observability counters,
+    /// labelled with the directive name.
+    pub fn report_to(&self, collector: &dyn Collector, directive: &str) {
+        collector.counter(
+            "monitor.product_nfa_states",
+            self.nfa_states as u64,
+            attrs!["directive" => directive, "nfas" => self.nfas],
+        );
+        collector.counter(
+            "monitor.attempts",
+            self.attempts,
+            attrs!["directive" => directive],
+        );
+        collector.counter(
+            "monitor.first_filter_hits",
+            self.first_filter_hits,
+            attrs!["directive" => directive],
+        );
+    }
 }
 
 /// An online monitor for one property directive.
@@ -324,24 +346,9 @@ impl<A: Clone + Ord> Monitor<A> {
     }
 
     /// Reports the monitor's metrics as observability counters, labelled
-    /// with the directive name.
+    /// with the directive name ([`MonitorMetrics::report_to`]).
     pub fn report_to(&self, collector: &dyn Collector, directive: &str) {
-        let m = self.metrics;
-        collector.counter(
-            "monitor.product_nfa_states",
-            m.nfa_states as u64,
-            attrs!["directive" => directive, "nfas" => m.nfas],
-        );
-        collector.counter(
-            "monitor.attempts",
-            m.attempts,
-            attrs!["directive" => directive],
-        );
-        collector.counter(
-            "monitor.first_filter_hits",
-            m.first_filter_hits,
-            attrs!["directive" => directive],
-        );
+        self.metrics.report_to(collector, directive);
     }
 
     /// The canonical monitor state.

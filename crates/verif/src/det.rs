@@ -12,8 +12,64 @@
 //! [`RtlAtom`]: crate::atom::RtlAtom
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use rtlcheck_sva::{Monitor, MonitorState, Prop};
+
+/// A hash map keyed on ids the program assigns itself (graph nodes,
+/// interned monitor states and tuples, at most paired with a property's
+/// packed atom valuation): [`IdHasher`] instead of std's SipHash, which
+/// the walk would otherwise pay on every transition. Keys a client can
+/// choose — design states simulated from a submitted litmus test — stay
+/// on SipHash.
+pub(crate) type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// A multiply-rotate hasher: one wrapping add and multiply per word, and
+/// a rotate at the end that moves the product's best-mixed high bits to
+/// the low bits the table indexes on. Not collision-resistant; see
+/// [`IdMap`].
+#[derive(Default)]
+pub(crate) struct IdHasher(u64);
+
+impl IdHasher {
+    /// An odd constant with well-spread bits.
+    const K: u64 = 0xf135_7aea_2e62_a9c5;
+
+    fn add(&mut self, word: u64) {
+        self.0 = self.0.wrapping_add(word).wrapping_mul(Self::K);
+    }
+}
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            self.add(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+        }
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            let mut word = [0u8; 8];
+            word[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
 
 /// Successor id of a transition that fails the monitor. Failure is
 /// absorbing, so this id never labels a product node.
@@ -37,7 +93,7 @@ pub(crate) struct DetMonitor<A> {
     /// whether the step's antecedent filtered the attempt)`. `None` past
     /// 64 atoms, whose valuations do not pack into a `u64`: such a monitor
     /// steps on every call (its states are still interned).
-    memo: Option<HashMap<(u32, u64), (u32, bool)>>,
+    memo: Option<IdMap<(u32, u64), (u32, bool)>>,
     /// Real [`Monitor::step`] calls.
     pub(crate) steps: u64,
     pub(crate) memo_hits: u64,
@@ -52,7 +108,7 @@ impl<A: Clone + Ord> DetMonitor<A> {
         prop.for_each_atom(&mut |a| atoms.push(a.clone()));
         atoms.sort_unstable();
         atoms.dedup();
-        let memo = (atoms.len() <= 64).then(HashMap::new);
+        let memo = (atoms.len() <= 64).then(IdMap::default);
         let monitor = Monitor::new(prop);
         let initial = monitor.state().clone();
         let mut det = DetMonitor {

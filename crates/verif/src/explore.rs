@@ -23,10 +23,10 @@ use std::collections::HashMap;
 use rtlcheck_obs::{attrs, span, Collector, NullCollector};
 use rtlcheck_rtl::sim::{Simulator, State};
 use rtlcheck_rtl::waveform::Trace;
-use rtlcheck_sva::{Monitor, MonitorState, Prop, SvaBool};
+use rtlcheck_sva::{Monitor, MonitorMetrics, MonitorState, Prop, SvaBool};
 
 use crate::atom::RtlAtom;
-use crate::det::{DetMonitor, FAILED};
+use crate::det::{DetMonitor, IdMap, FAILED};
 use crate::engine::{Engine, EngineKind, PropertyVerdict, VerifyConfig};
 use crate::graph::{input_valuations, StateGraph, PRUNED};
 use crate::problem::Problem;
@@ -127,6 +127,59 @@ struct WalkNode {
     parent: Option<(usize, usize)>,
 }
 
+/// What one engine run reports ([`RunRecord::report`]): its statistics
+/// and, for property walks, the assertion monitor's work.
+#[derive(Clone, Copy)]
+struct RunRecord {
+    stats: ExploreStats,
+    monitor: Option<MonitorRecord>,
+}
+
+/// The assertion monitor's part of a [`RunRecord`].
+#[derive(Clone, Copy)]
+struct MonitorRecord {
+    /// Real monitor steps and memo hits ([`DetMonitor`]).
+    steps: u64,
+    memo_hits: u64,
+    metrics: MonitorMetrics,
+}
+
+impl RunRecord {
+    /// Reports the run to a collector: the exploration counters under
+    /// `engine.<scope>.*` (so the profile view can relate work done to the
+    /// engine's budget) and the assertion monitor's NFA metrics.
+    /// (Assumption-monitor metrics live on the shared graph; see
+    /// [`StateGraph::report_to`].)
+    fn report(&self, collector: &dyn Collector, scope: &str, engine: Engine) {
+        let s = &self.stats;
+        collector.counter(&format!("engine.{scope}.states"), s.states as u64, attrs![]);
+        collector.counter(
+            &format!("engine.{scope}.transitions"),
+            s.transitions,
+            attrs![],
+        );
+        collector.counter(
+            &format!("engine.{scope}.pruned"),
+            s.pruned_by_assumptions,
+            attrs![],
+        );
+        collector.counter(
+            &format!("engine.{scope}.budget_states"),
+            engine.max_states as u64,
+            attrs![],
+        );
+        if let Some(m) = &self.monitor {
+            collector.counter(&format!("engine.{scope}.monitor_steps"), m.steps, attrs![]);
+            collector.counter(
+                &format!("engine.{scope}.monitor_memo_hits"),
+                m.memo_hits,
+                attrs![],
+            );
+            m.metrics.report_to(collector, "assertion");
+        }
+    }
+}
+
 /// Whether atom-table entry `i` holds in an edge's atom bitset.
 fn atom_holds(bits: &[u64], i: usize) -> bool {
     bits[i / 64] & (1 << (i % 64)) != 0
@@ -144,10 +197,16 @@ struct Walk<'g, 'p, 'd> {
     cover: Option<SvaBool<usize>>,
     nodes: Vec<WalkNode>,
     /// `(graph node, monitor id)` → walk-node index.
-    index: HashMap<(u32, u32), usize>,
+    index: IdMap<(u32, u32), usize>,
     /// Scratch bitset for the edge currently being examined.
     bits: Vec<u64>,
     stats: ExploreStats,
+    /// State budget of a full engine whose run is a prefix of this walk
+    /// (see [`verify_property_on_graph_observed`]).
+    full_budget: Option<usize>,
+    /// The record at the transition where `stats.states` first passed
+    /// `full_budget`: that full run's answer.
+    full_prefix: Option<RunRecord>,
 }
 
 impl<'g, 'p, 'd> Walk<'g, 'p, 'd> {
@@ -167,9 +226,11 @@ impl<'g, 'p, 'd> Walk<'g, 'p, 'd> {
             monitor,
             cover,
             nodes: Vec::new(),
-            index: HashMap::new(),
+            index: IdMap::default(),
             bits: Vec::new(),
             stats: ExploreStats::default(),
+            full_budget: None,
+            full_prefix: None,
         }
     }
 
@@ -216,6 +277,18 @@ impl<'g, 'p, 'd> Walk<'g, 'p, 'd> {
                             return RunOutcome::Covered(trace);
                         }
                     }
+                    // Where a full walk would check its budget.
+                    if self.full_prefix.is_none()
+                        && self.full_budget.is_some_and(|b| self.stats.states > b)
+                    {
+                        self.full_prefix = Some(RunRecord {
+                            stats: ExploreStats {
+                                depth_completed: depth,
+                                ..self.stats
+                            },
+                            ..self.record()
+                        });
+                    }
                     if self.stats.states > engine.max_states {
                         self.stats.depth_completed = depth;
                         return RunOutcome::BudgetHit;
@@ -224,6 +297,20 @@ impl<'g, 'p, 'd> Walk<'g, 'p, 'd> {
             }
             depth += 1;
             frontier = next_frontier;
+        }
+    }
+
+    /// The answer of the full engine this walk was run for (`full_budget`),
+    /// given how the walk ended: `BudgetHit` at the transition that passed
+    /// the budget, or `Exhausted` with the walk's final record when it
+    /// exhausted under the budget. `None` when there is no such engine or
+    /// the walk stopped on its depth bound (or failed) first.
+    fn full_answer(&self, outcome: &RunOutcome) -> Option<(RunOutcome, RunRecord)> {
+        self.full_budget?;
+        match (self.full_prefix, outcome) {
+            (Some(prefix), _) => Some((RunOutcome::BudgetHit, prefix)),
+            (None, RunOutcome::Exhausted) => Some((RunOutcome::Exhausted, self.record())),
+            _ => None,
         }
     }
 
@@ -265,37 +352,15 @@ impl<'g, 'p, 'd> Walk<'g, 'p, 'd> {
         Step::New(idx)
     }
 
-    /// Reports one finished engine run to a collector: the exploration
-    /// counters under `engine.<scope>.*` (so the profile view can relate
-    /// work done to the engine's budget) and the assertion monitor's NFA
-    /// metrics. (Assumption-monitor metrics live on the shared graph; see
-    /// [`StateGraph::report_to`].)
-    fn report(&self, collector: &dyn Collector, scope: &str, engine: Engine) {
-        let s = &self.stats;
-        collector.counter(&format!("engine.{scope}.states"), s.states as u64, attrs![]);
-        collector.counter(
-            &format!("engine.{scope}.transitions"),
-            s.transitions,
-            attrs![],
-        );
-        collector.counter(
-            &format!("engine.{scope}.pruned"),
-            s.pruned_by_assumptions,
-            attrs![],
-        );
-        collector.counter(
-            &format!("engine.{scope}.budget_states"),
-            engine.max_states as u64,
-            attrs![],
-        );
-        if let Some(m) = &self.monitor {
-            collector.counter(&format!("engine.{scope}.monitor_steps"), m.steps, attrs![]);
-            collector.counter(
-                &format!("engine.{scope}.monitor_memo_hits"),
-                m.memo_hits,
-                attrs![],
-            );
-            m.monitor.report_to(collector, "assertion");
+    /// The walk's run record so far.
+    fn record(&self) -> RunRecord {
+        RunRecord {
+            stats: self.stats,
+            monitor: self.monitor.as_ref().map(|m| MonitorRecord {
+                steps: m.steps,
+                memo_hits: m.memo_hits,
+                metrics: m.monitor.metrics(),
+            }),
         }
     }
 
@@ -375,6 +440,14 @@ pub fn verify_property_on_graph(
 /// `engine.<kind>.*` counters, and hitting a budget emits a
 /// `budget_exhausted` event. `property` labels the stream (use the
 /// assertion's directive name).
+///
+/// A full engine that follows a bounded one with a larger state budget (as
+/// in Hybrid) runs the same breadth-first walk, so its run is a prefix of
+/// the bounded walk. The bounded walk records that run's answer as it goes
+/// and the full engine reports it without walking, with one
+/// `walk.derived_full_runs` sample; its span, counters and events are
+/// those of a fresh walk. Only when the bounded walk stopped on its depth
+/// bound first does the full engine walk afresh.
 pub fn verify_property_on_graph_observed(
     graph: &StateGraph<'_, '_>,
     assertion: &Prop<RtlAtom>,
@@ -388,7 +461,8 @@ pub fn verify_property_on_graph_observed(
             best_bound = Some((depth, stats));
         }
     };
-    for engine in &config.engines {
+    let mut derived: Option<(RunOutcome, RunRecord)> = None;
+    for (i, engine) in config.engines.iter().enumerate() {
         let scope = engine_scope(engine.kind);
         let mut g = span(
             collector,
@@ -399,21 +473,41 @@ pub fn verify_property_on_graph_observed(
                 "max_states" => engine.max_states,
             ],
         );
-        let mut walk = Walk::new(graph, Some(assertion), false);
-        let outcome = walk.run(*engine);
-        walk.report(collector, scope, *engine);
-        g.attr("states", walk.stats.states);
-        g.attr("transitions", walk.stats.transitions);
+        let (outcome, run) = match derived.take() {
+            Some(answer) => {
+                collector.counter("walk.derived_full_runs", 1, attrs![]);
+                answer
+            }
+            None => {
+                let mut walk = Walk::new(graph, Some(assertion), false);
+                walk.full_budget = config
+                    .engines
+                    .get(i + 1)
+                    .filter(|next| {
+                        engine.kind == EngineKind::Bounded
+                            && next.kind == EngineKind::Full
+                            && next.max_states < engine.max_states
+                    })
+                    .map(|next| next.max_states);
+                let outcome = walk.run(*engine);
+                derived = walk.full_answer(&outcome);
+                (outcome, walk.record())
+            }
+        };
+        run.report(collector, scope, *engine);
+        let stats = run.stats;
+        g.attr("states", stats.states);
+        g.attr("transitions", stats.transitions);
         g.attr("outcome", run_outcome_label(&outcome));
         match outcome {
             RunOutcome::Exhausted => match engine.kind {
-                EngineKind::Full => return PropertyVerdict::Proven { stats: walk.stats },
+                EngineKind::Full => return PropertyVerdict::Proven { stats },
                 // A bounded (BMC-style) engine cannot detect exhaustion: it
                 // only ever certifies its configured cycle bound (which the
                 // exhausted exploration has in fact verified).
                 EngineKind::Bounded => {
                     let depth = engine.max_depth.expect("bounded engines carry a depth");
-                    record_bound(depth, walk.stats);
+                    record_bound(depth, stats);
                 }
             },
             RunOutcome::BudgetHit => {
@@ -422,17 +516,17 @@ pub fn verify_property_on_graph_observed(
                     attrs![
                         "property" => property,
                         "engine" => scope,
-                        "states" => walk.stats.states,
-                        "depth_completed" => walk.stats.depth_completed,
+                        "states" => stats.states,
+                        "depth_completed" => stats.depth_completed,
                         "max_states" => engine.max_states,
                     ],
                 );
-                record_bound(walk.stats.depth_completed, walk.stats);
+                record_bound(stats.depth_completed, stats);
             }
             RunOutcome::AssertFailed(trace) => {
                 return PropertyVerdict::Falsified {
                     trace: Box::new(trace),
-                    stats: walk.stats,
+                    stats,
                 };
             }
             RunOutcome::Covered(_) => unreachable!("cover is disabled in property runs"),
@@ -514,7 +608,7 @@ pub fn check_cover_on_graph_observed(
     );
     let mut walk = Walk::new(graph, None, true);
     let outcome = walk.run(engine);
-    walk.report(collector, "cover", engine);
+    walk.record().report(collector, "cover", engine);
     g.attr("states", walk.stats.states);
     g.attr("transitions", walk.stats.transitions);
     g.attr("outcome", run_outcome_label(&outcome));

@@ -39,7 +39,7 @@ use rtlcheck_sva::{MonitorState, Prop, SvaBool};
 
 use crate::atom::{RtlAtom, RtlBool};
 use crate::cache::{CoreSnapshot, NodeSnapshot};
-use crate::det::{DetMonitor, FAILED};
+use crate::det::{DetMonitor, IdMap, FAILED};
 use crate::engine::Engine;
 use crate::problem::Problem;
 
@@ -109,8 +109,8 @@ pub struct GraphStats {
 /// One materialised node: the product state plus its (lazily built) edges.
 struct GraphNode {
     state: State,
-    /// Interned assumption-monitor state ids, one per directive.
-    assumptions: Box<[u32]>,
+    /// Id of the node's assumption-state tuple in [`GraphCore::tuples`].
+    tuple: u32,
     row: Option<EdgeRow>,
 }
 
@@ -128,7 +128,17 @@ struct EdgeRow {
 /// and the evaluation frame rows settle the design into.
 struct GraphCore<'d> {
     nodes: Vec<GraphNode>,
-    index: HashMap<(State, Box<[u32]>), u32>,
+    /// `(design state, tuple id)` → node id. Keeps std's SipHash: design
+    /// states come from simulating litmus tests that `serve` clients
+    /// submit, so a weak hash would let a client flood this index.
+    index: HashMap<(State, u32), u32>,
+    /// Interned assumption-state tuples (one monitor state id per
+    /// directive), so a node stores a `u32` and the index key clones no
+    /// slice.
+    tuples: Vec<Box<[u32]>>,
+    tuple_ids: IdMap<Box<[u32]>, u32>,
+    /// Scratch successor tuple of the edge being built.
+    next_tuple: Vec<u32>,
     monitors: Vec<DetMonitor<RtlAtom>>,
     frame: Frame<'d>,
     stats: GraphStats,
@@ -147,40 +157,49 @@ impl GraphCore<'_> {
         self.sim_settles += 1;
     }
 
-    /// Steps every assumption monitor from `ids` over the settled frame.
-    /// Returns the successor ids, or `None` when some monitor fails (the
-    /// cycle is pruned). Every monitor steps either way, so monitor
-    /// metrics do not depend on directive order.
-    fn step_monitors(&mut self, ids: &[u32]) -> Option<Box<[u32]>> {
+    /// Steps every assumption monitor from tuple `tuple` over the settled
+    /// frame. Returns the successor tuple's id, or `None` when some
+    /// monitor fails (the cycle is pruned). Every monitor steps either
+    /// way, so monitor metrics do not depend on directive order.
+    fn step_monitors(&mut self, tuple: u32) -> Option<u32> {
         let frame = &self.frame;
+        let ids = &self.tuples[tuple as usize];
+        let mut next = std::mem::take(&mut self.next_tuple);
+        next.clear();
         let mut admissible = true;
-        let next = self
-            .monitors
-            .iter_mut()
-            .zip(ids)
-            .map(|(m, &id)| {
-                let next = m.step(id, |a| frame.peek(a.sig) == a.value);
-                admissible &= next != FAILED;
-                next
-            })
-            .collect();
-        admissible.then_some(next)
+        for (m, &id) in self.monitors.iter_mut().zip(ids.iter()) {
+            let n = m.step(id, |a| frame.peek(a.sig) == a.value);
+            admissible &= n != FAILED;
+            next.push(n);
+        }
+        let id = admissible.then(|| self.tuple_id(&next));
+        self.next_tuple = next;
+        id
     }
 
-    /// Counts one admissible edge into the product node `(state,
-    /// assumptions)` and returns the node's id, materialising it on first
-    /// sight.
-    fn edge_to(&mut self, state: State, assumptions: Box<[u32]>) -> u32 {
+    /// The id of an assumption-state tuple, interning it on first sight.
+    fn tuple_id(&mut self, ids: &[u32]) -> u32 {
+        if let Some(&id) = self.tuple_ids.get(ids) {
+            return id;
+        }
+        let id = u32::try_from(self.tuples.len()).expect("tuples fit in u32 ids");
+        self.tuples.push(ids.into());
+        self.tuple_ids.insert(ids.into(), id);
+        id
+    }
+
+    /// Counts one admissible edge into the product node `(state, tuple)`
+    /// and returns the node's id, materialising it on first sight.
+    fn edge_to(&mut self, state: State, tuple: u32) -> u32 {
         self.stats.edges += 1;
         let next = self.nodes.len();
-        match self.index.entry((state, assumptions)) {
+        match self.index.entry((state, tuple)) {
             Entry::Occupied(e) => *e.get(),
             Entry::Vacant(e) => {
                 let id = u32::try_from(next).expect("graph fits in u32 node ids");
-                let (state, assumptions) = e.key().clone();
                 self.nodes.push(GraphNode {
-                    state,
-                    assumptions,
+                    state: e.key().0.clone(),
+                    tuple,
                     row: None,
                 });
                 e.insert(id);
@@ -199,13 +218,15 @@ impl GraphCore<'_> {
         });
     }
 
-    /// Interns a snapshot node's monitor states.
-    fn intern(&mut self, states: &[MonitorState]) -> Box<[u32]> {
-        self.monitors
+    /// Interns a snapshot node's monitor states, returning their tuple id.
+    fn intern(&mut self, states: &[MonitorState]) -> u32 {
+        let ids: Vec<u32> = self
+            .monitors
             .iter_mut()
             .zip(states)
             .map(|(m, s)| m.intern(s.clone()))
-            .collect()
+            .collect();
+        self.tuple_id(&ids)
     }
 }
 
@@ -230,11 +251,11 @@ fn fill_bits(frame: &Frame<'_>, sig_atoms: &[(SignalId, Vec<(usize, u64)>)], wor
 /// serialized in snapshots and must stay byte-identical to cold builds.
 struct SpliceState {
     baseline: Arc<CoreSnapshot>,
-    /// Product key (monitor states interned into this graph's monitors)
-    /// → baseline node id.
-    index: HashMap<(State, Box<[u32]>), u32>,
-    /// Interned monitor-state ids of each baseline node.
-    ids: Vec<Box<[u32]>>,
+    /// Product key (monitor states interned into this graph's tuple
+    /// table) → baseline node id.
+    index: HashMap<(State, u32), u32>,
+    /// Tuple id of each baseline node.
+    ids: Vec<u32>,
     /// Dense register index per dirty register.
     dirty_regs: Vec<usize>,
     /// The subset of `sig_atoms` whose signal is a dirty wire.
@@ -348,14 +369,18 @@ impl<'p, 'd> StateGraph<'p, 'd> {
             .iter()
             .map(|d| DetMonitor::new(&d.prop))
             .collect();
+        // The initial tuple (every monitor in its initial state) is tuple 0.
         let init_ids: Box<[u32]> = vec![DetMonitor::<RtlAtom>::INITIAL; monitors.len()].into();
         let mut core = GraphCore {
             nodes: vec![GraphNode {
                 state: initial.clone(),
-                assumptions: init_ids.clone(),
+                tuple: 0,
                 row: None,
             }],
             index: HashMap::new(),
+            tuples: vec![init_ids.clone()],
+            tuple_ids: IdMap::from_iter([(init_ids, 0)]),
+            next_tuple: Vec::new(),
             monitors,
             frame: sim.frame(),
             stats: GraphStats {
@@ -365,7 +390,7 @@ impl<'p, 'd> StateGraph<'p, 'd> {
             rows_built: 0,
             sim_settles: 0,
         };
-        core.index.insert((initial, init_ids), 0);
+        core.index.insert((initial, 0), 0);
 
         StateGraph {
             problem,
@@ -512,12 +537,12 @@ impl<'p, 'd> StateGraph<'p, 'd> {
                     }
                 }
             }
-            let node_ids = core.intern(&n.assumptions);
-            let key = (State::from_regs(n.regs.clone()), node_ids.clone());
+            let tuple = core.intern(&n.assumptions);
+            let key = (State::from_regs(n.regs.clone()), tuple);
             if index.insert(key, i as u32).is_some() {
                 return None;
             }
-            ids.push(node_ids);
+            ids.push(tuple);
         }
         drop(core);
         if edges != baseline.stats.edges || pruned != baseline.stats.pruned_edges {
@@ -594,7 +619,7 @@ impl<'p, 'd> StateGraph<'p, 'd> {
     fn build_row_spliced(&self, core: &mut GraphCore<'d>, node: u32, sp: &SpliceState) -> bool {
         let key = {
             let n = &core.nodes[node as usize];
-            (n.state.clone(), n.assumptions.clone())
+            (n.state.clone(), n.tuple)
         };
         let Some(&b) = sp.index.get(&key) else {
             return false;
@@ -602,7 +627,7 @@ impl<'p, 'd> StateGraph<'p, 'd> {
         let Some((bdests, bbits)) = &sp.baseline.nodes[b as usize].row else {
             return false;
         };
-        let (state, ids) = key;
+        let (state, tuple) = key;
         let resimulate = sp.validate || !sp.dirty_regs.is_empty() || !sp.dirty_sig_atoms.is_empty();
         let num_inputs = self.inputs.len();
         let mut dests = Vec::with_capacity(num_inputs);
@@ -615,7 +640,7 @@ impl<'p, 'd> StateGraph<'p, 'd> {
                 // pruning verdict transfers.
                 if sp.validate {
                     core.settle(&state, input);
-                    self.validate_entry(core, &ids, None, &[]);
+                    self.validate_entry(core, tuple, None, &[]);
                 }
                 core.stats.pruned_edges += 1;
                 dests.push(PRUNED);
@@ -639,11 +664,11 @@ impl<'p, 'd> StateGraph<'p, 'd> {
                 regs[ri] = core.frame.next_reg(ri);
             }
             let dest_state = State::from_regs(regs);
-            let next_ids = sp.ids[bd as usize].clone();
+            let next_tuple = sp.ids[bd as usize];
             if sp.validate {
-                self.validate_entry(core, &ids, Some((&dest_state, &next_ids)), words);
+                self.validate_entry(core, tuple, Some((&dest_state, next_tuple)), words);
             }
-            dests.push(core.edge_to(dest_state, next_ids));
+            dests.push(core.edge_to(dest_state, next_tuple));
         }
         core.finish_row(node, dests, bits);
         let total = self.problem.design.num_regs() as u64;
@@ -659,29 +684,28 @@ impl<'p, 'd> StateGraph<'p, 'd> {
     }
 
     /// Re-derives one spliced `(node, input)` entry from the settled frame
-    /// and asserts it matches the copied/patched data: `ids` are the
-    /// node's monitor states, `expected` the entry's destination (`None`
-    /// for a pruned entry).
+    /// and asserts it matches the copied/patched data: `tuple` is the
+    /// node's assumption-state tuple, `expected` the entry's destination
+    /// (`None` for a pruned entry).
     fn validate_entry(
         &self,
         core: &mut GraphCore<'d>,
-        ids: &[u32],
-        expected: Option<(&State, &[u32])>,
+        tuple: u32,
+        expected: Option<(&State, u32)>,
         expected_bits: &[u64],
     ) {
-        let next = core.step_monitors(ids);
+        let next = core.step_monitors(tuple);
         match expected {
             None => assert!(
                 next.is_none(),
                 "splice validation: baseline prunes an edge the re-simulation admits"
             ),
-            Some((dest, states)) => {
+            Some((dest, dest_tuple)) => {
                 let next = next.unwrap_or_else(|| {
                     panic!("splice validation: baseline admits an edge the re-simulation prunes")
                 });
                 assert_eq!(
-                    states,
-                    &next[..],
+                    dest_tuple, next,
                     "splice validation: monitor states diverge"
                 );
                 let mut bits = vec![0u64; self.words];
@@ -705,16 +729,16 @@ impl<'p, 'd> StateGraph<'p, 'd> {
     /// the atoms and the successor state from that frame, recording
     /// prunes, atom bitsets, and (deduplicated) destinations.
     fn build_row_cold(&self, core: &mut GraphCore<'d>, node: u32) {
-        let (state, ids) = {
+        let (state, tuple) = {
             let n = &core.nodes[node as usize];
-            (n.state.clone(), n.assumptions.clone())
+            (n.state.clone(), n.tuple)
         };
         let num_inputs = self.inputs.len();
         let mut dests = Vec::with_capacity(num_inputs);
         let mut bits = vec![0u64; num_inputs * self.words];
         for (i, input) in self.inputs.iter().enumerate() {
             core.settle(&state, input);
-            let Some(next_ids) = core.step_monitors(&ids) else {
+            let Some(next_tuple) = core.step_monitors(tuple) else {
                 core.stats.pruned_edges += 1;
                 dests.push(PRUNED);
                 continue;
@@ -725,7 +749,7 @@ impl<'p, 'd> StateGraph<'p, 'd> {
                 &mut bits[i * self.words..(i + 1) * self.words],
             );
             let dest_state = core.frame.next_state();
-            dests.push(core.edge_to(dest_state, next_ids));
+            dests.push(core.edge_to(dest_state, next_tuple));
         }
         core.finish_row(node, dests, bits);
     }
@@ -815,8 +839,7 @@ impl<'p, 'd> StateGraph<'p, 'd> {
             .iter()
             .map(|n| NodeSnapshot {
                 regs: n.state.regs().to_vec(),
-                assumptions: n
-                    .assumptions
+                assumptions: core.tuples[n.tuple as usize]
                     .iter()
                     .zip(&core.monitors)
                     .map(|(&id, m)| m.state(id).clone())
@@ -920,18 +943,11 @@ impl<'p, 'd> StateGraph<'p, 'd> {
                         })
                     }
                 };
-                let assumptions = core.intern(&n.assumptions);
-                let duplicate = index
-                    .insert((state.clone(), assumptions.clone()), i as u32)
-                    .is_some();
-                if duplicate {
+                let tuple = core.intern(&n.assumptions);
+                if index.insert((state.clone(), tuple), i as u32).is_some() {
                     return None;
                 }
-                nodes.push(GraphNode {
-                    state,
-                    assumptions,
-                    row,
-                });
+                nodes.push(GraphNode { state, tuple, row });
             }
             if edges != snap.stats.edges || pruned != snap.stats.pruned_edges {
                 return None;

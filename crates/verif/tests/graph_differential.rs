@@ -12,8 +12,12 @@
 //! the space the suite does not: random designs and budgets chosen to land
 //! on every verdict variant.
 
+use std::cell::RefCell;
+use std::time::Duration;
+
 use proptest::prelude::*;
-use rtlcheck_obs::MetricsCollector;
+use proptest::test_runner::run_proptest;
+use rtlcheck_obs::{Attrs, Collector, MetricsCollector, SpanId};
 use rtlcheck_rtl::{Design, DesignBuilder, SignalId};
 use rtlcheck_sva::{Prop, Seq, SvaBool};
 use rtlcheck_verif::explore::{check_cover_reference, verify_property_reference};
@@ -225,6 +229,101 @@ fn properties_over_64_atoms_match_the_reference_unmemoised() {
             total("engine.full.transitions")
         );
     }
+}
+
+/// The whole collector stream of one run, minus span ids and durations.
+#[derive(Default)]
+struct Stream(RefCell<Vec<String>>);
+
+impl Collector for Stream {
+    fn span_enter(&self, _id: SpanId, name: &str, attrs: Attrs) {
+        self.0.borrow_mut().push(format!("enter {name} {attrs:?}"));
+    }
+    fn span_exit(&self, _id: SpanId, name: &str, _elapsed: Duration, attrs: Attrs) {
+        self.0.borrow_mut().push(format!("exit {name} {attrs:?}"));
+    }
+    fn counter(&self, name: &str, value: u64, attrs: Attrs) {
+        self.0
+            .borrow_mut()
+            .push(format!("counter {name}={value} {attrs:?}"));
+    }
+    fn event(&self, name: &str, attrs: Attrs) {
+        self.0.borrow_mut().push(format!("event {name} {attrs:?}"));
+    }
+}
+
+/// Runs `config` on one property, returning the verdict and the stream.
+fn observe(
+    problem: &Problem<'_>,
+    prop: &Prop<RtlAtom>,
+    engines: &[Engine],
+) -> (PropertyVerdict, Vec<String>) {
+    let config = VerifyConfig {
+        name: "derived".into(),
+        engines: engines.to_vec(),
+        cover_max_states: 5,
+    };
+    let stream = Stream::default();
+    let verdict = verify_property_observed(problem, prop, &config, "A[0]", &stream);
+    (verdict, stream.0.into_inner())
+}
+
+/// A full engine after a bounded one with a larger state budget is
+/// answered from the bounded walk. Its stream must be the one a fresh
+/// full run emits: the `[bounded, full]` stream, without its
+/// `walk.derived_full_runs` sample, equals the `[bounded]` stream
+/// followed by a fresh `[full]` stream (or the `[bounded]` stream alone
+/// when the bounded walk falsifies). Each way the bounded walk can end
+/// is asserted to occur.
+#[test]
+fn derived_full_runs_emit_the_stream_of_a_fresh_run() {
+    let pairs = [
+        // Hybrid: full(210) after bounded(40, 100_000).
+        (Engine::bounded(40, 100_000), Engine::full(210)),
+        // A depth bound of 2 often stops before 5 states.
+        (Engine::bounded(2, 100_000), Engine::full(5)),
+        // A full budget at least the bounded one: nothing is derived.
+        (Engine::bounded(4, 6), Engine::full(6)),
+    ];
+    // Passed mid-walk, exhausted under budget, depth bound first, not
+    // derivable.
+    let mut seen = [0usize; 4];
+    run_proptest(
+        ProptestConfig::with_cases(48),
+        "derived_full_runs_emit_the_stream_of_a_fresh_run",
+        |rng| {
+            let recipe = arb_recipe().gen(rng);
+            let (design, regs, _) = build(&recipe);
+            let problem = Problem::new(&design);
+            for prop in props_for(&regs, &recipe) {
+                for (bounded, full) in pairs {
+                    let (_, mut both) = observe(&problem, &prop, &[bounded, full]);
+                    let derived_sample = "counter walk.derived_full_runs=1 []";
+                    let derived = both.iter().filter(|l| *l == derived_sample).count();
+                    both.retain(|l| l != derived_sample);
+                    let (first_verdict, mut expected) = observe(&problem, &prop, &[bounded]);
+                    if first_verdict.is_falsified() {
+                        prop_assert_eq!(derived, 0);
+                        prop_assert_eq!(&both, &expected);
+                        continue;
+                    }
+                    let (fresh_verdict, fresh) = observe(&problem, &prop, &[full]);
+                    expected.extend(fresh);
+                    prop_assert_eq!(&both, &expected, "{:?} then {:?}", bounded, full);
+                    let case = match (full.max_states < bounded.max_states, derived) {
+                        (false, _) => 3,
+                        (true, 0) => 2,
+                        (true, _) if fresh_verdict.is_proven() => 1,
+                        (true, _) => 0,
+                    };
+                    prop_assert!(derived <= 1 && (derived == 1) == (case < 2));
+                    seen[case] += 1;
+                }
+            }
+            Ok(())
+        },
+    );
+    assert!(seen.iter().all(|&n| n > 0), "cases seen: {seen:?}");
 }
 
 proptest! {

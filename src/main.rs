@@ -1082,13 +1082,7 @@ fn bench_cmd(args: &[String]) -> Result<ExitCode, String> {
 
     // Resolve everything up front so a typo fails before minutes of timing.
     let tests: Vec<LitmusTest> = match &only {
-        Some(names) => {
-            let mut picked = Vec::new();
-            for name in names {
-                picked.push(suite::get(name).ok_or(format!("unknown suite test `{name}`"))?);
-            }
-            picked
-        }
+        Some(names) => rtlcheck::bench::suite_tests(names)?,
         None => suite::all(),
     };
     for w in &workloads {
@@ -1104,7 +1098,12 @@ fn bench_cmd(args: &[String]) -> Result<ExitCode, String> {
         .collect::<Result<Vec<_>, String>>()?;
     let cache = flag_graph_cache(&cache_flags)?;
 
-    let mut report = BenchReport::default();
+    let mut report = BenchReport {
+        nproc: std::thread::available_parallelism()
+            .ok()
+            .map(|n| n.get() as u64),
+        cases: Vec::new(),
+    };
     for workload in &workloads {
         for (config_name, config) in &configs {
             for &jobs in &jobs_list {
@@ -1278,10 +1277,12 @@ fn suite_cmd(args: &[String]) -> Result<ExitCode, String> {
     };
     let tests = match flags.iter().find_map(|f| f.strip_prefix("--only=")) {
         Some(list) => {
-            let mut tests = Vec::new();
-            for name in list.split(',').map(str::trim).filter(|n| !n.is_empty()) {
-                tests.push(suite::get(name).ok_or(format!("unknown suite test `{name}`"))?);
-            }
+            let names: Vec<&str> = list
+                .split(',')
+                .map(str::trim)
+                .filter(|n| !n.is_empty())
+                .collect();
+            let tests = rtlcheck::bench::suite_tests(&names)?;
             if tests.is_empty() {
                 return Err("--only selected no tests".into());
             }

@@ -1,7 +1,8 @@
 //! Integration tests for `rtlcheck bench`: the harness emits a valid
 //! `rtlcheck-bench/1` document, and `--baseline` gating passes against a
 //! freshly self-generated baseline but fails once that baseline is
-//! doctored to claim every timed run took 1 µs.
+//! doctored to claim every timed run took 1 µs, or that the run fetched
+//! one edge fewer (work counters gate at 0%).
 //!
 //! Baselines are machine-dependent, so the test never compares against a
 //! checked-in file — it generates its own on the same machine moments
@@ -63,6 +64,12 @@ fn bench_emits_schema_document_and_gates_on_doctored_baseline() {
         "{:?}",
         report.cases[0].phases
     );
+    assert!(report.nproc.is_some_and(|n| n > 0), "{text}");
+    let lookups = report.cases[0]
+        .work("graph.lookups")
+        .expect("the case records its edge lookups");
+    assert!(lookups > 0, "{text}");
+    assert!(report.cases[0].work("graph.rows_built").is_some(), "{text}");
 
     // Same workload vs its own fresh baseline, generous tolerance: passes.
     let mut args = scope.to_vec();
@@ -80,6 +87,24 @@ fn bench_emits_schema_document_and_gates_on_doctored_baseline() {
         stdout.contains("1 case(s) compared, 0 regression(s)"),
         "{stdout}"
     );
+    assert!(stdout.contains("graph.lookups"), "{stdout}");
+
+    // Doctor the baseline to one edge lookup fewer than the deterministic
+    // count: the same run must regress, whatever the time tolerance.
+    let fewer = dir.join("fewer-lookups.json");
+    let doctored = text.replace(
+        &format!("\"graph.lookups\": {lookups}"),
+        &format!("\"graph.lookups\": {}", lookups - 1),
+    );
+    assert_ne!(doctored, text, "the document names graph.lookups");
+    std::fs::write(&fewer, doctored).unwrap();
+    let mut args = scope.to_vec();
+    args.extend(["--baseline", fewer.to_str().unwrap(), "--tolerance", "400"]);
+    let out = rtlcheck(&args);
+    assert_eq!(out.status.code(), Some(1), "doctored lookups: {out:?}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(stdout.contains("REGRESSED"), "{stdout}");
+    assert!(stdout.contains("1 regression(s)"), "{stdout}");
 
     // Doctor the baseline to 1 µs per run, far below any real run of this
     // scope: the same run must now regress, however slow the baseline run

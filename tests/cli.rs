@@ -273,6 +273,50 @@ fn bad_usage_exits_2_with_usage_text() {
     );
 }
 
+/// A test or mutant named twice in a list is a usage error naming it,
+/// before any work runs: it would otherwise be checked, listed and scored
+/// twice.
+#[test]
+fn repeated_names_exit_2_instead_of_double_counting() {
+    for (args, message) in [
+        (
+            &["suite", "--only", "mp,sb,mp"][..],
+            "duplicate suite test `mp`",
+        ),
+        (
+            &["bench", "--workload", "check", "--only", "mp,mp"][..],
+            "duplicate suite test `mp`",
+        ),
+        (
+            &[
+                "mutate",
+                "--only",
+                "mp,mp",
+                "--mutants",
+                "store_drop_when_busy",
+            ][..],
+            "duplicate litmus test `mp`",
+        ),
+        (
+            &[
+                "mutate",
+                "--only",
+                "mp",
+                "--mutants",
+                "store_drop_when_busy,store_drop_when_busy",
+            ][..],
+            "duplicate mutant `store_drop_when_busy`",
+        ),
+    ] {
+        let out = rtlcheck(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: work ran: {out:?}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.contains(message), "{args:?}: {err}");
+        assert!(err.contains("usage:"), "{args:?}: {err}");
+    }
+}
+
 /// `--jobs 0` is a usage error everywhere a worker pool exists: zero
 /// workers would deadlock the pool, so every parser rejects it with the
 /// same one-line error before any work starts.

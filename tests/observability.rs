@@ -262,6 +262,46 @@ fn suite_monitor_metrics_and_memo_counters_are_pinned() {
     }
 }
 
+/// The hybrid suite's walk work, pinned: `graph.lookups` counts exactly
+/// the edges the property and cover walks fetch, and
+/// `walk.derived_full_runs` the full-engine runs answered from the bounded
+/// walk instead of walked again. On both memories no bounded walk stops on
+/// its depth bound, so every full run is derived. Both totals are equal at
+/// `--jobs 1` and `--jobs 8`.
+#[test]
+fn hybrid_suite_walk_work_is_pinned() {
+    let config = VerifyConfig::hybrid();
+    let run = |memory: MemoryImpl, jobs: usize| {
+        let metrics = MetricsCollector::new();
+        run_suite(memory, &config, jobs, &metrics, None);
+        metrics.summary()
+    };
+    const WALK_WORK: [&str; 2] = ["graph.lookups", "walk.derived_full_runs"];
+    for (memory, walk_work) in [
+        (MemoryImpl::Fixed, [1_755_180, 2_475]),
+        (MemoryImpl::Buggy, [7_438_742, 2_419]),
+    ] {
+        let summary = run(memory, 1);
+        let total = |name: &str| summary.counter(name).map_or(0, |c| c.total);
+        assert_eq!(WALK_WORK.map(total), walk_work, "{memory:?}: {WALK_WORK:?}");
+        assert_eq!(
+            total("walk.derived_full_runs"),
+            summary
+                .counter("engine.full.states")
+                .map_or(0, |c| c.samples),
+            "{memory:?}: every full run is answered from the bounded walk"
+        );
+        let parallel = run(memory, 8);
+        for name in WALK_WORK {
+            assert_eq!(
+                summary.counter(name),
+                parallel.counter(name),
+                "{name} depends on --jobs"
+            );
+        }
+    }
+}
+
 /// Histogram edges — empty, single-sample, and top-bucket-saturating
 /// summaries must render sane percentiles through `rtlcheck profile`, not
 /// zeros, garbage, or a panic.

@@ -246,6 +246,41 @@ fn checks_the_flow_cannot_answer_are_bad_requests() {
     assert_eq!(summary.jobs, 0, "nothing reached the queue: {summary:?}");
 }
 
+/// A `suite` or `mutate` request naming a test or mutant twice is a
+/// `bad_request` naming it, not a run that counts it twice.
+#[test]
+fn repeated_names_are_bad_requests() {
+    let (addr, handle) = start_server(ServeOptions {
+        jobs: 1,
+        ..ServeOptions::default()
+    });
+    let cases = [
+        (
+            r#"{"id":0,"kind":"suite","only":["mp","sb","mp"]}"#,
+            "duplicate suite test `mp`",
+        ),
+        (
+            r#"{"id":1,"kind":"mutate","only":["mp","mp"],"mutants":["store_drop_when_busy"]}"#,
+            "duplicate litmus test `mp`",
+        ),
+        (
+            r#"{"id":2,"kind":"mutate","only":["mp"],"mutants":["store_drop_when_busy","store_drop_when_busy"]}"#,
+            "duplicate mutant `store_drop_when_busy`",
+        ),
+    ];
+    let (mut stream, mut reader) = connect(&addr);
+    for (id, (request, message)) in cases.iter().enumerate() {
+        stream.write_all(format!("{request}\n").as_bytes()).unwrap();
+        let frame = read_terminal(&mut reader);
+        assert_eq!(error_kind(&frame), "bad_request", "{request}");
+        assert_eq!(frame.get("id").and_then(Json::as_u64), Some(id as u64));
+        let text = frame.get("message").and_then(Json::as_str).unwrap();
+        assert!(text.contains(message), "{text}");
+    }
+    shut_down(&addr);
+    handle.join().unwrap();
+}
+
 #[test]
 fn hello_banner_identifies_the_protocol() {
     let (addr, handle) = start_server(ServeOptions::default());
