@@ -6,11 +6,10 @@
 //! The harness is workload-agnostic: the CLI hands [`run_case`] a closure
 //! that executes one iteration of suite/mutate/check against a fresh
 //! [`MetricsCollector`], and the harness owns the timing discipline —
-//! `warmup` untimed iterations (which also warm any `--graph-cache`
-//! directory), then `iterations` timed ones. Reported statistics are
-//! min/median/max of the timed wall-clocks; the per-phase table comes from
-//! the *last* timed iteration's metrics summary, so phases always sum to
-//! roughly the reported wall-clock of a real run.
+//! `warmup` untimed iterations, then `iterations` timed ones. Reported
+//! statistics are min/median/max of the timed wall-clocks; the per-phase
+//! table comes from the *last* timed iteration's metrics summary, so
+//! phases always sum to roughly the reported wall-clock of a real run.
 //!
 //! Regression gating compares the **median** (robust to one noisy
 //! iteration) of each case present in both documents: a case regresses
@@ -43,19 +42,14 @@ pub struct CaseKey {
     pub config: String,
     /// Worker threads.
     pub jobs: usize,
-    /// Whether a graph cache was in play.
-    pub graph_cache: bool,
 }
 
 impl CaseKey {
-    /// Stable display form, e.g. `suite/hybrid/explicit/jobs=8/cache=off`.
+    /// Stable display form, e.g. `suite/hybrid/explicit/jobs=8`.
     pub fn label(&self) -> String {
         format!(
-            "{}/{}/explicit/jobs={}/cache={}",
-            self.workload,
-            self.config,
-            self.jobs,
-            if self.graph_cache { "on" } else { "off" }
+            "{}/{}/explicit/jobs={}",
+            self.workload, self.config, self.jobs
         )
     }
 }
@@ -209,7 +203,6 @@ impl BenchReport {
                                 // reader ignores it.
                                 ("backend", Json::Str("explicit".into())),
                                 ("jobs", Json::Uint(c.key.jobs as u64)),
-                                ("graph_cache", Json::Bool(c.key.graph_cache)),
                                 ("warmup", Json::Uint(c.warmup as u64)),
                                 (
                                     "times_us",
@@ -302,11 +295,9 @@ impl BenchReport {
                 key: CaseKey {
                     workload: str_field(c, "workload")?,
                     config: str_field(c, "config")?,
+                    // Documents written while `--graph-cache` existed also
+                    // carry a `graph_cache` flag; it is ignored.
                     jobs: u64_field(c, "jobs")? as usize,
-                    graph_cache: c
-                        .get("graph_cache")
-                        .and_then(Json::as_bool)
-                        .ok_or_else(|| bad("graph_cache"))?,
                 },
                 warmup: u64_field(c, "warmup")? as usize,
                 times_us,
@@ -528,7 +519,6 @@ mod tests {
             workload: workload.into(),
             config: "hybrid".into(),
             jobs,
-            graph_cache: false,
         }
     }
 
@@ -589,6 +579,10 @@ mod tests {
         let back = BenchReport::parse(&old).unwrap();
         assert_eq!(back.nproc, None);
         assert!(back.cases[0].work.is_empty(), "{old}");
+        // So do documents whose cases carry the retired `graph_cache` flag.
+        let flagged = text.replace("\"jobs\": 8,", "\"jobs\": 8, \"graph_cache\": false,");
+        assert_ne!(flagged, text);
+        assert_eq!(BenchReport::parse(&flagged).unwrap(), report);
     }
 
     #[test]
@@ -616,7 +610,7 @@ mod tests {
         assert!(regressions(&current, &baseline, 50.0).is_empty());
         let regs = regressions(&current, &baseline, 25.0);
         assert_eq!(regs.len(), 1);
-        assert_eq!(regs[0].case, "suite/hybrid/explicit/jobs=1/cache=off");
+        assert_eq!(regs[0].case, "suite/hybrid/explicit/jobs=1");
         assert_eq!(regs[0].metric, "median_us");
         assert!((regs[0].pct - 40.0).abs() < 1e-9);
         let text = render_comparison(&current, &baseline, 25.0);
@@ -653,10 +647,7 @@ mod tests {
             cases: vec![case("suite", 8, &[300, 100, 200])],
         };
         let text = report.render();
-        assert!(
-            text.contains("suite/hybrid/explicit/jobs=8/cache=off"),
-            "{text}"
-        );
+        assert!(text.contains("suite/hybrid/explicit/jobs=8"), "{text}");
         assert!(text.contains("graph_build"), "{text}");
         assert!(text.contains("graph.lookups"), "{text}");
         assert!(text.contains("median"), "{text}");

@@ -16,7 +16,7 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .cloned();
 
-    let run = |config| run_suite(MemoryImpl::Fixed, &config, 1, &NullCollector, None);
+    let run = |config| run_suite(MemoryImpl::Fixed, &config, 1, &NullCollector);
     let hybrid = run(VerifyConfig::hybrid());
     let full = run(VerifyConfig::full_proof());
 

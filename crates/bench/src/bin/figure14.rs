@@ -7,7 +7,7 @@ use rtlcheck_rtl::multi_vscale::MemoryImpl;
 use rtlcheck_verif::VerifyConfig;
 
 fn main() {
-    let run = |config| run_suite(MemoryImpl::Fixed, &config, 1, &NullCollector, None);
+    let run = |config| run_suite(MemoryImpl::Fixed, &config, 1, &NullCollector);
     let hybrid = run(VerifyConfig::hybrid());
     let full = run(VerifyConfig::full_proof());
 

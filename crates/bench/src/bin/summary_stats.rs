@@ -12,7 +12,7 @@ fn main() {
         "{:<28} {:>12} {:>12} {:>16}",
         "metric", "Hybrid", "Full_Proof", "paper (H / FP)"
     );
-    let run = |config| run_suite(MemoryImpl::Fixed, &config, 1, &NullCollector, None);
+    let run = |config| run_suite(MemoryImpl::Fixed, &config, 1, &NullCollector);
     let hybrid = run(VerifyConfig::hybrid());
     let full = run(VerifyConfig::full_proof());
     let row = |name: &str, h: String, f: String, paper: &str| {

@@ -27,7 +27,7 @@ use rtlcheck_obs::{
     attrs, progress::UNIT_DONE, BufferCollector, Collector, MultiCollector, TrackSink,
 };
 use rtlcheck_rtl::multi_vscale::MemoryImpl;
-use rtlcheck_verif::{GraphCache, VerifyConfig};
+use rtlcheck_verif::VerifyConfig;
 
 pub mod bench;
 pub mod fuzz;
@@ -204,16 +204,15 @@ impl SuiteResults {
 }
 
 /// Runs every suite test under `config` on the given memory implementation;
-/// see [`check_tests`] for `jobs`, `collector` and `cache`.
+/// see [`check_tests`] for `jobs` and `collector`.
 pub fn run_suite(
     memory: MemoryImpl,
     config: &VerifyConfig,
     jobs: usize,
     collector: &dyn Collector,
-    cache: Option<&GraphCache>,
 ) -> SuiteResults {
     let tool = Rtlcheck::new(memory);
-    let reports = check_tests(&tool, &suite::all(), config, jobs, collector, cache, &[]);
+    let reports = check_tests(&tool, &suite::all(), config, jobs, collector, &[]);
     SuiteResults {
         config: config.name.clone(),
         rows: reports.iter().map(TestRow::from_report).collect(),
@@ -234,55 +233,20 @@ pub fn run_suite(
 /// spans — therefore hold under any job count. `jobs` ≤ 1 runs inline on
 /// the calling thread, reporting straight to `collector` with no buffering.
 ///
-/// With a cross-test [`GraphCache`], each test's state graph is requested
-/// from the cache (shared warm cores in memory, optionally persisted on
-/// disk) instead of always being built cold. Graph construction is
-/// *build-once, read-many* — the first request of each distinct fingerprint
-/// builds and publishes the core while concurrent same-key requests block —
-/// so `graph_cache.*` counters are pure functions of the test list, not of
-/// scheduling. They (and any corruption warnings) are reported once, after
-/// all per-test streams have been replayed.
-///
 /// Each worker additionally reports, as work happens and on its own track,
 /// to every live sink ([`TrackSink`]) — this is how `--trace-out` sees the
 /// real parallel schedule and `--progress` ticks in real time. Live sinks
 /// are *extra* receivers: the per-unit [`UNIT_DONE`] completion event goes
 /// **only** to them (its arrival order depends on scheduling, so it must
 /// never enter the deterministic stream into `collector`).
-#[allow(clippy::too_many_arguments)]
 pub fn check_tests(
     tool: &Rtlcheck,
     tests: &[LitmusTest],
     config: &VerifyConfig,
     jobs: usize,
     collector: &dyn Collector,
-    cache: Option<&GraphCache>,
     live: &[&dyn TrackSink],
 ) -> Vec<TestReport> {
-    let reports = check_tests_inner(tool, tests, config, jobs, collector, cache, live);
-    if let Some(cache) = cache {
-        cache.report_to(collector);
-        let tracks: Vec<Box<dyn Collector + '_>> = live.iter().map(|s| s.track(0)).collect();
-        for t in &tracks {
-            cache.report_to(&**t);
-        }
-    }
-    reports
-}
-
-fn check_tests_inner(
-    tool: &Rtlcheck,
-    tests: &[LitmusTest],
-    config: &VerifyConfig,
-    jobs: usize,
-    collector: &dyn Collector,
-    cache: Option<&GraphCache>,
-    live: &[&dyn TrackSink],
-) -> Vec<TestReport> {
-    let check = |tool: &Rtlcheck, test: &LitmusTest, sink: &dyn Collector| match cache {
-        Some(cache) => tool.check_test_cached(test, config, cache, sink),
-        None => tool.check_test_observed(test, config, sink),
-    };
     let workers = jobs.max(1).min(tests.len().max(1));
     if workers <= 1 {
         let tracks: Vec<Box<dyn Collector + '_>> = live.iter().map(|s| s.track(1)).collect();
@@ -292,7 +256,7 @@ fn check_tests_inner(
                 let report = {
                     let mut sinks: Vec<&dyn Collector> = vec![collector];
                     sinks.extend(tracks.iter().map(|b| &**b));
-                    check(tool, t, &MultiCollector::new(sinks))
+                    tool.check_test_observed(t, config, &MultiCollector::new(sinks))
                 };
                 for track in &tracks {
                     track.event(UNIT_DONE, attrs!["test" => t.name()]);
@@ -306,7 +270,7 @@ fn check_tests_inner(
     let slots: Vec<Mutex<Option<(TestReport, BufferCollector)>>> =
         tests.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
-        let (next, slots, check) = (&next, &slots, &check);
+        let (next, slots) = (&next, &slots);
         for w in 0..workers {
             scope.spawn(move || {
                 let tool = tool.clone();
@@ -319,7 +283,7 @@ fn check_tests_inner(
                     let report = {
                         let mut sinks: Vec<&dyn Collector> = vec![&buf];
                         sinks.extend(tracks.iter().map(|b| &**b));
-                        check(&tool, test, &MultiCollector::new(sinks))
+                        tool.check_test_observed(test, config, &MultiCollector::new(sinks))
                     };
                     for track in &tracks {
                         track.event(UNIT_DONE, attrs!["test" => test.name()]);

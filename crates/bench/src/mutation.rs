@@ -432,7 +432,7 @@ fn check_one(
 /// # Errors
 ///
 /// Returns an error if a `mutants`/`tests` filter names an unknown mutant
-/// or test.
+/// or test, or selects none.
 ///
 /// # Panics
 ///
@@ -484,6 +484,9 @@ pub fn run_campaign_live(
     };
     if tests.is_empty() {
         return Err("no litmus tests selected".into());
+    }
+    if mutants.is_empty() {
+        return Err("no mutants selected".into());
     }
 
     // Splicing needs somewhere to publish the baseline cores: use the

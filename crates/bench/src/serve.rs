@@ -2,8 +2,8 @@
 //! process-wide [`GraphCache`] warm across many clients' jobs.
 //!
 //! Every other entry point in this crate (suite, mutate, fuzz, bench) is a
-//! one-shot CLI that pays cold-start — design builds, graph construction,
-//! disk cache probes — on every invocation. `rtlcheck serve` amortises
+//! one-shot CLI that pays cold-start — design builds, graph construction —
+//! on every invocation. `rtlcheck serve` amortises
 //! that cost: it accepts `check` / `suite` / `mutate` / `fuzz` jobs over a
 //! line-oriented JSON protocol, schedules them onto a deterministic worker
 //! pool with per-job priorities and state budgets, and streams the jobs'
@@ -100,9 +100,6 @@ pub struct ServeOptions {
     /// Largest accepted request line, in bytes; longer lines are
     /// discarded and answered with an `oversized_frame` error.
     pub max_frame: usize,
-    /// Directory for the persistent level of the shared graph cache
-    /// (`None` keeps it in memory only).
-    pub cache_dir: Option<String>,
     /// In-memory snapshot bound of the shared cache — a long-running
     /// server must not grow without limit.
     pub cache_capacity: usize,
@@ -119,7 +116,6 @@ impl Default for ServeOptions {
             jobs: 1,
             queue_cap: 64,
             max_frame: 1 << 20,
-            cache_dir: None,
             cache_capacity: 256,
             keep_streams: false,
         }
@@ -936,12 +932,7 @@ impl Server {
         let local = listener
             .local_addr()
             .map_err(|e| format!("resolving bound address: {e}"))?;
-        let cache = match &opts.cache_dir {
-            Some(dir) => GraphCache::with_dir(dir)
-                .map_err(|e| format!("creating graph cache directory `{dir}`: {e}"))?,
-            None => GraphCache::in_memory(),
-        }
-        .with_capacity(opts.cache_capacity);
+        let cache = GraphCache::in_memory().with_capacity(opts.cache_capacity);
         Ok(Server {
             listener,
             local,
@@ -1594,7 +1585,7 @@ mod tests {
         sink.counter("cone.rows_copied", 2, attrs![]);
         sink.counter("monitor.attempts", 11, attrs![]);
         sink.event("verdict.proven", attrs!["property" => "p0"]);
-        sink.event("graph_cache.corrupt", attrs![]);
+        sink.event("graph_cache.key_collision", attrs![]);
         let frames = sink.into_frames();
         assert_eq!(frames.len(), 2);
         let names: Vec<&str> = frames

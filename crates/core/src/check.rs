@@ -190,8 +190,7 @@ impl Rtlcheck {
 
     /// [`Rtlcheck::check_test_observed`] through a [`GraphCache`]: the
     /// state graph is requested from the cache instead of always being
-    /// built cold, and — when the cache has a directory and this call cold-
-    /// built the graph — the post-walk core is persisted for later runs.
+    /// built cold.
     ///
     /// The cache's own `graph_cache.*` counters are **not** reported here:
     /// call [`GraphCache::report_to`] once per run after all tests, so the
@@ -402,14 +401,13 @@ pub(crate) fn problem_of(design: &Design, assumptions: GeneratedAssumptions) -> 
 /// `elapsed` are the span measurements — a single source of truth for the
 /// CLI and the metrics view.
 ///
-/// With a [`GraphCache`], the graph comes from the cache (in-memory hit,
-/// disk hit, or cold build) and a cold-built graph's final core is stored
-/// back after the walks. The `graph_build` span gains a `cache` attribute
-/// saying where the graph came from. When `incremental` carries a baseline
-/// design (and a validate flag), the explicit+cache path additionally tries
-/// to splice the graph from the baseline's published core before falling
-/// back to the ordinary levels — the `cache` attribute then reads
-/// `spliced`.
+/// With a [`GraphCache`], the graph comes from the cache (a hit, or a cold
+/// build that the cache publishes). The `graph_build` span gains a `cache`
+/// attribute saying where the graph came from. When `incremental` carries
+/// a baseline design (and a validate flag), the explicit+cache path
+/// additionally tries to splice the graph from the baseline's published
+/// core before falling back to a cold build — the `cache` attribute then
+/// reads `spliced`.
 pub(crate) fn run_flow_cached(
     test_name: &str,
     problem: &Problem<'_>,
@@ -425,10 +423,10 @@ pub(crate) fn run_flow_cached(
     // budget reaches further.
     let mut g = span(collector, "graph_build", attrs!["test" => test_name]);
     let props = || assertions.iter().map(|a| &a.directive.prop);
-    let (graph, ticket) = match cache {
+    let (graph, source) = match cache {
         Some(cache) => {
             let props: Vec<_> = props().collect();
-            let (graph, ticket) = match incremental {
+            let (graph, source) = match incremental {
                 Some((baseline, validate)) => cache.build_graph_incremental(
                     problem,
                     &props,
@@ -438,7 +436,7 @@ pub(crate) fn run_flow_cached(
                 ),
                 None => cache.build_graph(problem, &props, config.cover_engine()),
             };
-            (graph, Some(ticket))
+            (graph, Some(source))
         }
         None => (build_graph(problem, props(), config.cover_engine()), None),
     };
@@ -446,8 +444,8 @@ pub(crate) fn run_flow_cached(
     g.attr("nodes", gs.nodes);
     g.attr("edges", gs.edges);
     g.attr("complete", gs.complete);
-    if let Some(t) = &ticket {
-        g.attr("cache", t.source().label());
+    if let Some(source) = source {
+        g.attr("cache", source.label());
     }
     g.finish();
 
@@ -537,13 +535,6 @@ pub(crate) fn run_flow_cached(
     // The graph's construction/reuse counters and the shared assumption
     // monitors' metrics, once per test.
     graph.report_to(collector);
-
-    // Persist the final (post-walk) core if this call is the cache's
-    // designated writer for the key — a later run then replays the whole
-    // exploration from disk.
-    if let (Some(cache), Some(ticket)) = (cache, &ticket) {
-        cache.store_final(ticket, &graph);
-    }
 
     TestReport {
         test: test_name.to_string(),

@@ -593,22 +593,13 @@ impl MetricsSummary {
 
         if let Some(requests) = self.counter("graph_cache.requests") {
             let count = |name: &str| self.counter(name).map_or(0, |c| c.total);
-            let hits = count("graph_cache.hits");
-            let disk_hits = count("graph_cache.disk_hits");
-            let misses = count("graph_cache.misses");
-            let cold = misses.saturating_sub(disk_hits);
             let _ = writeln!(out, "\nGraph cache:");
             let _ = writeln!(
                 out,
-                "  {} graph request(s): {} memory hit(s), {} disk hit(s), {} cold build(s)",
-                requests.total, hits, disk_hits, cold,
-            );
-            let _ = writeln!(
-                out,
-                "  {} disk store(s), {} corrupt, {} version-mismatched, {} evicted",
-                count("graph_cache.stores"),
-                count("graph_cache.corrupt") + count("graph_cache.key_mismatches"),
-                count("graph_cache.version_mismatch"),
+                "  {} graph request(s): {} hit(s), {} cold build(s), {} evicted",
+                requests.total,
+                count("graph_cache.hits"),
+                count("graph_cache.misses"),
                 count("graph_cache.evictions"),
             );
         }
@@ -802,19 +793,6 @@ impl MetricsSummary {
         if exhausted > 0 {
             diagnostics.push(format!(
                 "{exhausted} engine run(s) exhausted their budget before a full proof"
-            ));
-        }
-        let cache_bad = self.counter("graph_cache.corrupt").map_or(0, |c| c.total)
-            + self
-                .counter("graph_cache.key_mismatches")
-                .map_or(0, |c| c.total)
-            + self
-                .counter("graph_cache.version_mismatch")
-                .map_or(0, |c| c.total);
-        if cache_bad > 0 {
-            diagnostics.push(format!(
-                "WARNING: {cache_bad} unusable graph-cache file(s) \
-                 (corrupt or stale) — rebuilt cold; consider clearing the cache directory"
             ));
         }
         if !diagnostics.is_empty() {
@@ -1203,20 +1181,12 @@ mod tests {
         m.counter("graph_cache.requests", 8, attrs![]);
         m.counter("graph_cache.hits", 3, attrs![]);
         m.counter("graph_cache.misses", 5, attrs![]);
-        m.counter("graph_cache.disk_hits", 2, attrs![]);
-        m.counter("graph_cache.stores", 3, attrs![]);
-        m.counter("graph_cache.corrupt", 1, attrs![]);
         let text = m.summary().render();
         assert!(text.contains("Graph cache:"), "{text}");
         assert!(
-            text.contains("8 graph request(s): 3 memory hit(s), 2 disk hit(s), 3 cold build(s)"),
+            text.contains("8 graph request(s): 3 hit(s), 5 cold build(s), 0 evicted"),
             "{text}"
         );
-        assert!(
-            text.contains("3 disk store(s), 1 corrupt, 0 version-mismatched, 0 evicted"),
-            "{text}"
-        );
-        assert!(text.contains("1 unusable graph-cache file(s)"), "{text}");
         // No cache counters → no section.
         let empty = MetricsCollector::new().summary().render();
         assert!(!empty.contains("Graph cache"), "{empty}");

@@ -142,7 +142,7 @@ impl Collector for ProgressSink {
             }
         } else if name == "graph_cache.requests" {
             self.cache_requests.fetch_add(value, Ordering::Relaxed);
-        } else if name == "graph_cache.hits" || name == "graph_cache.disk_hits" {
+        } else if name == "graph_cache.hits" {
             self.cache_hits.fetch_add(value, Ordering::Relaxed);
         }
         self.render(false);

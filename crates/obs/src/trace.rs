@@ -168,7 +168,7 @@ impl TraceCollector {
             .map(|(_, v)| *v)
             .sum();
         let requests = get("graph_cache.requests");
-        let hits = get("graph_cache.hits") + get("graph_cache.disk_hits");
+        let hits = get("graph_cache.hits");
         let rows_copied = get("cone.rows_copied");
         let rows_recomputed = get("cone.rows_recomputed");
 

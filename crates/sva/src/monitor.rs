@@ -110,7 +110,7 @@ impl PropState {
     }
 }
 
-/// The externally visible, canonically encoded state of a [`Monitor`]:
+/// The externally visible, canonical state of a [`Monitor`]:
 /// whether it has failed plus the set of distinct pending attempts.
 ///
 /// Two monitors with equal `MonitorState`s behave identically on all future
@@ -131,131 +131,6 @@ impl MonitorState {
     /// Number of distinct pending attempts.
     pub fn num_pending(&self) -> usize {
         self.pending.len()
-    }
-
-    /// Appends a canonical, self-delimiting `u64` encoding of the state to
-    /// `out`. Equal states produce equal encodings (pending attempts are
-    /// emitted in their canonical `BTreeSet` order), so the encoding is fit
-    /// for both hashing and serialization; [`MonitorState::decode`] inverts
-    /// it.
-    pub fn encode(&self, out: &mut Vec<u64>) {
-        out.push(u64::from(self.failed));
-        out.push(self.pending.len() as u64);
-        for p in &self.pending {
-            encode_prop_state(p, out);
-        }
-    }
-
-    /// Decodes a state written by [`MonitorState::encode`] from the front
-    /// of `words`, returning it and the number of words consumed. Returns
-    /// `None` on any malformed input (unknown tag, truncation, or
-    /// implausible length) — callers treat that as a corrupt artifact.
-    pub fn decode(words: &[u64]) -> Option<(MonitorState, usize)> {
-        let failed = match *words.first()? {
-            0 => false,
-            1 => true,
-            _ => return None,
-        };
-        let n = usize::try_from(*words.get(1)?).ok()?;
-        if n > words.len() {
-            return None; // each attempt needs at least one word
-        }
-        let mut pos = 2;
-        let mut pending = BTreeSet::new();
-        for _ in 0..n {
-            let (p, used) = decode_prop_state(words.get(pos..)?)?;
-            pos += used;
-            pending.insert(p);
-        }
-        Some((MonitorState { failed, pending }, pos))
-    }
-}
-
-/// Tags of the [`PropState`] wire encoding (stable across releases; bump
-/// the graph-cache format version if they ever change).
-const TAG_DONE: u64 = 0;
-const TAG_SEQ: u64 = 1;
-const TAG_NEVER: u64 = 2;
-const TAG_AND: u64 = 3;
-const TAG_OR: u64 = 4;
-
-fn encode_prop_state(p: &PropState, out: &mut Vec<u64>) {
-    match p {
-        PropState::Done(b) => {
-            out.push(TAG_DONE);
-            out.push(u64::from(*b));
-        }
-        PropState::SeqPending { nfa, live } => {
-            out.push(TAG_SEQ);
-            out.push(*nfa as u64);
-            out.push(live.words().len() as u64);
-            out.extend_from_slice(live.words());
-        }
-        PropState::NeverPending { cond } => {
-            out.push(TAG_NEVER);
-            out.push(*cond as u64);
-        }
-        PropState::And(children) | PropState::Or(children) => {
-            out.push(if matches!(p, PropState::And(_)) {
-                TAG_AND
-            } else {
-                TAG_OR
-            });
-            out.push(children.len() as u64);
-            for c in children {
-                encode_prop_state(c, out);
-            }
-        }
-    }
-}
-
-fn decode_prop_state(words: &[u64]) -> Option<(PropState, usize)> {
-    match *words.first()? {
-        TAG_DONE => {
-            let b = match *words.get(1)? {
-                0 => false,
-                1 => true,
-                _ => return None,
-            };
-            Some((PropState::Done(b), 2))
-        }
-        TAG_SEQ => {
-            let nfa = usize::try_from(*words.get(1)?).ok()?;
-            let len = usize::try_from(*words.get(2)?).ok()?;
-            let end = 3usize.checked_add(len)?;
-            let live = words.get(3..end)?.to_vec();
-            Some((
-                PropState::SeqPending {
-                    nfa,
-                    live: BitSet::from_words(live),
-                },
-                end,
-            ))
-        }
-        TAG_NEVER => {
-            let cond = usize::try_from(*words.get(1)?).ok()?;
-            Some((PropState::NeverPending { cond }, 2))
-        }
-        tag @ (TAG_AND | TAG_OR) => {
-            let n = usize::try_from(*words.get(1)?).ok()?;
-            if n > words.len() {
-                return None;
-            }
-            let mut pos = 2;
-            let mut children = Vec::with_capacity(n);
-            for _ in 0..n {
-                let (c, used) = decode_prop_state(words.get(pos..)?)?;
-                pos += used;
-                children.push(c);
-            }
-            let state = if tag == TAG_AND {
-                PropState::And(children)
-            } else {
-                PropState::Or(children)
-            };
-            Some((state, pos))
-        }
-        _ => None,
     }
 }
 
@@ -692,47 +567,6 @@ mod tests {
         let mut m2 = Monitor::new(&prop);
         m2.set_state(snapshot.clone());
         assert_eq!(m2.state(), &snapshot);
-    }
-
-    /// Encode/decode must round-trip every state shape the monitor can
-    /// reach, including nested And/Or attempts and live NFA bitsets.
-    #[test]
-    fn monitor_state_encoding_roundtrips() {
-        let first = atom(0);
-        let a = P::seq(S::delay(1, Some(3), S::boolean(atom(1))));
-        let b = P::seq(S::then(S::boolean(atom(2)), S::boolean(atom(3))));
-        let never = P::Never(atom(9));
-        let props = vec![
-            P::seq(S::delay(0, None, S::boolean(atom(1)))),
-            P::implies(first.clone(), P::And(vec![a.clone(), never.clone()])),
-            P::implies(first, P::Or(vec![a, b, never])),
-        ];
-        for prop in &props {
-            let mut m = Monitor::new(prop);
-            for cycle in 0..4 {
-                m.step(&|v| *v == cycle % 2);
-                let state = m.state().clone();
-                let mut words = Vec::new();
-                state.encode(&mut words);
-                let (back, used) = MonitorState::decode(&words).expect("well-formed encoding");
-                assert_eq!(back, state, "{prop:?} at cycle {cycle}");
-                assert_eq!(used, words.len(), "encoding is self-delimiting");
-            }
-        }
-    }
-
-    /// Malformed encodings are rejected, never misinterpreted.
-    #[test]
-    fn monitor_state_decode_rejects_garbage() {
-        assert!(MonitorState::decode(&[]).is_none());
-        assert!(MonitorState::decode(&[7]).is_none(), "bad failed flag");
-        assert!(MonitorState::decode(&[0, 1, 99, 0]).is_none(), "bad tag");
-        assert!(
-            MonitorState::decode(&[0, u64::MAX]).is_none(),
-            "implausible attempt count"
-        );
-        // Truncated SeqPending: claims 4 live words, provides none.
-        assert!(MonitorState::decode(&[0, 1, 1, 0, 4]).is_none());
     }
 
     #[test]

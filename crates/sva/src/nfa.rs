@@ -53,17 +53,6 @@ impl BitSet {
             })
         })
     }
-
-    /// The raw words (for canonical encoding in monitor state hashing).
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
-
-    /// Reconstructs a set from raw words (the inverse of [`BitSet::words`],
-    /// used when decoding serialized monitor states).
-    pub fn from_words(words: Vec<u64>) -> Self {
-        BitSet { words }
-    }
 }
 
 /// One NFA state's outgoing transitions.

@@ -1,4 +1,4 @@
-//! Two-level cache of warm [`StateGraph`] cores.
+//! In-memory cache of warm [`StateGraph`] cores.
 //!
 //! The materialised part of a state graph — nodes, edge rows, atom
 //! bitsets, [`PRUNED`](crate::graph) sentinels — is a pure function of
@@ -12,28 +12,16 @@
 //! statistics, and counterexample traces regardless of how much of the
 //! graph pre-exists.
 //!
-//! [`GraphCache`] exploits this at two levels:
-//!
-//! * **Level 1 (in-memory, cross-test).** A map from the 64-bit
-//!   fingerprint to an `Arc<OnceLock<Arc<CoreSnapshot>>>`. Lookups are
-//!   *build-once, read-many*: the first requester of a key builds the
-//!   graph (blocking concurrent requesters of the same key), publishes the
-//!   warm core, and every later requester reconstructs its own graph from
-//!   the shared snapshot. Build-once (rather than racing builders and
-//!   discarding losers) is what keeps the hit/miss counters — and
-//!   therefore the whole metrics stream — byte-identical across
-//!   `--jobs N`: misses always equal the number of distinct fingerprints.
-//! * **Level 2 (on-disk, cross-run).** With a cache directory configured,
-//!   a fingerprint's *final* core (post-walk, so a repeat run replays the
-//!   previous run's entire exploration from disk) is serialized to
-//!   `<dir>/<key>.rtlgc` in the versioned binary format below. A later run
-//!   that misses in memory loads the file instead of cold-building —
-//!   skipping the `graph_build` warm-up entirely and turning walks into
-//!   pure cache reads. Corrupt, truncated, version-mismatched, or
-//!   key-mismatched files are detected (magic + version + engine-revision
-//!   tag + length/checksum trailer + semantic validation in
-//!   [`StateGraph::from_snapshot`]) and fall back to a cold build with a
-//!   warning event — never a wrong answer.
+//! [`GraphCache`] is a map from the 64-bit fingerprint to an
+//! `Arc<OnceLock<Arc<CoreSnapshot>>>`, shared across the tests of one run
+//! (and across the requests of one `serve` process). Lookups are
+//! *build-once, read-many*: the first requester of a key builds the graph
+//! (blocking concurrent requesters of the same key), publishes the warm
+//! core, and every later requester reconstructs its own graph from the
+//! shared snapshot. Build-once (rather than racing builders and discarding
+//! losers) is what keeps the hit/miss counters — and therefore the whole
+//! metrics stream — byte-identical across `--jobs N`: misses always equal
+//! the number of distinct fingerprints.
 //!
 //! # Fingerprint
 //!
@@ -47,40 +35,15 @@
 //! assumption directive (kind, name, rendered property), the cover
 //! condition, and the rendered atom table. The per-cone tier is what the
 //! incremental path diffs ([`rtlcheck_rtl::ConeSet::diff`]); the derived
-//! key is what the map and the on-disk `.rtlgc` format continue to use.
-//! A second, independently-seeded FNV-1a over the same description is
-//! stored alongside the key; a stored artifact is used only if *both*
-//! hashes match and the snapshot passes semantic validation against the
+//! key is what the map uses. A second, independently-seeded FNV-1a over
+//! the same description rides along as [`GraphKey::check`], so callers
+//! that group work by fingerprint can key on both halves. A published
+//! snapshot is used only if it passes semantic validation against the
 //! requesting problem (atom table, monitor arity, register count, initial
 //! product state), so a key collision degrades to a counted cold build,
 //! not a wrong graph.
-//!
-//! # File format (version 1)
-//!
-//! ```text
-//! magic "RTLGRPH\0"                      8 bytes
-//! format version                         u64 LE
-//! engine revision tag                    u64 length + UTF-8 bytes
-//! key, check                             2 × u64 LE
-//! payload                                u64 LE stream:
-//!   atom count; per atom: signal ordinal, value
-//!   num_inputs, words, num_regs, num_monitors
-//!   stats: nodes, edges, pruned_edges, complete
-//!   node count; per node:
-//!     register values                    num_regs × u64
-//!     per monitor: MonitorState::encode  (self-delimiting)
-//!     row flag; if 1: dests (num_inputs × u64, u32::MAX = pruned)
-//!                    bits  (num_inputs × words × u64)
-//! trailer: byte length of everything above, FNV-1a checksum of it
-//! ```
-//!
-//! The trailer makes every single-byte corruption detectable: each FNV-1a
-//! step `h' = (h ^ b) * prime` is a bijection in `h` for fixed `b` (the
-//! prime is odd), so two streams differing in exactly one byte can never
-//! share a checksum.
 
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -94,17 +57,6 @@ use crate::atom::RtlAtom;
 use crate::engine::Engine;
 use crate::graph::{GraphStats, StateGraph};
 use crate::problem::Problem;
-
-/// Bump when the serialized layout changes incompatibly.
-pub const FORMAT_VERSION: u64 = 1;
-
-/// Identifies the graph-construction semantics baked into this build; a
-/// stored graph from a different engine revision is never reused.
-/// `v2`: the fingerprint became the two-tier (per-cone vector + derived
-/// key) scheme, so `v1` artifacts sit at stale paths.
-pub const ENGINE_REVISION: &str = "explicit-product-v2";
-
-const MAGIC: &[u8; 8] = b"RTLGRPH\0";
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -136,10 +88,11 @@ impl Fnv64 {
 /// The two-hash fingerprint of a (design, assumptions, atom table) triple.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GraphKey {
-    /// Primary cache key (file name, in-memory map key).
+    /// Primary cache key (the in-memory map key).
     pub key: u64,
-    /// Independently-seeded hash of the same description, stored in the
-    /// artifact to demote key collisions to detectable mismatches.
+    /// Independently-seeded hash of the same description. Callers that
+    /// group work by fingerprint (serve coalescing, fuzz bucketing) key on
+    /// both halves, so grouping two problems needs both hashes to collide.
     pub check: u64,
 }
 
@@ -267,278 +220,13 @@ impl CoreSnapshot {
     }
 }
 
-/// Why a stored artifact was rejected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SnapshotError {
-    /// Bad magic, failed checksum, truncation, or malformed payload.
-    Corrupt,
-    /// Format version or engine-revision tag differs from this build.
-    VersionMismatch,
-    /// Well-formed artifact whose key/check pair is not the expected one
-    /// (a hash collision or a misplaced file).
-    KeyMismatch,
-}
-
-/// Serializes a snapshot to the versioned on-disk byte format.
-pub fn snapshot_to_bytes(snap: &CoreSnapshot, design: &Design, key: GraphKey) -> Vec<u8> {
-    let ordinal_of = |sig| {
-        design
-            .signals()
-            .position(|(id, _)| id == sig)
-            .expect("snapshot atoms refer to signals of the snapshot's design") as u64
-    };
-    let mut words: Vec<u64> = Vec::new();
-    words.push(snap.atoms.len() as u64);
-    for a in &snap.atoms {
-        words.push(ordinal_of(a.sig));
-        words.push(a.value);
-    }
-    words.push(snap.num_inputs as u64);
-    words.push(snap.words as u64);
-    words.push(snap.num_regs as u64);
-    words.push(snap.num_monitors as u64);
-    words.push(snap.stats.nodes as u64);
-    words.push(snap.stats.edges);
-    words.push(snap.stats.pruned_edges);
-    words.push(u64::from(snap.stats.complete));
-    words.push(snap.nodes.len() as u64);
-    for node in &snap.nodes {
-        words.extend_from_slice(&node.regs);
-        for m in &node.assumptions {
-            m.encode(&mut words);
-        }
-        match &node.row {
-            None => words.push(0),
-            Some((dests, bits)) => {
-                words.push(1);
-                words.extend(dests.iter().map(|&d| u64::from(d)));
-                words.extend_from_slice(bits);
-            }
-        }
-    }
-
-    let mut out = Vec::with_capacity(64 + words.len() * 8);
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&(ENGINE_REVISION.len() as u64).to_le_bytes());
-    out.extend_from_slice(ENGINE_REVISION.as_bytes());
-    out.extend_from_slice(&key.key.to_le_bytes());
-    out.extend_from_slice(&key.check.to_le_bytes());
-    for w in &words {
-        out.extend_from_slice(&w.to_le_bytes());
-    }
-    let mut sum = Fnv64::new(FNV_OFFSET);
-    sum.write(&out);
-    out.extend_from_slice(&(out.len() as u64).to_le_bytes());
-    out.extend_from_slice(&sum.finish().to_le_bytes());
-    out
-}
-
-/// Byte-stream reader for the on-disk format.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        let end = self.pos.checked_add(n).ok_or(SnapshotError::Corrupt)?;
-        let s = self
-            .bytes
-            .get(self.pos..end)
-            .ok_or(SnapshotError::Corrupt)?;
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
-    }
-
-    fn len(&mut self) -> Result<usize, SnapshotError> {
-        let v = self.u64()?;
-        // Any plausible count is bounded by the artifact size itself; this
-        // keeps a corrupt length from driving a huge allocation.
-        usize::try_from(v)
-            .ok()
-            .filter(|&n| n <= self.bytes.len())
-            .ok_or(SnapshotError::Corrupt)
-    }
-}
-
-/// Word-stream reader over the decoded payload. The payload past the key
-/// pair is a pure `u64` stream, so it is converted to words exactly once
-/// and consumed by index — [`MonitorState::decode`] reads straight from
-/// the remaining slice with no per-node re-conversion.
-struct WordReader<'a> {
-    words: &'a [u64],
-    pos: usize,
-}
-
-impl WordReader<'_> {
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        let w = *self.words.get(self.pos).ok_or(SnapshotError::Corrupt)?;
-        self.pos += 1;
-        Ok(w)
-    }
-
-    fn len(&mut self) -> Result<usize, SnapshotError> {
-        let v = self.u64()?;
-        // Any plausible count is bounded by the payload size itself.
-        usize::try_from(v)
-            .ok()
-            .filter(|&n| n <= self.words.len())
-            .ok_or(SnapshotError::Corrupt)
-    }
-
-    fn monitor(&mut self) -> Result<MonitorState, SnapshotError> {
-        let (state, used) =
-            MonitorState::decode(&self.words[self.pos..]).ok_or(SnapshotError::Corrupt)?;
-        self.pos += used;
-        Ok(state)
-    }
-}
-
-/// Deserializes and validates an artifact produced by
-/// [`snapshot_to_bytes`]. `expected` is the fingerprint the *caller*
-/// computed for its own problem; an artifact carrying any other pair is
-/// rejected as [`SnapshotError::KeyMismatch`].
-pub fn snapshot_from_bytes(
-    bytes: &[u8],
-    design: &Design,
-    expected: GraphKey,
-) -> Result<CoreSnapshot, SnapshotError> {
-    let mut r = Reader { bytes, pos: 0 };
-    if r.take(8)? != MAGIC {
-        return Err(SnapshotError::Corrupt);
-    }
-    if r.u64()? != FORMAT_VERSION {
-        return Err(SnapshotError::VersionMismatch);
-    }
-    let tag_len = r.len()?;
-    if r.take(tag_len)? != ENGINE_REVISION.as_bytes() {
-        return Err(SnapshotError::VersionMismatch);
-    }
-    // Trailer first: everything after this point is checksum-protected.
-    if bytes.len() < r.pos + 16 {
-        return Err(SnapshotError::Corrupt);
-    }
-    let body_len = bytes.len() - 16;
-    let stored_len = u64::from_le_bytes(bytes[body_len..body_len + 8].try_into().expect("8"));
-    let stored_sum = u64::from_le_bytes(bytes[body_len + 8..].try_into().expect("8"));
-    let mut sum = Fnv64::new(FNV_OFFSET);
-    sum.write(&bytes[..body_len]);
-    if stored_len != body_len as u64 || stored_sum != sum.finish() {
-        return Err(SnapshotError::Corrupt);
-    }
-    let key = GraphKey {
-        key: r.u64()?,
-        check: r.u64()?,
-    };
-    if key != expected {
-        return Err(SnapshotError::KeyMismatch);
-    }
-
-    // Payload (checksum-validated, so failures past here indicate a
-    // writer bug rather than bit rot — still reported as Corrupt). From
-    // here on the stream is whole little-endian u64s; decode them once.
-    let tail = &bytes[r.pos..body_len];
-    if !tail.len().is_multiple_of(8) {
-        return Err(SnapshotError::Corrupt);
-    }
-    let word_buf: Vec<u64> = tail
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-        .collect();
-    let mut r = WordReader {
-        words: &word_buf,
-        pos: 0,
-    };
-    let signals: Vec<_> = design.signals().map(|(id, _)| id).collect();
-    let num_atoms = r.len()?;
-    let mut atoms = Vec::with_capacity(num_atoms);
-    for _ in 0..num_atoms {
-        let ordinal = r.len()?;
-        let value = r.u64()?;
-        let sig = *signals.get(ordinal).ok_or(SnapshotError::Corrupt)?;
-        atoms.push(RtlAtom::eq(sig, value));
-    }
-    let num_inputs = r.len()?;
-    let words = r.len()?;
-    let num_regs = r.len()?;
-    let num_monitors = r.len()?;
-    let stats = GraphStats {
-        nodes: r.len()?,
-        edges: r.u64()?,
-        pruned_edges: r.u64()?,
-        lookups: 0,
-        reuse_hits: 0,
-        complete: match r.u64()? {
-            0 => false,
-            1 => true,
-            _ => return Err(SnapshotError::Corrupt),
-        },
-    };
-    let num_nodes = r.len()?;
-    let row_words = num_inputs
-        .checked_mul(words)
-        .ok_or(SnapshotError::Corrupt)?;
-    let mut nodes = Vec::with_capacity(num_nodes);
-    for _ in 0..num_nodes {
-        let mut regs = Vec::with_capacity(num_regs);
-        for _ in 0..num_regs {
-            regs.push(r.u64()?);
-        }
-        let mut assumptions = Vec::with_capacity(num_monitors);
-        for _ in 0..num_monitors {
-            assumptions.push(r.monitor()?);
-        }
-        let row = match r.u64()? {
-            0 => None,
-            1 => {
-                let mut dests = Vec::with_capacity(num_inputs);
-                for _ in 0..num_inputs {
-                    let d = u32::try_from(r.u64()?).map_err(|_| SnapshotError::Corrupt)?;
-                    dests.push(d);
-                }
-                let mut bits = Vec::with_capacity(row_words);
-                for _ in 0..row_words {
-                    bits.push(r.u64()?);
-                }
-                Some((dests, bits))
-            }
-            _ => return Err(SnapshotError::Corrupt),
-        };
-        nodes.push(NodeSnapshot {
-            regs,
-            assumptions,
-            row,
-        });
-    }
-    if r.pos != r.words.len() {
-        return Err(SnapshotError::Corrupt); // trailing garbage
-    }
-    Ok(CoreSnapshot {
-        atoms,
-        num_inputs,
-        words,
-        num_regs,
-        num_monitors,
-        nodes,
-        stats,
-    })
-}
-
 /// Where a cached graph came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheSource {
-    /// Built from scratch (in-memory miss, no usable disk artifact).
+    /// Built from scratch (the first request of its fingerprint).
     Cold,
     /// Reconstructed from a snapshot another request published in memory.
     Memory,
-    /// Loaded from a validated on-disk artifact.
-    Disk,
     /// Spliced from a published baseline core: rows of unchanged cones
     /// copied, dirty cones re-simulated (bit-identical to a cold build).
     Spliced,
@@ -550,7 +238,6 @@ impl CacheSource {
         match self {
             CacheSource::Cold => "cold",
             CacheSource::Memory => "memory",
-            CacheSource::Disk => "disk",
             CacheSource::Spliced => "spliced",
         }
     }
@@ -560,8 +247,7 @@ impl CacheSource {
 /// the switch behind `rtlcheck mutate --incremental`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Incremental {
-    /// Every graph comes from the ordinary cache levels or a cold build;
-    /// no splicing.
+    /// Every graph comes from the cache or a cold build; no splicing.
     Off,
     /// Mutant graphs splice from the published baseline core whenever the
     /// dirty-cone analysis allows it (the default).
@@ -594,57 +280,19 @@ impl Incremental {
     }
 }
 
-/// Outcome of one [`GraphCache::build_graph`] request, returned alongside
-/// the graph; hand it back to [`GraphCache::store_final`] after the walks
-/// so the post-walk core can be persisted.
-#[derive(Debug, Clone, Copy)]
-pub struct CacheTicket {
-    key: GraphKey,
-    source: CacheSource,
-    /// This request is the key's designated writer (it cold-built the
-    /// graph and no valid disk artifact exists).
-    store: bool,
-}
-
-impl CacheTicket {
-    /// Where the returned graph came from.
-    pub fn source(&self) -> CacheSource {
-        self.source
-    }
-
-    /// The fingerprint of the request.
-    pub fn key(&self) -> GraphKey {
-        self.key
-    }
-}
-
 /// Monotonic counters of one cache's activity. `hits + misses ==
-/// requests` always; `disk_hits + disk_misses + corrupt +
-/// version_mismatch + key_mismatches` accounts for every disk probe
-/// (at most one per distinct fingerprint per run).
+/// requests` always.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Graph requests served.
     pub requests: u64,
-    /// Served from the in-memory level (no simulation, no disk).
+    /// Served from a published snapshot (no simulation).
     pub hits: u64,
     /// First request of each distinct fingerprint.
     pub misses: u64,
-    /// Misses served by a validated on-disk artifact.
-    pub disk_hits: u64,
-    /// Misses that probed the directory and found no artifact.
-    pub disk_misses: u64,
-    /// Artifacts rejected by magic/checksum/payload validation.
-    pub corrupt: u64,
-    /// Artifacts from another format version or engine revision.
-    pub version_mismatch: u64,
-    /// Well-formed artifacts whose key/check pair did not match.
-    pub key_mismatches: u64,
     /// Published snapshots rejected by semantic validation against the
     /// requesting problem (a genuine fingerprint collision).
     pub collisions: u64,
-    /// Artifacts written to the cache directory.
-    pub stores: u64,
     /// In-memory entries dropped to respect the capacity bound.
     pub evictions: u64,
     /// Incremental probes that found a published baseline core.
@@ -666,13 +314,7 @@ impl CacheStats {
             ("requests", Json::Uint(self.requests)),
             ("hits", Json::Uint(self.hits)),
             ("misses", Json::Uint(self.misses)),
-            ("disk_hits", Json::Uint(self.disk_hits)),
-            ("disk_misses", Json::Uint(self.disk_misses)),
-            ("corrupt", Json::Uint(self.corrupt)),
-            ("version_mismatch", Json::Uint(self.version_mismatch)),
-            ("key_mismatches", Json::Uint(self.key_mismatches)),
             ("collisions", Json::Uint(self.collisions)),
-            ("stores", Json::Uint(self.stores)),
             ("evictions", Json::Uint(self.evictions)),
             ("incremental_hits", Json::Uint(self.incremental_hits)),
             ("incremental_misses", Json::Uint(self.incremental_misses)),
@@ -686,13 +328,7 @@ struct Counters {
     requests: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
-    disk_hits: AtomicU64,
-    disk_misses: AtomicU64,
-    corrupt: AtomicU64,
-    version_mismatch: AtomicU64,
-    key_mismatches: AtomicU64,
     collisions: AtomicU64,
-    stores: AtomicU64,
     evictions: AtomicU64,
     incremental_hits: AtomicU64,
     incremental_misses: AtomicU64,
@@ -708,40 +344,29 @@ struct CacheMap {
     order: Vec<u64>,
 }
 
-/// The two-level graph cache. Cheap to share by reference across the
+/// The in-memory graph cache. Cheap to share by reference across the
 /// suite's worker threads (`Sync`); all observable counters are
 /// schedule-invariant as long as the capacity bound is not hit (the
 /// default is unbounded).
 #[derive(Debug)]
 pub struct GraphCache {
-    dir: Option<PathBuf>,
     capacity: Option<usize>,
     map: Mutex<CacheMap>,
     counters: Counters,
-    /// Deferred `(event name, file)` warnings, reported (sorted, so the
+    /// Deferred `(event name, key)` warnings, reported (sorted, so the
     /// stream is deterministic) by [`GraphCache::report_to`].
     warnings: Mutex<Vec<(&'static str, String)>>,
 }
 
 impl GraphCache {
-    /// A purely in-memory cache (level 1 only).
+    /// An empty, unbounded cache.
     pub fn in_memory() -> Self {
         GraphCache {
-            dir: None,
             capacity: None,
             map: Mutex::new(CacheMap::default()),
             counters: Counters::default(),
             warnings: Mutex::new(Vec::new()),
         }
-    }
-
-    /// A cache persisting to `dir` (created if absent).
-    pub fn with_dir(dir: impl Into<PathBuf>) -> std::io::Result<Self> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
-        let mut cache = GraphCache::in_memory();
-        cache.dir = Some(dir);
-        Ok(cache)
     }
 
     /// Bounds the number of in-memory entries. Exceeding the bound evicts
@@ -752,11 +377,6 @@ impl GraphCache {
         self
     }
 
-    /// The configured on-disk directory, if any.
-    pub fn dir(&self) -> Option<&Path> {
-        self.dir.as_deref()
-    }
-
     /// A snapshot of the activity counters.
     pub fn stats(&self) -> CacheStats {
         let c = &self.counters;
@@ -765,13 +385,7 @@ impl GraphCache {
             requests: get(&c.requests),
             hits: get(&c.hits),
             misses: get(&c.misses),
-            disk_hits: get(&c.disk_hits),
-            disk_misses: get(&c.disk_misses),
-            corrupt: get(&c.corrupt),
-            version_mismatch: get(&c.version_mismatch),
-            key_mismatches: get(&c.key_mismatches),
             collisions: get(&c.collisions),
-            stores: get(&c.stores),
             evictions: get(&c.evictions),
             incremental_hits: get(&c.incremental_hits),
             incremental_misses: get(&c.incremental_misses),
@@ -779,17 +393,11 @@ impl GraphCache {
         }
     }
 
-    fn artifact_path(&self, key: GraphKey) -> Option<PathBuf> {
-        self.dir
-            .as_ref()
-            .map(|d| d.join(format!("{:016x}.rtlgc", key.key)))
-    }
-
-    fn warn(&self, event: &'static str, file: String) {
+    fn warn(&self, event: &'static str, key: String) {
         self.warnings
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .push((event, file));
+            .push((event, key));
     }
 
     fn cell_for(&self, key: u64) -> Cell {
@@ -811,55 +419,21 @@ impl GraphCache {
         cell
     }
 
-    /// Probes the disk level for `key`; counts and classifies failures.
-    fn load_from_disk(&self, key: GraphKey, design: &Design) -> Option<CoreSnapshot> {
-        let path = self.artifact_path(key)?;
-        let bytes = match std::fs::read(&path) {
-            Ok(b) => b,
-            Err(_) => {
-                self.counters.disk_misses.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-        };
-        match snapshot_from_bytes(&bytes, design, key) {
-            Ok(snap) => Some(snap),
-            Err(SnapshotError::Corrupt) => {
-                self.counters.corrupt.fetch_add(1, Ordering::Relaxed);
-                self.warn("graph_cache.corrupt", path.display().to_string());
-                None
-            }
-            Err(SnapshotError::VersionMismatch) => {
-                self.counters
-                    .version_mismatch
-                    .fetch_add(1, Ordering::Relaxed);
-                self.warn("graph_cache.version_mismatch", path.display().to_string());
-                None
-            }
-            Err(SnapshotError::KeyMismatch) => {
-                self.counters.key_mismatches.fetch_add(1, Ordering::Relaxed);
-                self.warn("graph_cache.corrupt", path.display().to_string());
-                None
-            }
-        }
-    }
-
     /// The cached counterpart of [`crate::build_graph`]: returns a warm
-    /// graph for `problem`/`props` plus the ticket describing where it
-    /// came from.
+    /// graph for `problem`/`props` plus where it came from.
     ///
-    /// The first request of a fingerprint builds (from disk if a valid
-    /// artifact exists, else a cold warm-up under `engine`'s budget) and
-    /// publishes the core; concurrent requests of the same fingerprint
-    /// block until it is published, then reconstruct from it. Every
-    /// returned graph owns private interior state — sharing is of the
-    /// immutable snapshot only — so walks behave exactly as on an
-    /// uncached graph.
+    /// The first request of a fingerprint builds (a cold warm-up under
+    /// `engine`'s budget) and publishes the core; concurrent requests of
+    /// the same fingerprint block until it is published, then reconstruct
+    /// from it. Every returned graph owns private interior state — sharing
+    /// is of the immutable snapshot only — so walks behave exactly as on
+    /// an uncached graph.
     pub fn build_graph<'p, 'd>(
         &self,
         problem: &'p Problem<'d>,
         props: &[&Prop<RtlAtom>],
         engine: Engine,
-    ) -> (StateGraph<'p, 'd>, CacheTicket) {
+    ) -> (StateGraph<'p, 'd>, CacheSource) {
         self.build_graph_inner(problem, props, engine, None)
     }
 
@@ -867,12 +441,11 @@ impl GraphCache {
     /// in-memory miss, first try to splice the requested graph from the
     /// published core of `baseline` (the un-mutated design this problem's
     /// design was derived from), re-simulating only the dirty cones'
-    /// contributions; the disk level and the cold build remain as
-    /// fallbacks. The spliced graph is bit-identical to what a cold build
-    /// would have produced (see [`StateGraph::splice`]), so the published
-    /// snapshot, the walks, and any stored artifact are indistinguishable
-    /// from the non-incremental path — only the construction cost and the
-    /// `cone.*` counters differ.
+    /// contributions; the cold build remains as the fallback. The spliced
+    /// graph is bit-identical to what a cold build would have produced
+    /// (see [`StateGraph::splice`]), so the published snapshot and the
+    /// walks are indistinguishable from the non-incremental path — only
+    /// the construction cost and the `cone.*` counters differ.
     ///
     /// `validate` additionally re-simulates every spliced row and asserts
     /// equality with the copied data (the belt-and-braces mode the
@@ -884,15 +457,14 @@ impl GraphCache {
         engine: Engine,
         baseline: &Design,
         validate: bool,
-    ) -> (StateGraph<'p, 'd>, CacheTicket) {
+    ) -> (StateGraph<'p, 'd>, CacheSource) {
         self.build_graph_inner(problem, props, engine, Some((baseline, validate)))
     }
 
-    /// Probes the in-memory level for a *baseline* core to splice
-    /// against. Never blocks on an in-flight build and never touches the
-    /// disk level: incremental probes run inside the requesting key's own
-    /// build slot, where waiting on another key's `OnceLock` could
-    /// deadlock. `dirty` is the classified dirty set the caller intends
+    /// Probes the cache for a *baseline* core to splice against. Never
+    /// blocks on an in-flight build: incremental probes run inside the
+    /// requesting key's own build slot, where waiting on another key's
+    /// `OnceLock` could deadlock. `dirty` is the classified dirty set the caller intends
     /// to splice with (from [`ConeSet::diff`]; an empty set — pure reuse
     /// — is fine).
     pub fn lookup_incremental(
@@ -969,7 +541,7 @@ impl GraphCache {
         props: &[&Prop<RtlAtom>],
         engine: Engine,
         incremental: Option<(&Design, bool)>,
-    ) -> (StateGraph<'p, 'd>, CacheTicket) {
+    ) -> (StateGraph<'p, 'd>, CacheSource) {
         let atoms = StateGraph::atom_table(problem, props.iter().copied());
         let key = fingerprint(problem, &atoms);
         self.counters.requests.fetch_add(1, Ordering::Relaxed);
@@ -989,29 +561,6 @@ impl GraphCache {
                         return snap;
                     }
                 }
-                if self.dir.is_some() {
-                    if let Some(snap) = self.load_from_disk(key, problem.design) {
-                        match StateGraph::from_snapshot(problem, props.iter().copied(), &snap) {
-                            Some(graph) => {
-                                self.counters.disk_hits.fetch_add(1, Ordering::Relaxed);
-                                local = Some((graph, CacheSource::Disk));
-                                return Arc::new(snap);
-                            }
-                            None => {
-                                // Checksum-valid artifact that does not
-                                // describe this problem: a fingerprint
-                                // collision. Fall back to a cold build.
-                                self.counters.collisions.fetch_add(1, Ordering::Relaxed);
-                                self.warn(
-                                    "graph_cache.key_collision",
-                                    self.artifact_path(key)
-                                        .map(|p| p.display().to_string())
-                                        .unwrap_or_default(),
-                                );
-                            }
-                        }
-                    }
-                }
                 let graph = StateGraph::build(problem, props.iter().copied(), engine);
                 let snap = Arc::new(graph.snapshot());
                 local = Some((graph, CacheSource::Cold));
@@ -1019,7 +568,7 @@ impl GraphCache {
             })
             .clone();
 
-        let (graph, source) = match local {
+        match local {
             Some(built) => built,
             None => {
                 self.counters.hits.fetch_add(1, Ordering::Relaxed);
@@ -1038,39 +587,6 @@ impl GraphCache {
                     }
                 }
             }
-        };
-        // Spliced builds are bit-identical to cold builds, so they are
-        // equally valid designated writers for the on-disk level.
-        let store = self.dir.is_some()
-            && matches!(source, CacheSource::Cold | CacheSource::Spliced)
-            && snap_is(&snap, &graph);
-        (graph, CacheTicket { key, source, store })
-    }
-
-    /// Persists the *final* (post-walk) core of a graph returned by
-    /// [`GraphCache::build_graph`], if this request is the key's
-    /// designated writer. Call after the walks; a follow-up run then
-    /// replays the whole exploration from disk. Write failures degrade to
-    /// a warning event.
-    pub fn store_final(&self, ticket: &CacheTicket, graph: &StateGraph<'_, '_>) {
-        if !ticket.store {
-            return;
-        }
-        let Some(path) = self.artifact_path(ticket.key) else {
-            return;
-        };
-        let bytes = snapshot_to_bytes(&graph.snapshot(), graph.problem().design, ticket.key);
-        // Atomic publish: never expose a half-written artifact.
-        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        let written = std::fs::write(&tmp, &bytes).and_then(|()| std::fs::rename(&tmp, &path));
-        match written {
-            Ok(()) => {
-                self.counters.stores.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => {
-                let _ = std::fs::remove_file(&tmp);
-                self.warn("graph_cache.store_failed", path.display().to_string());
-            }
         }
     }
 
@@ -1084,13 +600,7 @@ impl GraphCache {
         collector.counter("graph_cache.requests", s.requests, attrs![]);
         collector.counter("graph_cache.hits", s.hits, attrs![]);
         collector.counter("graph_cache.misses", s.misses, attrs![]);
-        collector.counter("graph_cache.disk_hits", s.disk_hits, attrs![]);
-        collector.counter("graph_cache.disk_misses", s.disk_misses, attrs![]);
-        collector.counter("graph_cache.corrupt", s.corrupt, attrs![]);
-        collector.counter("graph_cache.version_mismatch", s.version_mismatch, attrs![]);
-        collector.counter("graph_cache.key_mismatches", s.key_mismatches, attrs![]);
         collector.counter("graph_cache.collisions", s.collisions, attrs![]);
-        collector.counter("graph_cache.stores", s.stores, attrs![]);
         collector.counter("graph_cache.evictions", s.evictions, attrs![]);
         collector.counter("graph_cache.incremental_hits", s.incremental_hits, attrs![]);
         collector.counter(
@@ -1106,12 +616,6 @@ impl GraphCache {
             collector.event(event, attrs!["file" => file.as_str()]);
         }
     }
-}
-
-/// Sanity link between a ticket's graph and the published snapshot: the
-/// store path must only fire for the graph whose core seeded the entry.
-fn snap_is(snap: &CoreSnapshot, graph: &StateGraph<'_, '_>) -> bool {
-    snap.atoms == graph.atoms()
 }
 
 /// Collision guard for the incremental path: a published snapshot is only
@@ -1159,12 +663,6 @@ mod tests {
         b.build().unwrap()
     }
 
-    fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("rtlgc-unit-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
     #[test]
     fn fingerprints_separate_designs_and_assumptions() {
         let d = counter();
@@ -1192,56 +690,14 @@ mod tests {
         let prop = Prop::Never(SvaBool::atom(RtlAtom::eq(count, 8)));
         let cache = GraphCache::in_memory();
         let (g1, t1) = cache.build_graph(&problem, &[&prop], Engine::full(100_000));
-        assert_eq!(t1.source(), CacheSource::Cold);
+        assert_eq!(t1, CacheSource::Cold);
         let warm_stats = g1.stats();
         assert!(warm_stats.complete);
         let (g2, t2) = cache.build_graph(&problem, &[&prop], Engine::full(100_000));
-        assert_eq!(t2.source(), CacheSource::Memory);
+        assert_eq!(t2, CacheSource::Memory);
         assert_eq!(g2.stats(), warm_stats, "hit resumes the published core");
         let s = cache.stats();
         assert_eq!((s.requests, s.hits, s.misses), (2, 1, 1));
-    }
-
-    #[test]
-    fn disk_level_round_trips_the_final_core() {
-        let d = counter();
-        let count = d.signal_by_name("count").unwrap();
-        let problem = Problem::new(&d);
-        let prop = Prop::Never(SvaBool::atom(RtlAtom::eq(count, 8)));
-        let dir = tmp_dir("roundtrip");
-
-        let cache = GraphCache::with_dir(&dir).unwrap();
-        let (g, ticket) = cache.build_graph(&problem, &[&prop], Engine::full(100_000));
-        assert_eq!(ticket.source(), CacheSource::Cold);
-        cache.store_final(&ticket, &g);
-        assert_eq!(cache.stats().stores, 1);
-
-        let warm = GraphCache::with_dir(&dir).unwrap();
-        let (g2, t2) = warm.build_graph(&problem, &[&prop], Engine::full(100_000));
-        assert_eq!(t2.source(), CacheSource::Disk);
-        assert_eq!(g2.stats(), g.stats());
-        let s = warm.stats();
-        assert_eq!((s.disk_hits, s.corrupt), (1, 0));
-
-        // Corrupt any one byte: detected, falls back to a cold build.
-        let path = std::fs::read_dir(&dir)
-            .unwrap()
-            .next()
-            .unwrap()
-            .unwrap()
-            .path();
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x40;
-        std::fs::write(&path, &bytes).unwrap();
-        let third = GraphCache::with_dir(&dir).unwrap();
-        let (g3, t3) = third.build_graph(&problem, &[&prop], Engine::full(100_000));
-        assert_eq!(t3.source(), CacheSource::Cold);
-        assert_eq!(g3.stats(), g.stats(), "fallback rebuilds the same graph");
-        let s = third.stats();
-        assert!(s.corrupt == 1 || s.key_mismatches == 1, "{s:?}");
-
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// The counter with a mutated increment: `count <= en ? count+2 : count`.
@@ -1270,12 +726,12 @@ mod tests {
 
         let bproblem = Problem::new(&base);
         let (_, bt) = cache.build_graph(&bproblem, &[&prop], Engine::full(100_000));
-        assert_eq!(bt.source(), CacheSource::Cold);
+        assert_eq!(bt, CacheSource::Cold);
 
         let mproblem = Problem::new(&mutant);
         let (mg, mt) =
             cache.build_graph_incremental(&mproblem, &[&prop], Engine::full(100_000), &base, true);
-        assert_eq!(mt.source(), CacheSource::Spliced);
+        assert_eq!(mt, CacheSource::Spliced);
         let cold = StateGraph::build(&mproblem, [&prop], Engine::full(100_000));
         assert_eq!(mg.snapshot(), cold.snapshot(), "splice is bit-identical");
         let s = cache.stats();
@@ -1285,7 +741,7 @@ mod tests {
         // spliced core was published like any other.
         let (_, t3) =
             cache.build_graph_incremental(&mproblem, &[&prop], Engine::full(100_000), &base, false);
-        assert_eq!(t3.source(), CacheSource::Memory);
+        assert_eq!(t3, CacheSource::Memory);
     }
 
     #[test]
@@ -1298,60 +754,11 @@ mod tests {
         let mproblem = Problem::new(&mutant);
         let (mg, mt) =
             cache.build_graph_incremental(&mproblem, &[&prop], Engine::full(100_000), &base, false);
-        assert_eq!(mt.source(), CacheSource::Cold);
+        assert_eq!(mt, CacheSource::Cold);
         let cold = StateGraph::build(&mproblem, [&prop], Engine::full(100_000));
         assert_eq!(mg.snapshot(), cold.snapshot());
         let s = cache.stats();
         assert_eq!((s.incremental_hits, s.incremental_misses), (0, 1));
         assert_eq!(s.spliced, 0);
-    }
-
-    #[test]
-    fn version_mismatch_is_classified_before_checksum() {
-        let d = counter();
-        let count = d.signal_by_name("count").unwrap();
-        let problem = Problem::new(&d);
-        let prop = Prop::Never(SvaBool::atom(RtlAtom::eq(count, 8)));
-        let atoms = StateGraph::atom_table(&problem, [&prop]);
-        let key = fingerprint(&problem, &atoms);
-        let graph = StateGraph::build(&problem, [&prop], Engine::full(100_000));
-        let mut bytes = snapshot_to_bytes(&graph.snapshot(), &d, key);
-        // Bump the version field without fixing the trailer: a genuinely
-        // old file would have a self-consistent trailer, but either way
-        // the version must be inspected first.
-        bytes[8] ^= 0xff;
-        assert_eq!(
-            snapshot_from_bytes(&bytes, &d, key),
-            Err(SnapshotError::VersionMismatch)
-        );
-    }
-
-    #[test]
-    fn truncation_and_zero_length_are_corrupt() {
-        let d = counter();
-        let count = d.signal_by_name("count").unwrap();
-        let problem = Problem::new(&d);
-        let prop = Prop::Never(SvaBool::atom(RtlAtom::eq(count, 8)));
-        let atoms = StateGraph::atom_table(&problem, [&prop]);
-        let key = fingerprint(&problem, &atoms);
-        let graph = StateGraph::build(&problem, [&prop], Engine::full(100_000));
-        let bytes = snapshot_to_bytes(&graph.snapshot(), &d, key);
-        assert!(snapshot_from_bytes(&bytes, &d, key).is_ok());
-        assert_eq!(
-            snapshot_from_bytes(&[], &d, key),
-            Err(SnapshotError::Corrupt)
-        );
-        assert_eq!(
-            snapshot_from_bytes(&bytes[..bytes.len() - 1], &d, key),
-            Err(SnapshotError::Corrupt)
-        );
-        let wrong = GraphKey {
-            key: key.key ^ 1,
-            check: key.check,
-        };
-        assert_eq!(
-            snapshot_from_bytes(&bytes, &d, wrong),
-            Err(SnapshotError::KeyMismatch)
-        );
     }
 }

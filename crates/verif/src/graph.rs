@@ -144,7 +144,7 @@ struct GraphCore<'d> {
     stats: GraphStats,
     /// Edge rows built (cold or spliced). Like the two counters
     /// below, a work counter of this graph object, not part of
-    /// [`GraphStats`] (which snapshots serialize).
+    /// [`GraphStats`] (which snapshots capture).
     rows_built: u64,
     /// [`Frame::settle`] passes over the design.
     sim_settles: u64,
@@ -248,7 +248,7 @@ fn fill_bits(frame: &Frame<'_>, sig_atoms: &[(SignalId, Vec<(usize, u64)>)], wor
 /// cones' contributions (dirty registers' next values, dirty wires' atom
 /// bits) re-simulated; nodes the baseline never reached fall back to full
 /// simulation. Counters live here — *not* in [`GraphStats`], which is
-/// serialized in snapshots and must stay byte-identical to cold builds.
+/// captured in snapshots and must stay identical to cold builds.
 struct SpliceState {
     baseline: Arc<CoreSnapshot>,
     /// Product key (monitor states interned into this graph's tuple
@@ -1237,8 +1237,8 @@ mod tests {
     }
 
     /// Satellite edge case: every cone dirty — the splice degenerates to
-    /// re-simulating every register of every row, byte-identically to a
-    /// cold build.
+    /// re-simulating every register of every row, identically to a cold
+    /// build.
     #[test]
     fn splice_with_every_cone_dirty_degenerates_to_cold() {
         let base = counter();
@@ -1255,17 +1255,7 @@ mod tests {
         let spliced =
             StateGraph::splice(&mproblem, [&prop], bsnap, &all, Engine::full(100_000), true)
                 .unwrap();
-        let cold_bytes = crate::cache::snapshot_to_bytes(
-            &cold.snapshot(),
-            &mutant,
-            crate::cache::GraphKey { key: 0, check: 0 },
-        );
-        let spliced_bytes = crate::cache::snapshot_to_bytes(
-            &spliced.snapshot(),
-            &mutant,
-            crate::cache::GraphKey { key: 0, check: 0 },
-        );
-        assert_eq!(cold_bytes, spliced_bytes, "byte-identical serialized core");
+        assert_eq!(cold.snapshot(), spliced.snapshot(), "identical core");
         let sp = spliced.splice.as_ref().unwrap();
         assert_eq!(sp.cones_dirty, sp.cones_total, "every cone invalidated");
         assert_eq!(sp.rows_copied.get(), 0, "nothing left to copy");

@@ -41,8 +41,8 @@ pub mod replay;
 pub use atom::RtlAtom;
 pub use backend::Backend;
 pub use cache::{
-    fingerprint, fingerprint_problem, snapshot_from_bytes, snapshot_to_bytes, CacheSource,
-    CacheStats, CacheTicket, CoreSnapshot, GraphCache, GraphKey, Incremental, SnapshotError,
+    fingerprint, fingerprint_problem, CacheSource, CacheStats, CoreSnapshot, GraphCache, GraphKey,
+    Incremental,
 };
 pub use engine::{Engine, EngineKind, PropertyVerdict, VerifyConfig};
 pub use explore::{

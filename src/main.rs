@@ -3,20 +3,17 @@
 //! ```text
 //! rtlcheck check <test.litmus | suite-test-name> [--memory fixed|buggy|tso]
 //!                [--config quick|hybrid|full-proof] [--trace] [--vcd <path>]
-//!                [--graph-cache <dir>] [--events <out.jsonl>] [--metrics <out.json>]
+//!                [--events <out.jsonl>] [--metrics <out.json>]
 //! rtlcheck emit-sva <test.litmus | name> [--memory ...]
 //! rtlcheck emit-verilog <test.litmus | name> [--memory ...]
 //! rtlcheck axiomatic <test.litmus | name> [--memory ...] [--dot]
 //! rtlcheck suite [--memory ...] [--config ...] [--jobs N] [--only a,b,c]
-//!                [--graph-cache <dir>] [--json <out.json>]
-//!                [--events <out.jsonl>] [--metrics <out.json>]
+//!                [--json <out.json>] [--events <out.jsonl>] [--metrics <out.json>]
 //! rtlcheck mutate [--design multi_vscale|five_stage|tso] [--config ...]
 //!                 [--jobs N] [--only a,b,c] [--mutants a,b,c]
-//!                 [--graph-cache <dir>] [--json <out.json>]
-//!                 [--events <out.jsonl>] [--metrics <out.json>]
+//!                 [--json <out.json>] [--events <out.jsonl>] [--metrics <out.json>]
 //! rtlcheck fuzz [--count N] [--seed S] [--memory ...] [--config ...]
-//!               [--jobs N] [--len MIN..MAX] [--escalate N]
-//!               [--graph-cache <dir>] [--json <out.json>]
+//!               [--jobs N] [--len MIN..MAX] [--escalate N] [--json <out.json>]
 //! rtlcheck profile <metrics.json>
 //! rtlcheck list
 //! ```
@@ -26,10 +23,7 @@
 //! histograms, counter totals, slowest properties) into a summary that
 //! `rtlcheck profile` renders. `suite --jobs N` checks tests on N worker
 //! threads; output, results, and merged metrics are identical to a
-//! sequential run (only wall-clock time changes). `--graph-cache DIR`
-//! persists each test's warm state graph to DIR and reloads it on later
-//! runs, skipping the graph-build phase; stale or corrupt cache files are
-//! detected and fall back to a cold build.
+//! sequential run (only wall-clock time changes).
 //!
 //! `mutate` runs the mutation campaign: every catalogued mutant of the
 //! chosen design is checked against the litmus suite and classified as
@@ -43,7 +37,7 @@
 //! to the full RTL engine; like the other campaigns its report is
 //! byte-identical across `--jobs` values.
 
-use std::io::{BufWriter, Write as _};
+use std::io::{BufWriter, ErrorKind, Write};
 use std::process::ExitCode;
 
 use rtlcheck::core::{CoverOutcome, Rtlcheck};
@@ -55,48 +49,88 @@ use rtlcheck::obs::{
 use rtlcheck::prelude::*;
 use rtlcheck::uhb::solve;
 use rtlcheck::uspec::ground::{ground, DataMode};
-use rtlcheck::verif::{GraphCache, Incremental, PropertyVerdict};
+use rtlcheck::verif::{Incremental, PropertyVerdict};
+
+/// Exit status when stdout's reader has gone away: 128 + SIGPIPE, what a
+/// shell reports for a writer killed by a closed pipe, so a `pipefail`
+/// script never reads a cut-short run as a pass.
+const CLOSED_STDOUT: u8 = 141;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
+    let mut out = std::io::stdout().lock();
+    let result = run(&args, &mut out).and_then(|code| {
+        out.flush()?;
+        Ok(code)
+    });
+    match result {
         Ok(code) => code,
-        Err(msg) => {
+        Err(Failure::Usage(msg)) => {
             eprintln!("error: {msg}");
             eprintln!();
             eprintln!("{USAGE}");
             ExitCode::from(2)
         }
+        Err(Failure::Stdout(e)) if e.kind() == ErrorKind::BrokenPipe => {
+            ExitCode::from(CLOSED_STDOUT)
+        }
+        Err(Failure::Stdout(e)) => {
+            eprintln!("error: writing stdout: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Why a subcommand stopped before its exit code.
+enum Failure {
+    /// Bad arguments or input: exit 2 with the usage text.
+    Usage(String),
+    /// Writing to stdout failed. Only stdout writes propagate a bare
+    /// `io::Error`; every file operation maps its error to a message.
+    Stdout(std::io::Error),
+}
+
+impl From<String> for Failure {
+    fn from(msg: String) -> Self {
+        Failure::Usage(msg)
+    }
+}
+
+impl From<&str> for Failure {
+    fn from(msg: &str) -> Self {
+        Failure::Usage(msg.to_string())
+    }
+}
+
+impl From<std::io::Error> for Failure {
+    fn from(e: std::io::Error) -> Self {
+        Failure::Stdout(e)
     }
 }
 
 const USAGE: &str = "\
 usage:
   rtlcheck check <test> [--memory fixed|buggy|tso] [--config quick|hybrid|full-proof] [--trace] [--vcd <path>]
-                 [--graph-cache <dir>]
                  [--events <out.jsonl>] [--metrics <out.json>] [--trace-out <out.json>]
   rtlcheck emit-sva <test> [--memory ...]
   rtlcheck emit-verilog <test> [--memory ...]
   rtlcheck axiomatic <test> [--memory ...] [--dot]
   rtlcheck suite [--memory ...] [--config ...] [--jobs N] [--only a,b,c]
-                 [--graph-cache <dir>] [--json <out.json>]
-                 [--events <out.jsonl>] [--metrics <out.json>]
+                 [--json <out.json>] [--events <out.jsonl>] [--metrics <out.json>]
                  [--trace-out <out.json>] [--progress]
   rtlcheck mutate [--design multi_vscale|five_stage|tso] [--config ...] [--jobs N]
-                 [--only a,b,c] [--mutants a,b,c] [--graph-cache <dir>]
+                 [--only a,b,c] [--mutants a,b,c]
                  [--incremental[=off|on|validate]] [--json <out.json>]
                  [--events <out.jsonl>] [--metrics <out.json>]
                  [--trace-out <out.json>] [--progress]
   rtlcheck fuzz [--count N] [--seed S] [--memory fixed|buggy|tso] [--config ...]
-                 [--jobs N] [--len MIN..MAX] [--escalate N]
-                 [--graph-cache <dir>] [--json <out.json>]
+                 [--jobs N] [--len MIN..MAX] [--escalate N] [--json <out.json>]
                  [--events <out.jsonl>] [--metrics <out.json>]
                  [--trace-out <out.json>] [--progress]
   rtlcheck bench [--workload suite,mutate,mutate-cold,check] [--config a,b]
                  [--jobs 1,8] [--only a,b,c] [--iterations N] [--warmup N]
-                 [--graph-cache <dir>] [--json <out.json>]
-                 [--baseline <bench.json>] [--tolerance PCT]
-  rtlcheck serve [--addr HOST:PORT] [--jobs N] [--queue N] [--graph-cache <dir>]
+                 [--json <out.json>] [--baseline <bench.json>] [--tolerance PCT]
+  rtlcheck serve [--addr HOST:PORT] [--jobs N] [--queue N]
                  [--cache-capacity N] [--max-frame BYTES]
                  [--events <out.jsonl>] [--metrics <out.json>]
                  [--trace-out <out.json>] [--progress]
@@ -113,8 +147,6 @@ track per worker; --progress renders a live stderr ticker. Neither changes
 the report or metrics streams.
 --jobs runs suite tests on N worker threads (deterministic output);
 --only restricts the suite to a comma-separated list of test names.
---graph-cache persists warm state graphs to <dir> and reloads them on
-later runs (corrupt or stale files fall back to a cold build).
 `mutate` checks every catalogued mutant of --design against the suite and
 reports the mutation score; --mutants restricts the mutant set and --json
 writes the full report (kill matrix, survivors) as a JSON artifact.
@@ -147,7 +179,7 @@ exits 0. `connect` is the matching client: it sends each line of --batch
 (a file, or `-` for stdin) as one request, waits for every response, and
 prints the received frames verbatim (exit 1 if any was an error frame).";
 
-fn run(args: &[String]) -> Result<ExitCode, String> {
+fn run(args: &[String], out: &mut dyn Write) -> Result<ExitCode, Failure> {
     let Some(cmd) = args.first() else {
         return Err("missing subcommand".into());
     };
@@ -155,33 +187,33 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     match cmd.as_str() {
         "list" => {
             for name in suite::names() {
-                println!("{name}");
+                writeln!(out, "{name}")?;
             }
             Ok(ExitCode::SUCCESS)
         }
-        "check" => check(rest),
+        "check" => check(rest, out),
         "emit-sva" => {
             let (test, memory, _) = common_args(rest, true)?;
             Rtlcheck::fit(&test).map_err(|e| e.to_string())?;
-            print!("{}", Rtlcheck::new(memory).emit_sva(&test));
+            write!(out, "{}", Rtlcheck::new(memory).emit_sva(&test))?;
             Ok(ExitCode::SUCCESS)
         }
         "emit-verilog" => {
             let (test, memory, _) = common_args(rest, true)?;
             Rtlcheck::fit(&test).map_err(|e| e.to_string())?;
             let mv = Rtlcheck::new(memory).build_design(&test);
-            print!("{}", rtlcheck::rtl::verilog::emit(&mv.design));
+            write!(out, "{}", rtlcheck::rtl::verilog::emit(&mv.design))?;
             Ok(ExitCode::SUCCESS)
         }
-        "axiomatic" => axiomatic(rest),
-        "suite" => suite_cmd(rest),
-        "mutate" => mutate_cmd(rest),
-        "fuzz" => fuzz_cmd(rest),
-        "bench" => bench_cmd(rest),
-        "serve" => serve_cmd(rest),
-        "connect" => connect_cmd(rest),
-        "profile" => profile(rest),
-        other => Err(format!("unknown subcommand `{other}`")),
+        "axiomatic" => axiomatic(rest, out),
+        "suite" => suite_cmd(rest, out),
+        "mutate" => mutate_cmd(rest, out),
+        "fuzz" => fuzz_cmd(rest, out),
+        "bench" => bench_cmd(rest, out),
+        "serve" => serve_cmd(rest, out),
+        "connect" => connect_cmd(rest, out),
+        "profile" => profile(rest, out),
+        other => Err(format!("unknown subcommand `{other}`").into()),
     }
 }
 
@@ -250,10 +282,6 @@ fn common_args(
                     .ok_or("--only needs a comma-separated test list")?;
                 flags.push(format!("--only={v}"));
             }
-            "--graph-cache" => {
-                let v = it.next().ok_or("--graph-cache needs a directory")?;
-                flags.push(format!("--graph-cache={v}"));
-            }
             "--json" => {
                 let v = it.next().ok_or("--json needs a path")?;
                 flags.push(format!("--json={v}"));
@@ -287,16 +315,6 @@ fn flag_config(flags: &[String]) -> Result<VerifyConfig, String> {
         }
     }
     Ok(VerifyConfig::quick())
-}
-
-/// Builds the on-disk graph cache if `--graph-cache DIR` was given.
-fn flag_graph_cache(flags: &[String]) -> Result<Option<GraphCache>, String> {
-    match flags.iter().find_map(|f| f.strip_prefix("--graph-cache=")) {
-        Some(dir) => GraphCache::with_dir(dir)
-            .map(Some)
-            .map_err(|e| format!("creating graph cache directory `{dir}`: {e}")),
-        None => Ok(None),
-    }
 }
 
 /// The `--events` / `--metrics` / `--trace-out` sinks of one CLI
@@ -395,12 +413,11 @@ fn load_test(arg: &str) -> Result<LitmusTest, String> {
     rtlcheck::litmus::parse(&src).map_err(|e| format!("{arg}: {e}"))
 }
 
-fn check(args: &[String]) -> Result<ExitCode, String> {
+fn check(args: &[String], out: &mut dyn Write) -> Result<ExitCode, Failure> {
     let (test, memory, flags) = common_args(args, true)?;
     Rtlcheck::admit(&test).map_err(|e| e.to_string())?;
     let config = flag_config(&flags)?;
     let obs = Observability::from_flags(&flags)?;
-    let cache = flag_graph_cache(&flags)?;
     let tool = Rtlcheck::new(memory);
     let report = {
         let collector = obs.collector();
@@ -410,20 +427,12 @@ fn check(args: &[String]) -> Result<ExitCode, String> {
         let tracks: Vec<Box<dyn Collector + '_>> = live.iter().map(|s| s.track(0)).collect();
         let mut sinks: Vec<&dyn Collector> = vec![&collector];
         sinks.extend(tracks.iter().map(|b| &**b));
-        let fan = MultiCollector::new(sinks);
-        match &cache {
-            Some(cache) => {
-                let report = tool.check_test_cached(&test, &config, cache, &fan);
-                cache.report_to(&fan);
-                report
-            }
-            None => tool.check_test_observed(&test, &config, &fan),
-        }
+        tool.check_test_observed(&test, &config, &MultiCollector::new(sinks))
     };
     obs.finish()?;
-    println!("{report}");
+    writeln!(out, "{report}")?;
     if flags.iter().any(|f| f == "--trace") {
-        print_explore_stats(&report);
+        print_explore_stats(&report, out)?;
         let mv = tool.build_design(&test);
         let signals: Vec<String> = mv
             .design
@@ -438,13 +447,18 @@ fn check(args: &[String]) -> Result<ExitCode, String> {
             .collect();
         let names: Vec<&str> = signals.iter().map(String::as_str).collect();
         if let CoverOutcome::BugWitness(trace) = &report.cover {
-            println!("\ncovering trace:\n{}", trace.render(&mv.design, &names));
+            writeln!(
+                out,
+                "\ncovering trace:\n{}",
+                trace.render(&mv.design, &names)
+            )?;
         }
         if let Some((name, trace)) = report.first_counterexample() {
-            println!(
+            writeln!(
+                out,
                 "\ncounterexample for {name}:\n{}",
                 trace.render(&mv.design, &names)
-            );
+            )?;
         }
     }
     if let Some(path) = flags.iter().find_map(|f| f.strip_prefix("--vcd=")) {
@@ -460,9 +474,9 @@ fn check(args: &[String]) -> Result<ExitCode, String> {
             Some(t) => {
                 std::fs::write(path, rtlcheck::rtl::vcd::emit(&mv.design, t))
                     .map_err(|e| format!("writing {path}: {e}"))?;
-                println!("\nVCD written to {path}");
+                writeln!(out, "\nVCD written to {path}")?;
             }
-            None => println!("\nno violating trace to dump (test verified)"),
+            None => writeln!(out, "\nno violating trace to dump (test verified)")?,
         }
     }
     Ok(if report.bug_found() {
@@ -475,19 +489,21 @@ fn check(args: &[String]) -> Result<ExitCode, String> {
 /// The `--trace` exploration table: per-phase/per-property states,
 /// transitions, assumption pruning, and completed depth — the same numbers
 /// the `--metrics` counters aggregate.
-fn print_explore_stats(report: &TestReport) {
-    println!("\nexploration statistics:");
-    println!(
+fn print_explore_stats(report: &TestReport, out: &mut dyn Write) -> std::io::Result<()> {
+    writeln!(out, "\nexploration statistics:")?;
+    writeln!(
+        out,
         "  {:<28} {:<12} {:>8} {:>12} {:>8} {:>6} {:>12}",
         "phase/property", "verdict", "states", "transitions", "pruned", "depth", "time"
-    );
+    )?;
     let c = report.cover_stats;
     let cover_verdict = match &report.cover {
         CoverOutcome::VerifiedUnreachable => "unreachable",
         CoverOutcome::BugWitness(_) => "covered",
         CoverOutcome::Inconclusive => "unknown",
     };
-    println!(
+    writeln!(
+        out,
         "  {:<28} {:<12} {:>8} {:>12} {:>8} {:>6} {:>12}",
         "cover",
         cover_verdict,
@@ -496,7 +512,7 @@ fn print_explore_stats(report: &TestReport) {
         c.pruned_by_assumptions,
         c.depth_completed,
         format!("{:.2?}", report.cover_elapsed),
-    );
+    )?;
     for p in &report.properties {
         let s = p.stats();
         let verdict = match &p.verdict {
@@ -505,7 +521,8 @@ fn print_explore_stats(report: &TestReport) {
             PropertyVerdict::Bounded { depth, .. } => format!("bounded@{depth}"),
             PropertyVerdict::Falsified { .. } => "FALSIFIED".to_string(),
         };
-        println!(
+        writeln!(
+            out,
             "  {:<28} {:<12} {:>8} {:>12} {:>8} {:>6} {:>12}",
             p.name,
             verdict,
@@ -514,27 +531,29 @@ fn print_explore_stats(report: &TestReport) {
             s.pruned_by_assumptions,
             s.depth_completed,
             format!("{:.2?}", p.elapsed),
-        );
+        )?;
     }
     let t = report.total_stats();
-    println!(
+    writeln!(
+        out,
         "  total: {} states, {} transitions, {} pruned by assumptions",
         t.states, t.transitions, t.pruned_by_assumptions
-    );
+    )?;
+    Ok(())
 }
 
 /// The `mutate` subcommand: run the mutation campaign on one design's
 /// mutant catalog. Own parser — unlike the other subcommands it takes no
 /// `<test>` positional and selects a whole design instead.
-fn mutate_cmd(args: &[String]) -> Result<ExitCode, String> {
+fn mutate_cmd(args: &[String], out: &mut dyn Write) -> Result<ExitCode, Failure> {
     use rtlcheck::bench::mutation::{run_campaign_live, CampaignOptions};
     use rtlcheck::rtl::mutate::{catalog, CatalogTarget};
 
     let mut options = CampaignOptions::new(CatalogTarget::MultiVscale);
     let mut config = VerifyConfig::quick();
     let mut json_path: Option<String> = None;
-    // `--graph-cache` / `--events` / `--metrics` reuse the shared helpers,
-    // which take the `--flag=value` words `common_args` produces.
+    // `--events` / `--metrics` reuse the shared helpers, which take the
+    // `--flag=value` words `common_args` produces.
     let mut shared_flags = Vec::new();
     let split_list = |v: &str| -> Vec<String> {
         v.split(',')
@@ -580,10 +599,6 @@ fn mutate_cmd(args: &[String]) -> Result<ExitCode, String> {
                 let v = it.next().ok_or("--json needs a path")?;
                 json_path = Some(v.clone());
             }
-            "--graph-cache" => {
-                let v = it.next().ok_or("--graph-cache needs a directory")?;
-                shared_flags.push(format!("--graph-cache={v}"));
-            }
             "--events" => {
                 let v = it.next().ok_or("--events needs a path")?;
                 shared_flags.push(format!("--events={v}"));
@@ -607,15 +622,16 @@ fn mutate_cmd(args: &[String]) -> Result<ExitCode, String> {
                     _ => {
                         return Err(format!(
                             "unknown --incremental value `{v}` (expected on, off, or validate)"
-                        ))
+                        )
+                        .into())
                     }
                 };
             }
-            other => return Err(format!("unexpected argument `{other}`")),
+            f if f.starts_with("--") => return Err(format!("unknown flag `{f}`").into()),
+            other => return Err(format!("unexpected argument `{other}`").into()),
         }
     }
 
-    let cache = flag_graph_cache(&shared_flags)?;
     let obs = Observability::from_flags(&shared_flags)?;
     let collector = obs.collector();
     // A campaign runs every selected test once on the baseline and once per
@@ -633,17 +649,17 @@ fn mutate_cmd(args: &[String]) -> Result<ExitCode, String> {
     if let Some(p) = &progress {
         live.push(p);
     }
-    let report = run_campaign_live(&options, &config, &collector, cache.as_ref(), &live)?;
+    let report = run_campaign_live(&options, &config, &collector, None, &live)?;
     if let Some(p) = &progress {
         p.finish();
     }
     drop(collector);
     obs.finish()?;
-    print!("{}", report.render());
+    write!(out, "{}", report.render())?;
     if let Some(path) = &json_path {
         let text = report.to_json().pretty();
         std::fs::write(path, text + "\n").map_err(|e| format!("writing {path}: {e}"))?;
-        println!("\nJSON report written to {path}");
+        writeln!(out, "\nJSON report written to {path}")?;
     }
     // A campaign that kills nothing means the property set detected none of
     // the injected bugs — fail so CI smoke runs catch it.
@@ -658,7 +674,7 @@ fn mutate_cmd(args: &[String]) -> Result<ExitCode, String> {
 /// cycle generation, signature dedup, polynomial oracle triage, and
 /// engine escalation for the shapes the oracle cannot settle. Own parser:
 /// like `mutate` it takes no `<test>` positional.
-fn fuzz_cmd(args: &[String]) -> Result<ExitCode, String> {
+fn fuzz_cmd(args: &[String], out: &mut dyn Write) -> Result<ExitCode, Failure> {
     use rtlcheck::bench::fuzz::{run_fuzz_live, FuzzOptions};
 
     let mut options = FuzzOptions::new(MemoryImpl::Fixed);
@@ -710,7 +726,7 @@ fn fuzz_cmd(args: &[String]) -> Result<ExitCode, String> {
                     .parse()
                     .map_err(|_| format!("--len maximum must be an integer, got `{hi}`"))?;
                 if options.min_len < 2 || options.min_len > options.max_len {
-                    return Err(format!("invalid --len range `{v}` (need 2 <= min <= max)"));
+                    return Err(format!("invalid --len range `{v}` (need 2 <= min <= max)").into());
                 }
             }
             "--escalate" => {
@@ -723,10 +739,6 @@ fn fuzz_cmd(args: &[String]) -> Result<ExitCode, String> {
             "--json" => {
                 let v = it.next().ok_or("--json needs a path")?;
                 json_path = Some(v.clone());
-            }
-            "--graph-cache" => {
-                let v = it.next().ok_or("--graph-cache needs a directory")?;
-                shared_flags.push(format!("--graph-cache={v}"));
             }
             "--events" => {
                 let v = it.next().ok_or("--events needs a path")?;
@@ -741,11 +753,11 @@ fn fuzz_cmd(args: &[String]) -> Result<ExitCode, String> {
                 shared_flags.push(format!("--trace-out={v}"));
             }
             "--progress" => shared_flags.push("--progress".to_string()),
-            other => return Err(format!("unexpected argument `{other}`")),
+            f if f.starts_with("--") => return Err(format!("unknown flag `{f}`").into()),
+            other => return Err(format!("unexpected argument `{other}`").into()),
         }
     }
 
-    let cache = flag_graph_cache(&shared_flags)?;
     let obs = Observability::from_flags(&shared_flags)?;
     let collector = obs.collector();
     // The engine-escalation bucket count is only known after triage, so the
@@ -755,17 +767,17 @@ fn fuzz_cmd(args: &[String]) -> Result<ExitCode, String> {
     if let Some(p) = &progress {
         live.push(p);
     }
-    let report = run_fuzz_live(&options, &config, &collector, cache.as_ref(), &live)?;
+    let report = run_fuzz_live(&options, &config, &collector, None, &live)?;
     if let Some(p) = &progress {
         p.finish();
     }
     drop(collector);
     obs.finish()?;
-    print!("{}", report.render());
+    write!(out, "{}", report.render())?;
     if let Some(path) = &json_path {
         let text = report.to_json().pretty();
         std::fs::write(path, text + "\n").map_err(|e| format!("writing {path}: {e}"))?;
-        println!("\nJSON report written to {path}");
+        writeln!(out, "\nJSON report written to {path}")?;
     }
     // A model-level violation is always a failure. An oracle/engine
     // disagreement is a failure on correct memories; on `--memory buggy` it
@@ -783,7 +795,7 @@ fn fuzz_cmd(args: &[String]) -> Result<ExitCode, String> {
 /// `shutdown` request drains the queue. Own parser: the server has no
 /// `<test>` positional and owns its cache handle for the whole process
 /// lifetime (the warm-cache point of the daemon).
-fn serve_cmd(args: &[String]) -> Result<ExitCode, String> {
+fn serve_cmd(args: &[String], out: &mut dyn Write) -> Result<ExitCode, Failure> {
     use rtlcheck::bench::serve::{ServeOptions, Server};
 
     let mut opts = ServeOptions::default();
@@ -825,10 +837,6 @@ fn serve_cmd(args: &[String]) -> Result<ExitCode, String> {
                     .filter(|&n| n >= 64)
                     .ok_or(format!("--max-frame needs an integer >= 64, got `{v}`"))?;
             }
-            "--graph-cache" => {
-                let v = it.next().ok_or("--graph-cache needs a directory")?;
-                opts.cache_dir = Some(v.clone());
-            }
             "--events" => {
                 let v = it.next().ok_or("--events needs a path")?;
                 shared_flags.push(format!("--events={v}"));
@@ -842,7 +850,8 @@ fn serve_cmd(args: &[String]) -> Result<ExitCode, String> {
                 shared_flags.push(format!("--trace-out={v}"));
             }
             "--progress" => shared_flags.push("--progress".to_string()),
-            other => return Err(format!("unexpected argument `{other}`")),
+            f if f.starts_with("--") => return Err(format!("unknown flag `{f}`").into()),
+            other => return Err(format!("unexpected argument `{other}`").into()),
         }
     }
 
@@ -856,15 +865,14 @@ fn serve_cmd(args: &[String]) -> Result<ExitCode, String> {
     let server = Server::bind(opts.clone()).map_err(|e| format!("serve: {e}"))?;
     // The startup line is the machine-readable contract tests and CI parse
     // the bound (possibly ephemeral) port from — flush before blocking.
-    println!(
+    writeln!(
+        out,
         "rtlcheck serve: listening on {} ({} worker(s), queue {})",
         server.local_addr(),
         opts.jobs,
         opts.queue_cap
-    );
-    std::io::stdout()
-        .flush()
-        .map_err(|e| format!("flushing stdout: {e}"))?;
+    )?;
+    out.flush()?;
     let summary = {
         let collector = obs.collector();
         // Job completions arrive in schedule order, so the progress
@@ -881,7 +889,8 @@ fn serve_cmd(args: &[String]) -> Result<ExitCode, String> {
         summary
     };
     obs.finish()?;
-    println!(
+    writeln!(
+        out,
         "rtlcheck serve: drained after {} connection(s), {} job(s) \
          ({} completed, {} coalesced), {} overloaded, {} protocol error(s)",
         summary.connections,
@@ -890,7 +899,7 @@ fn serve_cmd(args: &[String]) -> Result<ExitCode, String> {
         summary.coalesced,
         summary.rejected_overload,
         summary.protocol_errors
-    );
+    )?;
     Ok(ExitCode::SUCCESS)
 }
 
@@ -898,7 +907,7 @@ fn serve_cmd(args: &[String]) -> Result<ExitCode, String> {
 /// each non-empty line of `--batch` as one request, prints every received
 /// frame verbatim (stdout, or `--out` for CI byte-diffing), and exits
 /// non-zero if any response was an error frame.
-fn connect_cmd(args: &[String]) -> Result<ExitCode, String> {
+fn connect_cmd(args: &[String], out: &mut dyn Write) -> Result<ExitCode, Failure> {
     use rtlcheck::bench::serve::client_run;
 
     let mut addr: Option<String> = None;
@@ -927,10 +936,10 @@ fn connect_cmd(args: &[String]) -> Result<ExitCode, String> {
                 timeout = std::time::Duration::from_secs(secs);
             }
             "--shutdown" => shutdown = true,
-            f if f.starts_with("--") => return Err(format!("unknown flag `{f}`")),
+            f if f.starts_with("--") => return Err(format!("unknown flag `{f}`").into()),
             positional => {
                 if addr.is_some() {
-                    return Err(format!("unexpected argument `{positional}`"));
+                    return Err(format!("unexpected argument `{positional}`").into());
                 }
                 addr = Some(positional.to_string());
             }
@@ -971,7 +980,7 @@ fn connect_cmd(args: &[String]) -> Result<ExitCode, String> {
         Some(path) => {
             std::fs::write(path, &rendered).map_err(|e| format!("writing {path}: {e}"))?
         }
-        None => print!("{rendered}"),
+        None => write!(out, "{rendered}")?,
     }
     Ok(if outcome.errors > 0 {
         ExitCode::FAILURE
@@ -986,7 +995,7 @@ fn connect_cmd(args: &[String]) -> Result<ExitCode, String> {
 /// gating. Structurally it is a thin CLI over [`rtlcheck::bench::bench`]:
 /// the harness owns timing/statistics, this function owns case
 /// enumeration and the per-workload iteration closures.
-fn bench_cmd(args: &[String]) -> Result<ExitCode, String> {
+fn bench_cmd(args: &[String], out: &mut dyn Write) -> Result<ExitCode, Failure> {
     use rtlcheck::bench::bench::{
         regressions, render_comparison, run_case, BenchReport, CaseKey, SCHEMA,
     };
@@ -1006,7 +1015,6 @@ fn bench_cmd(args: &[String]) -> Result<ExitCode, String> {
     let mut only: Option<Vec<String>> = None;
     let mut iterations = 3usize;
     let mut warmup = 1usize;
-    let mut cache_flags = Vec::new();
     let mut json_path: Option<String> = None;
     let mut baseline_path: Option<String> = None;
     let mut tolerance = 25.0f64;
@@ -1053,10 +1061,6 @@ fn bench_cmd(args: &[String]) -> Result<ExitCode, String> {
                     .parse()
                     .map_err(|_| format!("--warmup needs an integer, got `{v}`"))?;
             }
-            "--graph-cache" => {
-                let v = it.next().ok_or("--graph-cache needs a directory")?;
-                cache_flags.push(format!("--graph-cache={v}"));
-            }
             "--json" => {
                 let v = it.next().ok_or("--json needs a path")?;
                 json_path = Some(v.clone());
@@ -1073,7 +1077,8 @@ fn bench_cmd(args: &[String]) -> Result<ExitCode, String> {
                     .filter(|t: &f64| t.is_finite() && *t >= 0.0)
                     .ok_or(format!("--tolerance needs a percentage, got `{v}`"))?;
             }
-            other => return Err(format!("unexpected argument `{other}`")),
+            f if f.starts_with("--") => return Err(format!("unknown flag `{f}`").into()),
+            other => return Err(format!("unexpected argument `{other}`").into()),
         }
     }
     if workloads.is_empty() || configs.is_empty() || jobs_list.is_empty() {
@@ -1089,14 +1094,14 @@ fn bench_cmd(args: &[String]) -> Result<ExitCode, String> {
         if !matches!(w.as_str(), "suite" | "mutate" | "mutate-cold" | "check") {
             return Err(format!(
                 "unknown workload `{w}` (expected suite, mutate, mutate-cold, or check)"
-            ));
+            )
+            .into());
         }
     }
     let configs = configs
         .iter()
         .map(|name| Ok((name, parse_config(name)?)))
         .collect::<Result<Vec<_>, String>>()?;
-    let cache = flag_graph_cache(&cache_flags)?;
 
     let mut report = BenchReport {
         nproc: std::thread::available_parallelism()
@@ -1111,7 +1116,6 @@ fn bench_cmd(args: &[String]) -> Result<ExitCode, String> {
                     workload: workload.clone(),
                     config: config_name.to_string(),
                     jobs,
-                    graph_cache: cache.is_some(),
                 };
                 eprintln!(
                     "bench: {} ({warmup} warmup + {iterations} timed)",
@@ -1121,27 +1125,14 @@ fn bench_cmd(args: &[String]) -> Result<ExitCode, String> {
                     "suite" => {
                         let tool = Rtlcheck::new(MemoryImpl::Fixed);
                         run_case(key, warmup, iterations, |metrics| {
-                            rtlcheck::bench::check_tests(
-                                &tool,
-                                &tests,
-                                config,
-                                jobs,
-                                metrics,
-                                cache.as_ref(),
-                                &[],
-                            );
+                            rtlcheck::bench::check_tests(&tool, &tests, config, jobs, metrics, &[]);
                         })
                     }
                     "check" => {
                         let tool = Rtlcheck::new(MemoryImpl::Fixed);
                         let test = &tests[0];
-                        run_case(key, warmup, iterations, |metrics| match &cache {
-                            Some(cache) => {
-                                tool.check_test_cached(test, config, cache, metrics);
-                            }
-                            None => {
-                                tool.check_test_observed(test, config, metrics);
-                            }
+                        run_case(key, warmup, iterations, |metrics| {
+                            tool.check_test_observed(test, config, metrics);
                         })
                     }
                     "mutate" | "mutate-cold" => {
@@ -1154,7 +1145,7 @@ fn bench_cmd(args: &[String]) -> Result<ExitCode, String> {
                             Incremental::Off
                         };
                         run_case(key, warmup, iterations, |metrics| {
-                            run_campaign(&options, config, metrics, cache.as_ref())
+                            run_campaign(&options, config, metrics, None)
                                 .expect("bench selections pre-validated");
                         })
                     }
@@ -1165,11 +1156,11 @@ fn bench_cmd(args: &[String]) -> Result<ExitCode, String> {
         }
     }
 
-    print!("{}", report.render());
+    write!(out, "{}", report.render())?;
     if let Some(path) = &json_path {
         let text = report.to_json().pretty();
         std::fs::write(path, text + "\n").map_err(|e| format!("writing {path}: {e}"))?;
-        println!("\nbench JSON written to {path}");
+        writeln!(out, "\nbench JSON written to {path}")?;
     }
     if let Some(path) = &baseline_path {
         let text = match std::fs::read_to_string(path) {
@@ -1186,7 +1177,11 @@ fn bench_cmd(args: &[String]) -> Result<ExitCode, String> {
                 return Ok(ExitCode::FAILURE);
             }
         };
-        print!("\n{}", render_comparison(&report, &baseline, tolerance));
+        write!(
+            out,
+            "\n{}",
+            render_comparison(&report, &baseline, tolerance)
+        )?;
         if !regressions(&report, &baseline, tolerance).is_empty() {
             return Ok(ExitCode::FAILURE);
         }
@@ -1194,7 +1189,7 @@ fn bench_cmd(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn profile(args: &[String]) -> Result<ExitCode, String> {
+fn profile(args: &[String], out: &mut dyn Write) -> Result<ExitCode, Failure> {
     if args.first().map(String::as_str) == Some("--diff") {
         let [a, b] = match &args[1..] {
             [a, b] => [a, b],
@@ -1207,16 +1202,16 @@ fn profile(args: &[String]) -> Result<ExitCode, String> {
                 return Ok(ExitCode::FAILURE);
             }
         };
-        println!("{}", sa.render_diff(&sb, a, b).trim_end());
+        writeln!(out, "{}", sa.render_diff(&sb, a, b).trim_end())?;
         return Ok(ExitCode::SUCCESS);
     }
     let path = args.first().ok_or("profile needs a <metrics.json> path")?;
     if let Some(extra) = args.get(1) {
-        return Err(format!("unexpected argument `{extra}`"));
+        return Err(format!("unexpected argument `{extra}`").into());
     }
     match load_metrics(path) {
         Ok(summary) => {
-            println!("{}", summary.render().trim_end());
+            writeln!(out, "{}", summary.render().trim_end())?;
             Ok(ExitCode::SUCCESS)
         }
         // Bad *input files* are a runtime failure (one-line diagnostic,
@@ -1243,7 +1238,7 @@ fn load_metrics(path: &str) -> Result<MetricsSummary, String> {
     })
 }
 
-fn axiomatic(args: &[String]) -> Result<ExitCode, String> {
+fn axiomatic(args: &[String], out: &mut dyn Write) -> Result<ExitCode, Failure> {
     let (test, memory, flags) = common_args(args, true)?;
     let spec = match memory {
         MemoryImpl::Tso => rtlcheck::uspec::multi_vscale_tso::spec(),
@@ -1252,23 +1247,28 @@ fn axiomatic(args: &[String]) -> Result<ExitCode, String> {
     let grounded = ground(&spec, &test, DataMode::Outcome).map_err(|e| e.to_string())?;
     let result = solve::solve(&grounded);
     if result.is_forbidden() {
-        println!(
+        writeln!(
+            out,
             "{}: outcome FORBIDDEN microarchitecturally (all µhb graphs cyclic; {} branches explored)",
             test.name(),
             result.stats().branches
-        );
+        )?;
     } else {
-        println!("{}: outcome OBSERVABLE microarchitecturally", test.name());
+        writeln!(
+            out,
+            "{}: outcome OBSERVABLE microarchitecturally",
+            test.name()
+        )?;
         if flags.iter().any(|f| f == "--dot") {
             if let Some(w) = result.witness() {
-                println!("{}", w.to_dot(Some((&test, &spec))));
+                writeln!(out, "{}", w.to_dot(Some((&test, &spec))))?;
             }
         }
     }
     Ok(ExitCode::SUCCESS)
 }
 
-fn suite_cmd(args: &[String]) -> Result<ExitCode, String> {
+fn suite_cmd(args: &[String], out: &mut dyn Write) -> Result<ExitCode, Failure> {
     let (_, memory, flags) = common_args(args, false)?;
     let config = flag_config(&flags)?;
     let jobs = match flags.iter().find_map(|f| f.strip_prefix("--jobs=")) {
@@ -1290,7 +1290,6 @@ fn suite_cmd(args: &[String]) -> Result<ExitCode, String> {
         }
         None => suite::all(),
     };
-    let cache = flag_graph_cache(&flags)?;
     let obs = Observability::from_flags(&flags)?;
     let collector = obs.collector();
     let progress = flag_progress(&flags, "suite", tests.len() as u64);
@@ -1299,15 +1298,7 @@ fn suite_cmd(args: &[String]) -> Result<ExitCode, String> {
         live.push(p);
     }
     let tool = Rtlcheck::new(memory);
-    let reports = rtlcheck::bench::check_tests(
-        &tool,
-        &tests,
-        &config,
-        jobs,
-        &collector,
-        cache.as_ref(),
-        &live,
-    );
+    let reports = rtlcheck::bench::check_tests(&tool, &tests, &config, jobs, &collector, &live);
     if let Some(p) = &progress {
         p.finish();
     }
@@ -1323,27 +1314,32 @@ fn suite_cmd(args: &[String]) -> Result<ExitCode, String> {
         } else {
             "inconclusive"
         };
-        println!(
+        writeln!(
+            out,
             "{:<12} {:<24} {:>3}/{:<3} proven  {:>10.2?}",
             report.test,
             status,
             report.num_proven(),
             report.properties.len(),
             report.runtime_to_verification()
-        );
+        )?;
         let vacuous_props = report.vacuous_properties();
         if report.vacuous {
-            println!("             WARNING: contradictory assumptions — vacuous verification");
+            writeln!(
+                out,
+                "             WARNING: contradictory assumptions — vacuous verification"
+            )?;
         } else if !vacuous_props.is_empty() {
-            println!(
+            writeln!(
+                out,
                 "             WARNING: {} propert{} proven vacuously: {}",
                 vacuous_props.len(),
                 if vacuous_props.len() == 1 { "y" } else { "ies" },
                 vacuous_props.join(", "),
-            );
+            )?;
         }
     }
-    println!("\n{violations} violations");
+    writeln!(out, "\n{violations} violations")?;
     if let Some(path) = flags.iter().find_map(|f| f.strip_prefix("--json=")) {
         let results = rtlcheck::bench::SuiteResults {
             config: config.name.clone(),
@@ -1354,7 +1350,7 @@ fn suite_cmd(args: &[String]) -> Result<ExitCode, String> {
         };
         let text = results.to_json().pretty();
         std::fs::write(path, text + "\n").map_err(|e| format!("writing {path}: {e}"))?;
-        println!("JSON report written to {path}");
+        writeln!(out, "JSON report written to {path}")?;
     }
     drop(collector);
     obs.finish()?;

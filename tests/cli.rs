@@ -252,6 +252,35 @@ fn bad_usage_exits_2_with_usage_text() {
         assert!(err.contains("usage:"), "{err}");
     }
 
+    // The on-disk graph cache is retired: `--graph-cache` is an unknown
+    // flag on every subcommand that took it.
+    for args in [
+        &["check", "mp", "--graph-cache", "gc"][..],
+        &["suite", "--only", "mp", "--graph-cache", "gc"][..],
+        &["mutate", "--only", "mp", "--graph-cache", "gc"][..],
+        &["fuzz", "--count", "10", "--graph-cache", "gc"][..],
+        &["bench", "--workload", "check", "--graph-cache", "gc"][..],
+        &["serve", "--graph-cache", "gc"][..],
+    ] {
+        let out = rtlcheck(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: work ran: {out:?}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            err.contains("unknown flag `--graph-cache`"),
+            "{args:?}: {err}"
+        );
+        assert!(err.contains("usage:"), "{args:?}: {err}");
+    }
+
+    // An empty selection is a usage error, not a campaign of nothing.
+    let out = rtlcheck(&["mutate", "--only", "mp", "--mutants", ""]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(out.stdout.is_empty(), "work ran: {out:?}");
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("no mutants selected"), "{err}");
+    assert!(err.contains("usage:"), "{err}");
+
     // `bench` validates its whole config list before the first case, so
     // a bad entry after a good one runs nothing.
     let out = rtlcheck(&[
@@ -433,6 +462,37 @@ fn profile_diagnoses_empty_malformed_and_wrong_schema_files() {
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     let err = String::from_utf8(out.stderr).unwrap();
     assert!(err.contains(gone.to_str().unwrap()), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A closed stdout ends the run quietly with 141 (128 + SIGPIPE, what a
+/// shell reports for a writer killed by a closed pipe), never a panic. The
+/// child's stdout is a pipe whose reader is gone before it starts, so the
+/// first write fails.
+#[test]
+fn closed_stdout_exits_141_without_a_panic() {
+    let dir = std::env::temp_dir().join(format!("rtlcheck-closed-stdout-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let metrics = dir.join("m.json");
+    let metrics = metrics.to_str().unwrap();
+    let out = rtlcheck(&["check", "mp", "--metrics", metrics]);
+    assert!(out.status.success(), "{out:?}");
+
+    for args in [
+        &["list"][..],
+        &["profile", metrics][..],
+        &["suite", "--only", "mp"][..],
+    ] {
+        let (reader, writer) = std::io::pipe().unwrap();
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_rtlcheck"))
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("the rtlcheck binary runs");
+        assert_eq!(out.status.code(), Some(141), "{args:?}: {out:?}");
+        assert!(out.stderr.is_empty(), "{args:?}: {out:?}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -1,30 +1,24 @@
 //! Suite-level differential test for the graph cache.
 //!
 //! Every litmus test in the paper's suite is checked three ways — cold
-//! build (no cache), in-memory cache hit, and on-disk cache hit — and the
-//! resulting reports must be bit-identical: same verdicts, same
+//! build (no cache), cache miss, and cache hit — and the resulting
+//! reports must be bit-identical: same verdicts, same
 //! exploration statistics, same counterexample traces, same rendered
 //! output. Only wall-clock timings may differ. This is the same discipline
 //! as `tests/differential.rs`, pointed at the cache instead of the
 //! reference engine: a cache that changed *any* observable result would be
 //! a verifier silently proving the wrong thing.
 //!
-//! The random-design counterpart (proptest over serialization round-trips
-//! and byte flips) lives in `crates/verif/tests/graph_cache_roundtrip.rs`.
+//! The random-design counterpart (proptest over snapshot round-trips)
+//! lives in `crates/verif/tests/graph_cache_roundtrip.rs`.
 
-use std::path::PathBuf;
+use std::collections::HashSet;
 
 use rtlcheck::core::{CoverOutcome, Rtlcheck, TestReport};
 use rtlcheck::litmus::suite;
 use rtlcheck::obs::NullCollector;
 use rtlcheck::prelude::{MemoryImpl, VerifyConfig};
 use rtlcheck::verif::GraphCache;
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("rtlgc-diff-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 fn cover_label(report: &TestReport) -> String {
     match &report.cover {
@@ -77,53 +71,26 @@ fn assert_reports_match(cold: &TestReport, cached: &TestReport, how: &str) {
     );
 }
 
-/// Checks one test cold, via an in-memory hit, and via a disk hit, and
-/// asserts all three reports match. Every intermediate (cache-miss) report
-/// is compared too — a cold build *through* the cache must also be
-/// unchanged.
-fn check_all_paths(checker: &Rtlcheck, test: &rtlcheck::litmus::LitmusTest, dir: &PathBuf) {
+/// Checks one test cold, via a cache miss, and via a cache hit, and
+/// asserts all three reports match: a cold build *through* the cache must
+/// also be unchanged.
+fn check_all_paths(checker: &Rtlcheck, test: &rtlcheck::litmus::LitmusTest) {
     let config = VerifyConfig::hybrid();
     let cold = checker.check_test(test, &config);
 
-    // In-memory: first request publishes the warm core, second resumes it.
-    let mem_cache = GraphCache::in_memory();
-    let mem_miss = checker.check_test_cached(test, &config, &mem_cache, &NullCollector);
-    let mem_hit = checker.check_test_cached(test, &config, &mem_cache, &NullCollector);
-    let s = mem_cache.stats();
+    // The first request publishes the warm core, the second resumes it.
+    let cache = GraphCache::in_memory();
+    let miss = checker.check_test_cached(test, &config, &cache, &NullCollector);
+    let hit = checker.check_test_cached(test, &config, &cache, &NullCollector);
+    let s = cache.stats();
     assert_eq!(
         (s.requests, s.hits, s.misses),
         (2, 1, 1),
-        "{}: unexpected in-memory cache activity {s:?}",
+        "{}: unexpected cache activity {s:?}",
         test.name()
     );
-    assert_reports_match(&cold, &mem_miss, "memory-miss");
-    assert_reports_match(&cold, &mem_hit, "memory-hit");
-
-    // On-disk: one cache instance stores the final core; a fresh instance
-    // (a "later run") must load it from disk. Some suite tests share a
-    // fingerprint with an earlier test (identical design + assumptions +
-    // atoms), in which case the first run already hits the earlier test's
-    // artifact — also a disk-served result worth differencing.
-    let store = GraphCache::with_dir(dir).expect("cache dir");
-    let disk_miss = checker.check_test_cached(test, &config, &store, &NullCollector);
-    let s = store.stats();
-    assert_eq!(
-        s.disk_hits + s.stores,
-        1,
-        "{}: first run must store or reuse a prior test's artifact {s:?}",
-        test.name()
-    );
-    let load = GraphCache::with_dir(dir).expect("cache dir");
-    let disk_hit = checker.check_test_cached(test, &config, &load, &NullCollector);
-    let s = load.stats();
-    assert_eq!(
-        (s.disk_hits, s.corrupt, s.version_mismatch),
-        (1, 0, 0),
-        "{}: second run must hit the disk artifact {s:?}",
-        test.name()
-    );
-    assert_reports_match(&cold, &disk_miss, "disk-miss");
-    assert_reports_match(&cold, &disk_hit, "disk-hit");
+    assert_reports_match(&cold, &miss, "memory-miss");
+    assert_reports_match(&cold, &hit, "memory-hit");
 }
 
 /// Every suite test on the fixed design under the paper's Hybrid
@@ -132,11 +99,9 @@ fn check_all_paths(checker: &Rtlcheck, test: &rtlcheck::litmus::LitmusTest, dir:
 #[test]
 fn cache_paths_match_cold_builds_on_the_whole_suite() {
     let checker = Rtlcheck::new(MemoryImpl::Fixed);
-    let dir = temp_dir("fixed");
     for test in suite::all() {
-        check_all_paths(&checker, &test, &dir);
+        check_all_paths(&checker, &test);
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A handful of tests against the *buggy* memory, where counterexample
@@ -144,10 +109,64 @@ fn cache_paths_match_cold_builds_on_the_whole_suite() {
 #[test]
 fn cache_paths_match_cold_builds_on_buggy_memory() {
     let checker = Rtlcheck::new(MemoryImpl::Buggy);
-    let dir = temp_dir("buggy");
     for name in ["mp", "sb", "co-mp"] {
         let test = suite::get(name).expect("suite test exists");
-        check_all_paths(&checker, &test, &dir);
+        check_all_paths(&checker, &test);
     }
-    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Several threads check the same tests through one shared cache, each in
+/// a different order, so same-key requests race: the first builds while
+/// the others wait on it. `sb`, `podwr000` and `iwp23b` share one
+/// fingerprint, as do `n6` and `safe021`, so different tests race for one
+/// key too. Every report still equals the cold one, and build-once keeps
+/// the misses at one per distinct fingerprint.
+#[test]
+fn concurrent_requests_through_one_cache_build_each_key_once() {
+    const THREADS: usize = 4;
+    let checker = Rtlcheck::new(MemoryImpl::Fixed);
+    let config = VerifyConfig::hybrid();
+    let tests: Vec<_> = ["mp", "sb", "podwr000", "iwp23b", "n6", "safe021"]
+        .iter()
+        .map(|name| suite::get(name).expect("suite test exists"))
+        .collect();
+    let cold: Vec<TestReport> = tests
+        .iter()
+        .map(|t| checker.check_test(t, &config))
+        .collect();
+    let keys: HashSet<_> = tests
+        .iter()
+        .map(|t| checker.problem_fingerprint(t))
+        .collect();
+    assert_eq!(keys.len(), 3, "the shared fingerprints this test relies on");
+
+    let cache = GraphCache::in_memory();
+    std::thread::scope(|scope| {
+        for thread in 0..THREADS {
+            let (checker, config, tests, cold, cache) = (&checker, &config, &tests, &cold, &cache);
+            scope.spawn(move || {
+                // Rotate the order, and reverse it on odd threads.
+                let mut order: Vec<usize> = (0..tests.len())
+                    .map(|i| (i + thread) % tests.len())
+                    .collect();
+                if thread % 2 == 1 {
+                    order.reverse();
+                }
+                for i in order {
+                    let report =
+                        checker.check_test_cached(&tests[i], config, cache, &NullCollector);
+                    assert_reports_match(&cold[i], &report, "concurrent");
+                }
+            });
+        }
+    });
+    let s = cache.stats();
+    assert_eq!(s.requests, (THREADS * tests.len()) as u64, "{s:?}");
+    assert_eq!(
+        s.misses,
+        keys.len() as u64,
+        "one build per fingerprint: {s:?}"
+    );
+    assert_eq!(s.hits + s.misses, s.requests, "{s:?}");
+    assert_eq!(s.collisions, 0, "{s:?}");
 }

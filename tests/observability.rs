@@ -187,7 +187,7 @@ fn suite_monitor_metrics_and_memo_counters_are_pinned() {
     let config = VerifyConfig::quick();
     let run = |memory: MemoryImpl, jobs: usize| {
         let metrics = MetricsCollector::new();
-        run_suite(memory, &config, jobs, &metrics, None);
+        run_suite(memory, &config, jobs, &metrics);
         metrics.summary()
     };
     const GRAPH_WORK: [&str; 4] = [
@@ -273,7 +273,7 @@ fn hybrid_suite_walk_work_is_pinned() {
     let config = VerifyConfig::hybrid();
     let run = |memory: MemoryImpl, jobs: usize| {
         let metrics = MetricsCollector::new();
-        run_suite(memory, &config, jobs, &metrics, None);
+        run_suite(memory, &config, jobs, &metrics);
         metrics.summary()
     };
     const WALK_WORK: [&str; 2] = ["graph.lookups", "walk.derived_full_runs"];

@@ -13,7 +13,6 @@ use std::time::Duration;
 use rtlcheck::bench::{run_suite, SuiteResults};
 use rtlcheck::obs::{MetricsCollector, NullCollector};
 use rtlcheck::prelude::{MemoryImpl, VerifyConfig};
-use rtlcheck::verif::GraphCache;
 
 /// Renders the suite results as JSON with timings zeroed out.
 fn normalized_json(mut results: SuiteResults) -> String {
@@ -26,8 +25,8 @@ fn normalized_json(mut results: SuiteResults) -> String {
 #[test]
 fn suite_results_are_identical_across_job_counts() {
     let config = VerifyConfig::quick();
-    let sequential = run_suite(MemoryImpl::Fixed, &config, 1, &NullCollector, None);
-    let parallel = run_suite(MemoryImpl::Fixed, &config, 4, &NullCollector, None);
+    let sequential = run_suite(MemoryImpl::Fixed, &config, 1, &NullCollector);
+    let parallel = run_suite(MemoryImpl::Fixed, &config, 4, &NullCollector);
     assert_eq!(
         normalized_json(sequential),
         normalized_json(parallel),
@@ -40,11 +39,11 @@ fn suite_metrics_are_identical_across_job_counts() {
     let config = VerifyConfig::quick();
 
     let seq_metrics = MetricsCollector::new();
-    run_suite(MemoryImpl::Fixed, &config, 1, &seq_metrics, None);
+    run_suite(MemoryImpl::Fixed, &config, 1, &seq_metrics);
     let seq = seq_metrics.summary();
 
     let par_metrics = MetricsCollector::new();
-    run_suite(MemoryImpl::Fixed, &config, 4, &par_metrics, None);
+    run_suite(MemoryImpl::Fixed, &config, 4, &par_metrics);
     let par = par_metrics.summary();
 
     // Counters (states, transitions, graph.* reuse, …) are exact sums and
@@ -65,70 +64,4 @@ fn suite_metrics_are_identical_across_job_counts() {
         .map(|s| (&s.name, s.hist.count()))
         .collect();
     assert_eq!(seq_spans, par_spans, "span sequence diverged");
-}
-
-/// The determinism contract extends to the cross-test graph cache: results
-/// and metrics — including every `graph_cache.*` counter — are identical
-/// for `--jobs 1` vs `--jobs 8`. Graph construction is build-once
-/// (concurrent same-key requests block on the builder), so hit/miss counts
-/// are a pure function of the test list, never of scheduling.
-#[test]
-fn cached_suite_is_identical_across_job_counts() {
-    let config = VerifyConfig::quick();
-
-    let seq_metrics = MetricsCollector::new();
-    let seq_cache = GraphCache::in_memory();
-    let sequential = run_suite(
-        MemoryImpl::Fixed,
-        &config,
-        1,
-        &seq_metrics,
-        Some(&seq_cache),
-    );
-
-    let par_metrics = MetricsCollector::new();
-    let par_cache = GraphCache::in_memory();
-    let parallel = run_suite(
-        MemoryImpl::Fixed,
-        &config,
-        8,
-        &par_metrics,
-        Some(&par_cache),
-    );
-
-    assert_eq!(
-        normalized_json(sequential),
-        normalized_json(parallel),
-        "cached suite rows must not depend on the worker count"
-    );
-
-    let seq = seq_metrics.summary();
-    let par = par_metrics.summary();
-    assert_eq!(
-        seq.counters, par.counters,
-        "cached metric counters diverged"
-    );
-    assert_eq!(seq.events, par.events, "cached metric events diverged");
-
-    // Cache accounting: every graph request is exactly one hit or miss,
-    // and both schedules agree on the split.
-    for (label, stats) in [("jobs=1", seq_cache.stats()), ("jobs=8", par_cache.stats())] {
-        assert_eq!(
-            stats.hits + stats.misses,
-            stats.requests,
-            "{label}: hits + misses must equal requests: {stats:?}"
-        );
-        assert!(stats.requests > 0, "{label}: the suite requests graphs");
-    }
-    assert_eq!(
-        seq_cache.stats(),
-        par_cache.stats(),
-        "cache activity must be schedule-invariant"
-    );
-
-    // The same accounting is visible in the reported metrics.
-    let requests = seq.counter("graph_cache.requests").expect("reported").total;
-    let hits = seq.counter("graph_cache.hits").expect("reported").total;
-    let misses = seq.counter("graph_cache.misses").expect("reported").total;
-    assert_eq!(hits + misses, requests);
 }

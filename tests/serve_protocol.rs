@@ -247,7 +247,9 @@ fn checks_the_flow_cannot_answer_are_bad_requests() {
 }
 
 /// A `suite` or `mutate` request naming a test or mutant twice is a
-/// `bad_request` naming it, not a run that counts it twice.
+/// `bad_request` naming it, not a run that counts it twice; so is a
+/// `mutate` request selecting no mutants, as an empty test list already
+/// is, not a `no_kills` campaign of nothing.
 #[test]
 fn repeated_names_are_bad_requests() {
     let (addr, handle) = start_server(ServeOptions {
@@ -266,6 +268,10 @@ fn repeated_names_are_bad_requests() {
         (
             r#"{"id":2,"kind":"mutate","only":["mp"],"mutants":["store_drop_when_busy","store_drop_when_busy"]}"#,
             "duplicate mutant `store_drop_when_busy`",
+        ),
+        (
+            r#"{"id":3,"kind":"mutate","only":["mp"],"mutants":[]}"#,
+            "no mutants selected",
         ),
     ];
     let (mut stream, mut reader) = connect(&addr);
