@@ -34,16 +34,14 @@
 //! ## Determinism
 //!
 //! Generation and triage are sequential and seeded; the engine phase runs
-//! on the suite runner's self-scheduling pool over the flat bucket list
-//! with per-item [`BufferCollector`]s replayed in input order, and the
-//! campaign's `fuzz.*` counters are emitted after all replays. The report
-//! carries no timing data, so its text and JSON renderings are
-//! byte-identical across `--jobs` values and with or without a graph
+//! on the suite runner's pool ([`crate::run_pool`]) over the flat bucket
+//! list, whose per-unit collector streams are replayed in input order,
+//! and the campaign's `fuzz.*` counters are emitted after all replays.
+//! The report carries no timing data, so its text and JSON renderings
+//! are byte-identical across `--jobs` values and with or without a graph
 //! cache.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -52,9 +50,7 @@ use rtlcheck_litmus::diy::{self, CycleSignature, Edge};
 use rtlcheck_litmus::oracle::{self, Model, Verdict};
 use rtlcheck_litmus::LitmusTest;
 use rtlcheck_obs::json::Json;
-use rtlcheck_obs::{
-    attrs, progress::UNIT_DONE, BufferCollector, Collector, MultiCollector, TrackSink,
-};
+use rtlcheck_obs::{attrs, Collector, TrackSink};
 use rtlcheck_rtl::isa::MAX_THREAD_LEN;
 use rtlcheck_rtl::multi_vscale::{MemoryImpl, NUM_CORES};
 use rtlcheck_verif::{GraphCache, VerifyConfig};
@@ -639,8 +635,9 @@ pub fn run_fuzz(
 /// workers additionally report through their own live tracks as buckets
 /// complete (real timestamps, real schedule — what `--trace-out` and
 /// `--progress` consume), marking each finished bucket with a
-/// [`UNIT_DONE`] event on the live tracks **only**. The deterministic
-/// stream into `collector` is byte-identical with or without live sinks.
+/// [`UNIT_DONE`](rtlcheck_obs::progress::UNIT_DONE) event on the live
+/// tracks **only**. The deterministic stream into `collector` is
+/// byte-identical with or without live sinks.
 pub fn run_fuzz_live(
     options: &FuzzOptions,
     config: &VerifyConfig,
@@ -771,70 +768,20 @@ pub fn run_fuzz_live(
     }
     // Phase 4c: one engine run per bucket, on the suite runner's
     // deterministic pool.
-    let check_bucket = |b: usize, collector: &dyn Collector| -> TestReport {
-        let test = &shapes[buckets[b][0]].test;
-        match cache {
-            Some(cache) => tool.check_test_cached(test, config, cache, collector),
-            None => tool.check_test_observed(test, config, collector),
-        }
-    };
-    let workers = options.jobs.max(1).min(buckets.len().max(1));
-    let bucket_reports: Vec<TestReport> = if workers <= 1 {
-        let tracks: Vec<Box<dyn Collector + '_>> = live.iter().map(|s| s.track(1)).collect();
-        (0..buckets.len())
-            .map(|b| {
-                let report = {
-                    let mut sinks: Vec<&dyn Collector> = vec![collector];
-                    sinks.extend(tracks.iter().map(|t| &**t));
-                    check_bucket(b, &MultiCollector::new(sinks))
-                };
-                for track in &tracks {
-                    track.event(UNIT_DONE, attrs!["bucket" => b]);
-                }
-                report
-            })
-            .collect()
-    } else {
-        let slots: Vec<Mutex<Option<(TestReport, BufferCollector)>>> =
-            buckets.iter().map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            let (next, slots, check_bucket) = (&next, &slots, &check_bucket);
-            for w in 0..workers {
-                scope.spawn(move || {
-                    let tracks: Vec<Box<dyn Collector + '_>> =
-                        live.iter().map(|s| s.track(w as u64 + 1)).collect();
-                    loop {
-                        let b = next.fetch_add(1, Ordering::Relaxed);
-                        if b >= slots.len() {
-                            break;
-                        }
-                        let buf = BufferCollector::new();
-                        let report = {
-                            let mut sinks: Vec<&dyn Collector> = vec![&buf];
-                            sinks.extend(tracks.iter().map(|t| &**t));
-                            check_bucket(b, &MultiCollector::new(sinks))
-                        };
-                        for track in &tracks {
-                            track.event(UNIT_DONE, attrs!["bucket" => b]);
-                        }
-                        *slots[b].lock().unwrap_or_else(|e| e.into_inner()) = Some((report, buf));
-                    }
-                });
+    let bucket_reports = crate::run_pool(
+        buckets.len(),
+        options.jobs,
+        collector,
+        live,
+        |b| ("bucket", b.into()),
+        |b, sink| {
+            let test = &shapes[buckets[b][0]].test;
+            match cache {
+                Some(cache) => tool.check_test_cached(test, config, cache, sink),
+                None => tool.check_test_observed(test, config, sink),
             }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                let (report, buf) = slot
-                    .into_inner()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .expect("every bucket slot is filled once its worker finishes");
-                buf.replay_into(collector);
-                report
-            })
-            .collect()
-    };
+        },
+    );
     if let Some(cache) = cache {
         cache.report_to(collector);
     }

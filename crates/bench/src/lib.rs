@@ -24,7 +24,7 @@ use rtlcheck_core::{Rtlcheck, TestReport};
 use rtlcheck_litmus::{suite, LitmusTest};
 pub use rtlcheck_obs::json::Json;
 use rtlcheck_obs::{
-    attrs, progress::UNIT_DONE, BufferCollector, Collector, MultiCollector, TrackSink,
+    progress::UNIT_DONE, AttrValue, BufferCollector, Collector, MultiCollector, TrackSink,
 };
 use rtlcheck_rtl::multi_vscale::MemoryImpl;
 use rtlcheck_verif::VerifyConfig;
@@ -204,7 +204,7 @@ impl SuiteResults {
 }
 
 /// Runs every suite test under `config` on the given memory implementation;
-/// see [`check_tests`] for `jobs` and `collector`.
+/// see [`run_pool`] for `jobs` and `collector`.
 pub fn run_suite(
     memory: MemoryImpl,
     config: &VerifyConfig,
@@ -219,14 +219,35 @@ pub fn run_suite(
     }
 }
 
-/// Runs the full flow on each test with a pool of `jobs` worker threads
-/// (self-scheduling over the test list; tests are independent, so no finer
-/// decomposition is needed), returning the reports **in input order**.
+/// Runs the full flow on each test on [`run_pool`], returning the reports
+/// in input order.
+pub fn check_tests(
+    tool: &Rtlcheck,
+    tests: &[LitmusTest],
+    config: &VerifyConfig,
+    jobs: usize,
+    collector: &dyn Collector,
+    live: &[&dyn TrackSink],
+) -> Vec<TestReport> {
+    run_pool(
+        tests.len(),
+        jobs,
+        collector,
+        live,
+        |i| ("test", tests[i].name().into()),
+        |i, sink| tool.check_test_observed(&tests[i], config, sink),
+    )
+}
+
+/// Runs `units` independent work units on a pool of `jobs` worker threads
+/// (self-scheduling over the unit indices), returning `run`'s results **in
+/// index order**. The suite runner, the mutation campaign and the fuzz
+/// escalations all schedule through it.
 ///
-/// Determinism contract: the returned reports and everything `collector`
-/// observes are independent of `jobs`. Each worker records its test's
+/// Determinism contract: the returned results and everything `collector`
+/// observes are independent of `jobs`. Each worker records its unit's
 /// instrumentation into a private [`BufferCollector`]; once all workers
-/// finish, the buffers are replayed into `collector` in input order, so the
+/// finish, the buffers are replayed into `collector` in index order, so the
 /// collector sees exactly the stream a sequential run would have produced
 /// (span durations are the workers' original measurements). The
 /// observability invariants — counters summing to report totals, balanced
@@ -236,59 +257,52 @@ pub fn run_suite(
 /// Each worker additionally reports, as work happens and on its own track,
 /// to every live sink ([`TrackSink`]) — this is how `--trace-out` sees the
 /// real parallel schedule and `--progress` ticks in real time. Live sinks
-/// are *extra* receivers: the per-unit [`UNIT_DONE`] completion event goes
-/// **only** to them (its arrival order depends on scheduling, so it must
-/// never enter the deterministic stream into `collector`).
-pub fn check_tests(
-    tool: &Rtlcheck,
-    tests: &[LitmusTest],
-    config: &VerifyConfig,
+/// are *extra* receivers: the per-unit [`UNIT_DONE`] completion event,
+/// carrying the attribute `unit_attr` names the unit by, goes **only** to
+/// them (its arrival order depends on scheduling, so it must never enter
+/// the deterministic stream into `collector`).
+pub fn run_pool<R: Send>(
+    units: usize,
     jobs: usize,
     collector: &dyn Collector,
     live: &[&dyn TrackSink],
-) -> Vec<TestReport> {
-    let workers = jobs.max(1).min(tests.len().max(1));
+    unit_attr: impl Fn(usize) -> (&'static str, AttrValue) + Sync,
+    run: impl Fn(usize, &dyn Collector) -> R + Sync,
+) -> Vec<R> {
+    // One unit, reporting to `sink` and to a worker's live tracks.
+    let unit = |i: usize, sink: &dyn Collector, tracks: &[Box<dyn Collector + '_>]| {
+        let result = {
+            let mut sinks: Vec<&dyn Collector> = vec![sink];
+            sinks.extend(tracks.iter().map(|b| &**b));
+            run(i, &MultiCollector::new(sinks))
+        };
+        let done = [unit_attr(i)];
+        for track in tracks {
+            track.event(UNIT_DONE, &done);
+        }
+        result
+    };
+    let workers = jobs.max(1).min(units.max(1));
     if workers <= 1 {
         let tracks: Vec<Box<dyn Collector + '_>> = live.iter().map(|s| s.track(1)).collect();
-        return tests
-            .iter()
-            .map(|t| {
-                let report = {
-                    let mut sinks: Vec<&dyn Collector> = vec![collector];
-                    sinks.extend(tracks.iter().map(|b| &**b));
-                    tool.check_test_observed(t, config, &MultiCollector::new(sinks))
-                };
-                for track in &tracks {
-                    track.event(UNIT_DONE, attrs!["test" => t.name()]);
-                }
-                report
-            })
-            .collect();
+        return (0..units).map(|i| unit(i, collector, &tracks)).collect();
     }
 
     let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<(TestReport, BufferCollector)>>> =
-        tests.iter().map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<(R, BufferCollector)>>> =
+        (0..units).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
-        let (next, slots) = (&next, &slots);
+        let (next, slots, unit) = (&next, &slots, &unit);
         for w in 0..workers {
             scope.spawn(move || {
-                let tool = tool.clone();
                 let tracks: Vec<Box<dyn Collector + '_>> =
                     live.iter().map(|s| s.track(w as u64 + 1)).collect();
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(test) = tests.get(i) else { break };
+                    let Some(slot) = slots.get(i) else { break };
                     let buf = BufferCollector::new();
-                    let report = {
-                        let mut sinks: Vec<&dyn Collector> = vec![&buf];
-                        sinks.extend(tracks.iter().map(|b| &**b));
-                        tool.check_test_observed(test, config, &MultiCollector::new(sinks))
-                    };
-                    for track in &tracks {
-                        track.event(UNIT_DONE, attrs!["test" => test.name()]);
-                    }
-                    *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some((report, buf));
+                    let result = unit(i, &buf, &tracks);
+                    *slot.lock().unwrap_or_else(|e| e.into_inner()) = Some((result, buf));
                 }
             });
         }
@@ -297,12 +311,12 @@ pub fn check_tests(
     slots
         .into_iter()
         .map(|slot| {
-            let (report, buf) = slot
+            let (result, buf) = slot
                 .into_inner()
                 .unwrap_or_else(|e| e.into_inner())
-                .expect("every test slot is filled once its worker finishes");
+                .expect("every unit slot is filled once its worker finishes");
             buf.replay_into(collector);
-            report
+            result
         })
         .collect()
 }
@@ -354,6 +368,8 @@ pub fn bar_chart(items: &[(String, f64)], width: usize, unit: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtlcheck_obs::{attrs, Attrs};
+    use std::sync::Condvar;
 
     fn row(test: &str, proven: usize, total: usize, runtime_ms: u64) -> TestRow {
         TestRow {
@@ -386,6 +402,88 @@ mod tests {
         let chart = bar_chart(&[("aa".into(), 1.0), ("b".into(), 2.0)], 10, "s");
         assert!(chart.contains("aa | #####"), "{chart}");
         assert!(chart.contains("b  | ##########"), "{chart}");
+    }
+
+    /// Records counters and events as text lines, in arrival order.
+    #[derive(Default)]
+    struct Log(Mutex<Vec<String>>);
+
+    impl Log {
+        fn lines(&self) -> Vec<String> {
+            self.0.lock().unwrap().clone()
+        }
+    }
+
+    impl Collector for Log {
+        fn counter(&self, name: &str, value: u64, _attrs: Attrs) {
+            self.0.lock().unwrap().push(format!("{name} {value}"));
+        }
+
+        fn event(&self, name: &str, attrs: Attrs) {
+            self.0.lock().unwrap().push(format!("{name} {attrs:?}"));
+        }
+    }
+
+    impl TrackSink for Log {
+        fn track(&self, _tid: u64) -> Box<dyn Collector + '_> {
+            Box::new(self)
+        }
+    }
+
+    #[test]
+    fn pool_returns_and_replays_units_in_index_order() {
+        let units = 8;
+        let run = |jobs: usize| {
+            let (stream, live) = (Log::default(), Log::default());
+            let finished = Mutex::new(Vec::new());
+            // On several workers, unit 0 finishes only after unit 1 has.
+            let unit_1_done = (Mutex::new(false), Condvar::new());
+            let results = run_pool(
+                units,
+                jobs,
+                &stream,
+                &[&live],
+                |i| ("unit", i.into()),
+                |i, sink| {
+                    let (done, signal) = &unit_1_done;
+                    if jobs > 1 && i == 0 {
+                        drop(signal.wait_while(done.lock().unwrap(), |d| !*d).unwrap());
+                    }
+                    sink.counter("unit.index", i as u64, attrs![]);
+                    sink.event("unit.ran", attrs!["unit" => i]);
+                    finished.lock().unwrap().push(i);
+                    if i == 1 {
+                        *done.lock().unwrap() = true;
+                        signal.notify_all();
+                    }
+                    i * 10
+                },
+            );
+            let mut live = live.lines();
+            live.sort();
+            (
+                results,
+                stream.lines(),
+                live,
+                finished.into_inner().unwrap(),
+            )
+        };
+        let (seq, seq_stream, seq_live, _) = run(1);
+        let (par, par_stream, par_live, par_finished) = run(4);
+        let finished_at = |unit| par_finished.iter().position(|&u| u == unit);
+        assert!(
+            finished_at(1) < finished_at(0),
+            "unit 0 finished before unit 1: {par_finished:?}"
+        );
+        assert_eq!(seq, (0..units).map(|i| i * 10).collect::<Vec<_>>());
+        assert_eq!(par, seq);
+        assert_eq!(par_stream, seq_stream, "replayed stream differs");
+        assert_eq!(seq_stream.len(), 2 * units);
+        // Completion events reach the live tracks only, once per unit.
+        assert!(!seq_stream.iter().any(|l| l.starts_with(UNIT_DONE)));
+        assert_eq!(par_live, seq_live);
+        let done = seq_live.iter().filter(|l| l.starts_with(UNIT_DONE));
+        assert_eq!(done.count(), units);
     }
 
     #[test]

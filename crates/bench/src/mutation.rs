@@ -32,39 +32,20 @@
 //!
 //! ## Determinism
 //!
-//! The campaign reuses the suite runner's scheduling pattern: a
-//! self-scheduling worker pool over the flat (design × test) work list,
-//! per-item [`BufferCollector`]s replayed in input order. The report
-//! contains no timing data, so its text and JSON renderings are
-//! byte-identical across `--jobs` values.
-//!
-//! ## Incremental recomputation
-//!
-//! With [`CampaignOptions::incremental`] enabled (the default), mutant
-//! checks splice their state graphs from the baseline design's published
-//! core instead of rebuilding cold — only the mutation's dirty cones are
-//! re-simulated (see [`rtlcheck_verif::GraphCache::build_graph_incremental`]).
-//! The spliced graph is bit-identical to a cold build, so the kill matrix
-//! and JSON report are byte-identical across incremental-vs-cold too. To
-//! guarantee the baseline cores exist before any mutant asks for them, a
-//! parallel campaign runs in two phases — all baseline items first, then
-//! all mutant items — over the same fixed result slots, which leaves the
-//! deterministic collector stream unchanged. When the caller passes no
-//! cache, an internal in-memory cache carries the baseline cores; its
-//! counters are not reported.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+//! The campaign runs the flat (design × test) work list on the suite
+//! runner's pool ([`crate::run_pool`]), whose per-unit collector streams
+//! are replayed in input order. Every graph is built cold unless the
+//! caller passes a [`GraphCache`] (the server does). The report contains
+//! no timing data, so its text and JSON renderings are byte-identical
+//! across `--jobs` values.
 
 use rtlcheck_core::{five_stage, CoverOutcome, Rtlcheck, TestReport};
 use rtlcheck_litmus::{suite, LitmusTest};
 use rtlcheck_obs::json::Json;
-use rtlcheck_obs::{
-    attrs, progress::UNIT_DONE, BufferCollector, Collector, MultiCollector, TrackSink,
-};
+use rtlcheck_obs::{attrs, Collector, TrackSink};
 use rtlcheck_rtl::multi_vscale::MemoryImpl;
 use rtlcheck_rtl::mutate::{catalog, CatalogTarget, Mutation};
-use rtlcheck_verif::{GraphCache, Incremental, VerifyConfig};
+use rtlcheck_verif::{GraphCache, VerifyConfig};
 
 /// The pseudo-axiom credited when the kill signal is the covering trace
 /// (a forbidden outcome becoming reachable, or a witnessed outcome
@@ -82,10 +63,6 @@ pub struct CampaignOptions {
     pub mutants: Option<Vec<String>>,
     /// If set, only suite tests with these names run.
     pub tests: Option<Vec<String>>,
-    /// Whether mutant graphs splice from the baseline cores
-    /// (`--incremental`; [`Incremental::Off`] preserves the cold path for
-    /// differential CI).
-    pub incremental: Incremental,
 }
 
 impl CampaignOptions {
@@ -96,7 +73,6 @@ impl CampaignOptions {
             jobs: 1,
             mutants: None,
             tests: None,
-            incremental: Incremental::default(),
         }
     }
 }
@@ -383,32 +359,20 @@ impl CampaignReport {
 }
 
 /// One (design variant, test) check in the flat work list. `mutant` is
-/// `None` for the baseline run of the unmutated design.
+/// `None` for the baseline run of the unmutated design; `tool` is `None`
+/// for the five-stage design, which has a driver of its own.
 fn check_one(
     target: CatalogTarget,
+    tool: Option<&Rtlcheck>,
     mutant: Option<&Mutation>,
     test: &LitmusTest,
     config: &VerifyConfig,
     cache: Option<&GraphCache>,
-    incremental: Incremental,
     collector: &dyn Collector,
 ) -> TestReport {
-    let tool = match target {
-        CatalogTarget::MultiVscale => Some(Rtlcheck::new(MemoryImpl::Fixed)),
-        CatalogTarget::Tso => Some(Rtlcheck::tso()),
-        CatalogTarget::FiveStage => None,
-    };
-    let run = match (tool, mutant) {
-        (Some(tool), Some(m)) => {
-            tool.check_test_mutated(test, m, config, cache, incremental, collector)
-        }
-        (Some(tool), None) => Ok(match cache {
-            Some(c) => tool.check_test_cached(test, config, c, collector),
-            None => tool.check_test_observed(test, config, collector),
-        }),
-        (None, _) => {
-            five_stage::check_test_mutated(test, mutant, config, cache, incremental, collector)
-        }
+    let run = match tool {
+        Some(tool) => tool.check_test_mutated(test, mutant, config, cache, collector),
+        None => five_stage::check_test_mutated(test, mutant, config, cache, collector),
     };
     run.unwrap_or_else(|e| {
         panic!(
@@ -422,12 +386,12 @@ fn check_one(
 /// Runs the mutation campaign.
 ///
 /// All (1 + mutants) × tests checks — the baseline suite pass plus every
-/// mutant's pass — run on a self-scheduling pool of `jobs` workers with
-/// the suite runner's determinism contract: per-item instrumentation is
-/// buffered and replayed to `collector` in input order, and the campaign's
-/// own `mutation.*` counters and per-mutant verdict events are emitted
-/// after all replays, so the observability stream is independent of the
-/// job count.
+/// mutant's pass — run on [`crate::run_pool`] with `jobs` workers: per-item
+/// instrumentation is replayed to `collector` in input order, and the
+/// campaign's own `mutation.*` counters and per-mutant verdict events are
+/// emitted after all replays, so the observability stream is independent
+/// of the job count. With a `cache`, its `graph_cache.*` counters follow
+/// the replays.
 ///
 /// # Errors
 ///
@@ -451,8 +415,9 @@ pub fn run_campaign(
 /// worker additionally reports through its own live track as checks happen
 /// (real timestamps, real schedule — what `--trace-out` and `--progress`
 /// consume), and marks every completed (design, test) item with a
-/// [`UNIT_DONE`] event on the live tracks **only**. The deterministic
-/// stream into `collector` is byte-identical with or without live sinks.
+/// [`UNIT_DONE`](rtlcheck_obs::progress::UNIT_DONE) event on the live
+/// tracks **only**. The deterministic stream into `collector` is
+/// byte-identical with or without live sinks.
 pub fn run_campaign_live(
     options: &CampaignOptions,
     config: &VerifyConfig,
@@ -489,116 +454,36 @@ pub fn run_campaign_live(
         return Err("no mutants selected".into());
     }
 
-    // Splicing needs somewhere to publish the baseline cores: use the
-    // caller's cache when there is one, otherwise an internal in-memory
-    // cache whose counters are never reported (so the deterministic
-    // stream matches the cache-less cold campaign).
-    let own_cache = (cache.is_none() && options.incremental.enabled()).then(GraphCache::in_memory);
-    let unit_cache: Option<&GraphCache> = cache.or(own_cache.as_ref());
-
-    // Flat work list: item 0..T is the baseline, then each mutant's T
-    // checks. Workers self-schedule over it; results land in fixed slots.
+    // Flat work list: items 0..T are the baseline, then each mutant's T
+    // checks, so item i checks test i % T on design i / T.
     let designs: Vec<Option<&Mutation>> = std::iter::once(None)
         .chain(mutants.iter().map(Some))
         .collect();
-    let items: Vec<(usize, usize)> = (0..designs.len())
-        .flat_map(|d| (0..tests.len()).map(move |t| (d, t)))
-        .collect();
-
-    let workers = options.jobs.max(1).min(items.len());
-    let reports: Vec<TestReport> = if workers <= 1 {
-        let tracks: Vec<Box<dyn Collector + '_>> = live.iter().map(|s| s.track(1)).collect();
-        items
-            .iter()
-            .map(|&(d, t)| {
-                let report = {
-                    let mut sinks: Vec<&dyn Collector> = vec![collector];
-                    sinks.extend(tracks.iter().map(|b| &**b));
-                    check_one(
-                        options.target,
-                        designs[d],
-                        &tests[t],
-                        config,
-                        unit_cache,
-                        options.incremental,
-                        &MultiCollector::new(sinks),
-                    )
-                };
-                for track in &tracks {
-                    track.event(UNIT_DONE, attrs!["test" => tests[t].name()]);
-                }
-                report
-            })
-            .collect()
-    } else {
-        let slots: Vec<Mutex<Option<(TestReport, BufferCollector)>>> =
-            items.iter().map(|_| Mutex::new(None)).collect();
-        // With splicing on, every baseline core must be published before
-        // any mutant item asks for it: the baseline items run as their own
-        // phase, then the mutant items. Both phases self-schedule over
-        // their range of the same fixed slots, so the replayed stream is
-        // identical to the single-phase schedule's.
-        let barrier = if options.incremental.enabled() {
-            tests.len()
-        } else {
-            0
-        };
-        for range in [0..barrier, barrier..items.len()] {
-            if range.is_empty() {
-                continue;
-            }
-            let next = AtomicUsize::new(range.start);
-            let end = range.end;
-            let phase_workers = workers.min(end - range.start);
-            std::thread::scope(|scope| {
-                let (next, slots, items, designs, tests) =
-                    (&next, &slots, &items, &designs, &tests);
-                for w in 0..phase_workers {
-                    scope.spawn(move || {
-                        let tracks: Vec<Box<dyn Collector + '_>> =
-                            live.iter().map(|s| s.track(w as u64 + 1)).collect();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= end {
-                                break;
-                            }
-                            let (d, t) = items[i];
-                            let buf = BufferCollector::new();
-                            let report = {
-                                let mut sinks: Vec<&dyn Collector> = vec![&buf];
-                                sinks.extend(tracks.iter().map(|b| &**b));
-                                check_one(
-                                    options.target,
-                                    designs[d],
-                                    &tests[t],
-                                    config,
-                                    unit_cache,
-                                    options.incremental,
-                                    &MultiCollector::new(sinks),
-                                )
-                            };
-                            for track in &tracks {
-                                track.event(UNIT_DONE, attrs!["test" => tests[t].name()]);
-                            }
-                            *slots[i].lock().unwrap_or_else(|e| e.into_inner()) =
-                                Some((report, buf));
-                        }
-                    });
-                }
-            });
-        }
-        slots
-            .into_iter()
-            .map(|slot| {
-                let (report, buf) = slot
-                    .into_inner()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .expect("every work slot is filled once its worker finishes");
-                buf.replay_into(collector);
-                report
-            })
-            .collect()
+    let tool = match options.target {
+        CatalogTarget::MultiVscale => Some(Rtlcheck::new(MemoryImpl::Fixed)),
+        CatalogTarget::Tso => Some(Rtlcheck::tso()),
+        CatalogTarget::FiveStage => None,
     };
+    let n = tests.len();
+    let reports = crate::run_pool(
+        designs.len() * n,
+        options.jobs,
+        collector,
+        live,
+        |i| ("test", tests[i % n].name().into()),
+        |i, sink| {
+            let (mutant, test) = (designs[i / n], &tests[i % n]);
+            check_one(
+                options.target,
+                tool.as_ref(),
+                mutant,
+                test,
+                config,
+                cache,
+                sink,
+            )
+        },
+    );
     if let Some(cache) = cache {
         cache.report_to(collector);
     }

@@ -38,8 +38,8 @@
 //!   like the suite runner's flat-work-list replay;
 //! * frames carry only the *schedule- and cache-invariant* subset of the
 //!   stream — spans (wall-clock durations) and the `graph.*` /
-//!   `graph_cache.*` / `cone.*` / `monitor.*` counter families
-//!   (functions of cache state, not of the job) are filtered out;
+//!   `graph_cache.*` / `monitor.*` counter families (functions of cache
+//!   state, not of the job) are filtered out;
 //! * a per-connection sequencer holds completed frames back until every
 //!   earlier request on that connection has flushed, so responses arrive
 //!   in request order no matter which worker finished first.
@@ -79,7 +79,7 @@ use rtlcheck_obs::{
 };
 use rtlcheck_rtl::multi_vscale::MemoryImpl;
 use rtlcheck_rtl::mutate::CatalogTarget;
-use rtlcheck_verif::{GraphCache, Incremental, VerifyConfig};
+use rtlcheck_verif::{GraphCache, VerifyConfig};
 
 use crate::fuzz::{run_fuzz, FuzzOptions};
 use crate::mutation::{run_campaign, CampaignOptions};
@@ -469,16 +469,6 @@ fn parse_request(value: &Json) -> Result<Request, (Json, String)> {
             let mut options = CampaignOptions::new(target);
             options.mutants = get_names(value, "mutants").map_err(&fail)?;
             options.tests = get_names(value, "only").map_err(&fail)?;
-            options.incremental = match get_str(value, "incremental").map_err(&fail)? {
-                None | Some("on") => Incremental::On,
-                Some("off") => Incremental::Off,
-                Some("validate") => Incremental::Validate,
-                Some(v) => {
-                    return Err(fail(format!(
-                        "unknown incremental mode `{v}` (expected on, off, or validate)"
-                    )))
-                }
-            };
             RequestBody::Job(Box::new(JobSpec::Mutate { options, config }))
         }
         "fuzz" => {
@@ -583,7 +573,7 @@ fn result_fields(kind: &str, status: &str, body: Fields) -> Fields {
 /// `monitor.*` is in the list because assumption-monitor attempts are
 /// memoized with the graph's lazily-computed rows: a warm graph reports
 /// zero new attempts where a cold build reports thousands.
-const NONDETERMINISTIC_PREFIXES: &[&str] = &["graph.", "graph_cache.", "cone.", "monitor."];
+const NONDETERMINISTIC_PREFIXES: &[&str] = &["graph.", "graph_cache.", "monitor."];
 
 fn frame_deterministic(name: &str) -> bool {
     !NONDETERMINISTIC_PREFIXES
@@ -1582,7 +1572,6 @@ mod tests {
         sink.counter("cover.states", 7, attrs![]);
         sink.counter("graph_cache.hits", 3, attrs![]);
         sink.counter("graph.nodes", 9, attrs![]);
-        sink.counter("cone.rows_copied", 2, attrs![]);
         sink.counter("monitor.attempts", 11, attrs![]);
         sink.event("verdict.proven", attrs!["property" => "p0"]);
         sink.event("graph_cache.key_collision", attrs![]);

@@ -13,7 +13,7 @@ use rtlcheck_sva::emit;
 use rtlcheck_uspec::Spec;
 use rtlcheck_verif::{
     build_graph, check_cover_on_graph_observed, explore, verify_property_on_graph_observed,
-    CoverVerdict, GraphCache, Incremental, Problem, PropertyVerdict, VerifyConfig,
+    CoverVerdict, GraphCache, Problem, PropertyVerdict, VerifyConfig,
 };
 
 use crate::assert_gen::{self, AssertionOptions, GeneratedAssertion};
@@ -184,7 +184,7 @@ impl Rtlcheck {
         config: &VerifyConfig,
         collector: &dyn Collector,
     ) -> TestReport {
-        self.check_test_mutated_inner(test, None, config, None, Incremental::Off, collector)
+        self.check_test_mutated(test, None, config, None, collector)
             .expect("no mutation to fail")
     }
 
@@ -206,27 +206,20 @@ impl Rtlcheck {
         cache: &GraphCache,
         collector: &dyn Collector,
     ) -> TestReport {
-        self.check_test_mutated_inner(test, None, config, Some(cache), Incremental::Off, collector)
+        self.check_test_mutated(test, None, config, Some(cache), collector)
             .expect("no mutation to fail")
     }
 
-    /// [`Rtlcheck::check_test_observed`] on a **mutant** of the per-test
-    /// design: the design is built, `mutation` is applied to its IR, and the
-    /// unchanged Figure-7 flow (assumption gen, assertion gen, cover search,
-    /// property proofs) runs against the mutated design. The mutation
-    /// campaign uses this to measure whether the generated properties kill
-    /// injected bugs.
+    /// [`Rtlcheck::check_test_observed`] on an optional **mutant** of the
+    /// per-test design, through an optional graph cache: the design is
+    /// built, `mutation` (if any) is applied to its IR, and the unchanged
+    /// Figure-7 flow (assumption gen, assertion gen, cover search, property
+    /// proofs) runs against the mutated design. The mutation campaign uses
+    /// this to measure whether the generated properties kill injected bugs.
     ///
     /// Cache safety: the mutant's module name differs from the original's
     /// and from every other mutant's, so the graph-cache fingerprint never
     /// collides across mutants.
-    ///
-    /// With `incremental` enabled **and** a cache present, the mutant's
-    /// state graph is spliced from the baseline design's published core
-    /// when the dirty-cone analysis allows it (see
-    /// [`GraphCache::build_graph_incremental`]); the result is bit-identical
-    /// to a cold build, so reports and caches are unaffected — only the
-    /// construction cost and the `cone.*` counters change.
     ///
     /// # Errors
     ///
@@ -239,22 +232,9 @@ impl Rtlcheck {
     pub fn check_test_mutated(
         &self,
         test: &LitmusTest,
-        mutation: &Mutation,
-        config: &VerifyConfig,
-        cache: Option<&GraphCache>,
-        incremental: Incremental,
-        collector: &dyn Collector,
-    ) -> Result<TestReport, MutateError> {
-        self.check_test_mutated_inner(test, Some(mutation), config, cache, incremental, collector)
-    }
-
-    fn check_test_mutated_inner(
-        &self,
-        test: &LitmusTest,
         mutation: Option<&Mutation>,
         config: &VerifyConfig,
         cache: Option<&GraphCache>,
-        incremental: Incremental,
         collector: &dyn Collector,
     ) -> Result<TestReport, MutateError> {
         let mut flow = span(
@@ -268,13 +248,7 @@ impl Rtlcheck {
 
         let mut g = span(collector, "design_build", attrs!["test" => test.name()]);
         let mut mv = self.build_design(test);
-        let mut baseline: Option<Design> = None;
         if let Some(m) = mutation {
-            // The pre-mutation design is the splice baseline: its cache
-            // key is what the campaign's baseline pass published under.
-            if incremental.enabled() && cache.is_some() {
-                baseline = Some(mv.design.clone());
-            }
             // The mutant keeps every signal id, so the assumption and
             // assertion generators' handles stay valid.
             mv.design = m.apply(&mv.design)?;
@@ -300,7 +274,6 @@ impl Rtlcheck {
             &assertions,
             config,
             cache,
-            baseline.as_ref().map(|b| (b, incremental.validate())),
             collector,
         );
         flow.attr(
@@ -403,18 +376,13 @@ pub(crate) fn problem_of(design: &Design, assumptions: GeneratedAssumptions) -> 
 ///
 /// With a [`GraphCache`], the graph comes from the cache (a hit, or a cold
 /// build that the cache publishes). The `graph_build` span gains a `cache`
-/// attribute saying where the graph came from. When `incremental` carries
-/// a baseline design (and a validate flag), the explicit+cache path
-/// additionally tries to splice the graph from the baseline's published
-/// core before falling back to a cold build — the `cache` attribute then
-/// reads `spliced`.
+/// attribute saying where the graph came from.
 pub(crate) fn run_flow_cached(
     test_name: &str,
     problem: &Problem<'_>,
     assertions: &[GeneratedAssertion],
     config: &VerifyConfig,
     cache: Option<&GraphCache>,
-    incremental: Option<(&Design, bool)>,
     collector: &dyn Collector,
 ) -> TestReport {
     // Phase 0: build the shared state graph — the design × assumption
@@ -426,16 +394,7 @@ pub(crate) fn run_flow_cached(
     let (graph, source) = match cache {
         Some(cache) => {
             let props: Vec<_> = props().collect();
-            let (graph, source) = match incremental {
-                Some((baseline, validate)) => cache.build_graph_incremental(
-                    problem,
-                    &props,
-                    config.cover_engine(),
-                    baseline,
-                    validate,
-                ),
-                None => cache.build_graph(problem, &props, config.cover_engine()),
-            };
+            let (graph, source) = cache.build_graph(problem, &props, config.cover_engine());
             (graph, Some(source))
         }
         None => (build_graph(problem, props(), config.cover_engine()), None),

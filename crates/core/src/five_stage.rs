@@ -166,22 +166,12 @@ pub fn check_test_observed(
     config: &VerifyConfig,
     collector: &dyn rtlcheck_obs::Collector,
 ) -> TestReport {
-    check_test_mutated(
-        test,
-        None,
-        config,
-        None,
-        rtlcheck_verif::Incremental::Off,
-        collector,
-    )
-    .expect("no mutation to fail")
+    check_test_mutated(test, None, config, None, collector).expect("no mutation to fail")
 }
 
 /// [`check_test_observed`] on an optional **mutant** of the five-stage
 /// design, through an optional graph cache — the five-stage leg of the
 /// mutation campaign, mirroring [`crate::Rtlcheck::check_test_mutated`].
-/// With `incremental` enabled and a cache present, the mutant's graph is
-/// spliced from the baseline design's published core when possible.
 ///
 /// # Errors
 ///
@@ -196,7 +186,6 @@ pub fn check_test_mutated(
     mutation: Option<&rtlcheck_rtl::mutate::Mutation>,
     config: &VerifyConfig,
     cache: Option<&rtlcheck_verif::GraphCache>,
-    incremental: rtlcheck_verif::Incremental,
     collector: &dyn rtlcheck_obs::Collector,
 ) -> Result<TestReport, rtlcheck_rtl::mutate::MutateError> {
     use rtlcheck_obs::{attrs, span};
@@ -212,11 +201,7 @@ pub fn check_test_mutated(
 
     let mut g = span(collector, "design_build", attrs!["test" => test.name()]);
     let mut fs = FiveStage::build(test);
-    let mut baseline: Option<rtlcheck_rtl::Design> = None;
     if let Some(m) = mutation {
-        if incremental.enabled() && cache.is_some() {
-            baseline = Some(fs.design.clone());
-        }
         fs.design = m.apply(&fs.design)?;
         g.attr("mutant", m.name.as_str());
     }
@@ -243,7 +228,6 @@ pub fn check_test_mutated(
         &assertions,
         config,
         cache,
-        baseline.as_ref().map(|b| (b, incremental.validate())),
         collector,
     );
     flow.attr(

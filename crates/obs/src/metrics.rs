@@ -604,44 +604,6 @@ impl MetricsSummary {
             );
         }
 
-        if let Some(total) = self.counter("cone.total") {
-            let count = |name: &str| self.counter(name).map_or(0, |c| c.total);
-            let copied = count("cone.rows_copied");
-            let recomputed = count("cone.rows_recomputed");
-            let _ = writeln!(out, "\nCone reuse (incremental splicing):");
-            let _ = writeln!(
-                out,
-                "  {} spliced graph(s): {} of {} cone(s) dirty, {} reused",
-                count("cone.graphs"),
-                count("cone.dirty"),
-                total.total,
-                count("cone.spliced"),
-            );
-            let segments = copied + recomputed;
-            let _ = writeln!(
-                out,
-                "  rows: {} copied, {} recomputed ({} mixed row(s)); {:.0}% of row segments reused",
-                copied,
-                recomputed,
-                count("cone.rows_spliced"),
-                if segments > 0 {
-                    100.0 * copied as f64 / segments as f64
-                } else {
-                    0.0
-                },
-            );
-            let probes =
-                count("graph_cache.incremental_hits") + count("graph_cache.incremental_misses");
-            if probes > 0 {
-                let _ = writeln!(
-                    out,
-                    "  baseline probes: {} hit(s), {} miss(es)",
-                    count("graph_cache.incremental_hits"),
-                    count("graph_cache.incremental_misses"),
-                );
-            }
-        }
-
         if let Some(mutants) = self.counter("mutation.mutants") {
             let count = |name: &str| self.counter(name).map_or(0, |c| c.total);
             let _ = writeln!(out, "\nMutation campaign:");
@@ -1190,42 +1152,6 @@ mod tests {
         // No cache counters → no section.
         let empty = MetricsCollector::new().summary().render();
         assert!(!empty.contains("Graph cache"), "{empty}");
-    }
-
-    #[test]
-    fn render_shows_the_cone_reuse_section() {
-        let m = MetricsCollector::new();
-        m.counter("cone.graphs", 3, attrs![]);
-        m.counter("cone.total", 10, attrs![]);
-        m.counter("cone.dirty", 2, attrs![]);
-        m.counter("cone.spliced", 8, attrs![]);
-        m.counter("cone.rows_copied", 90, attrs![]);
-        m.counter("cone.rows_spliced", 5, attrs![]);
-        m.counter("cone.rows_recomputed", 10, attrs![]);
-        m.counter("graph_cache.incremental_hits", 3, attrs![]);
-        m.counter("graph_cache.incremental_misses", 1, attrs![]);
-        let text = m.summary().render();
-        assert!(
-            text.contains("Cone reuse (incremental splicing):"),
-            "{text}"
-        );
-        assert!(
-            text.contains("3 spliced graph(s): 2 of 10 cone(s) dirty, 8 reused"),
-            "{text}"
-        );
-        assert!(
-            text.contains(
-                "rows: 90 copied, 10 recomputed (5 mixed row(s)); 90% of row segments reused"
-            ),
-            "{text}"
-        );
-        assert!(
-            text.contains("baseline probes: 3 hit(s), 1 miss(es)"),
-            "{text}"
-        );
-        // No cone counters → no section.
-        let empty = MetricsCollector::new().summary().render();
-        assert!(!empty.contains("Cone reuse"), "{empty}");
     }
 
     #[test]

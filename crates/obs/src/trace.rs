@@ -13,9 +13,8 @@
 //! bound to its own `tid`, so the flame chart shows one lane per worker.
 //! Span enter/exit pairs become complete (`"X"`) duration events, discrete
 //! events become instants (`"i"`), and at every span boundary the derived
-//! counter tracks are sampled: cumulative states/sec, graph-cache hit rate,
-//! and the cone-reuse rate (share of row segments copied rather than
-//! re-simulated by incremental splicing).
+//! counter tracks are sampled: cumulative states/sec and graph-cache hit
+//! rate.
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
@@ -156,8 +155,8 @@ impl TraceCollector {
     }
 
     /// Emits the derived counter tracks ("C" events on the process track),
-    /// sampled at span boundaries: cumulative states/sec, graph-cache hit
-    /// rate, and cone-reuse rate.
+    /// sampled at span boundaries: cumulative states/sec and graph-cache
+    /// hit rate.
     fn sample_counters(inner: &mut TraceInner, now_us: u64) {
         let get = |name: &str| inner.totals.get(name).copied().unwrap_or(0);
         let states: u64 = inner
@@ -169,8 +168,6 @@ impl TraceCollector {
             .sum();
         let requests = get("graph_cache.requests");
         let hits = get("graph_cache.hits");
-        let rows_copied = get("cone.rows_copied");
-        let rows_recomputed = get("cone.rows_recomputed");
 
         let mut samples: Vec<(&str, Json)> = Vec::new();
         if now_us > 0 && states > 0 {
@@ -180,11 +177,6 @@ impl TraceCollector {
         if requests > 0 {
             let rate = (100.0 * hits as f64 / requests as f64).round();
             samples.push(("cache hit-rate %", Json::Num(rate)));
-        }
-        if rows_copied + rows_recomputed > 0 {
-            let rate =
-                (100.0 * rows_copied as f64 / (rows_copied + rows_recomputed) as f64).round();
-            samples.push(("cone reuse %", Json::Num(rate)));
         }
         for (name, value) in samples {
             inner.events.push(TraceEvent {
@@ -349,15 +341,12 @@ mod tests {
         trace.counter("engine.full.states", 500, attrs![]);
         trace.counter("graph_cache.requests", 4, attrs![]);
         trace.counter("graph_cache.hits", 3, attrs![]);
-        trace.counter("cone.rows_copied", 90, attrs![]);
-        trace.counter("cone.rows_recomputed", 10, attrs![]);
         {
             let _g = span(&trace, "property", attrs![]);
         }
         let text = trace.render();
         assert!(text.contains("states/sec"), "{text}");
         assert!(text.contains("cache hit-rate %"), "{text}");
-        assert!(text.contains("cone reuse %"), "{text}");
         // Counter events carry a numeric args value.
         assert!(text.contains("\"ph\":\"C\""), "{text}");
     }

@@ -33,9 +33,8 @@
 //! different tests hash differently). Tier 2 derives the whole-design key
 //! by folding the vector with the problem context: the init pins, every
 //! assumption directive (kind, name, rendered property), the cover
-//! condition, and the rendered atom table. The per-cone tier is what the
-//! incremental path diffs ([`rtlcheck_rtl::ConeSet::diff`]); the derived
-//! key is what the map uses. A second, independently-seeded FNV-1a over
+//! condition, and the rendered atom table. The derived key is what the
+//! map uses. A second, independently-seeded FNV-1a over
 //! the same description rides along as [`GraphKey::check`], so callers
 //! that group work by fingerprint can key on both halves. A published
 //! snapshot is used only if it passes semantic validation against the
@@ -49,9 +48,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use rtlcheck_obs::{attrs, Collector};
 use rtlcheck_rtl::cone::cone_fingerprints;
-use rtlcheck_rtl::sim::Simulator;
-use rtlcheck_rtl::{ConeSet, Design, SignalKind};
-use rtlcheck_sva::{emit, Monitor, MonitorState, Prop};
+use rtlcheck_rtl::SignalKind;
+use rtlcheck_sva::{emit, MonitorState, Prop};
 
 use crate::atom::RtlAtom;
 use crate::engine::Engine;
@@ -103,10 +101,9 @@ pub struct GraphKey {
 /// signal's value function) plus the register reset values and module
 /// name the vector deliberately excludes; the derived whole-design key
 /// then folds in the problem context (init pins, assumptions, cover,
-/// atom table). Structuring the design tier as the per-cone vector is
-/// what lets [`GraphCache::build_graph_incremental`] relate a mutant's
-/// key to its baseline's via [`ConeSet::diff`] instead of treating every
-/// design edit as a brand-new key.
+/// atom table). The per-cone vector dates from mutant graphs spliced
+/// from their baseline's core; it stays so that keys, and the fuzz
+/// buckets and serve coalescing groups built on them, keep their values.
 ///
 /// The atom table (not the property list) is hashed because the graph's
 /// content depends on properties only through their atoms; two property
@@ -227,9 +224,6 @@ pub enum CacheSource {
     Cold,
     /// Reconstructed from a snapshot another request published in memory.
     Memory,
-    /// Spliced from a published baseline core: rows of unchanged cones
-    /// copied, dirty cones re-simulated (bit-identical to a cold build).
-    Spliced,
 }
 
 impl CacheSource {
@@ -238,44 +232,6 @@ impl CacheSource {
         match self {
             CacheSource::Cold => "cold",
             CacheSource::Memory => "memory",
-            CacheSource::Spliced => "spliced",
-        }
-    }
-}
-
-/// Whether (and how) mutant checks reuse their baseline's state graph —
-/// the switch behind `rtlcheck mutate --incremental`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Incremental {
-    /// Every graph comes from the cache or a cold build; no splicing.
-    Off,
-    /// Mutant graphs splice from the published baseline core whenever the
-    /// dirty-cone analysis allows it (the default).
-    #[default]
-    On,
-    /// As [`Incremental::On`], but every spliced row is additionally
-    /// re-simulated and asserted equal to the copied data — the
-    /// belt-and-braces mode the differential CI exercises.
-    Validate,
-}
-
-impl Incremental {
-    /// True unless splicing is switched off.
-    pub fn enabled(self) -> bool {
-        !matches!(self, Incremental::Off)
-    }
-
-    /// True when spliced rows must be re-simulated and checked.
-    pub fn validate(self) -> bool {
-        matches!(self, Incremental::Validate)
-    }
-
-    /// Stable lower-snake label (CLI and logs).
-    pub fn label(self) -> &'static str {
-        match self {
-            Incremental::Off => "off",
-            Incremental::On => "on",
-            Incremental::Validate => "validate",
         }
     }
 }
@@ -295,14 +251,6 @@ pub struct CacheStats {
     pub collisions: u64,
     /// In-memory entries dropped to respect the capacity bound.
     pub evictions: u64,
-    /// Incremental probes that found a published baseline core.
-    pub incremental_hits: u64,
-    /// Incremental probes that found no published baseline core.
-    pub incremental_misses: u64,
-    /// Graphs assembled by splicing a baseline core (a subset of
-    /// `incremental_hits`: a found baseline can still be unspliceable,
-    /// e.g. when the mutation dirties an assumption's atoms).
-    pub spliced: u64,
 }
 
 impl CacheStats {
@@ -316,9 +264,6 @@ impl CacheStats {
             ("misses", Json::Uint(self.misses)),
             ("collisions", Json::Uint(self.collisions)),
             ("evictions", Json::Uint(self.evictions)),
-            ("incremental_hits", Json::Uint(self.incremental_hits)),
-            ("incremental_misses", Json::Uint(self.incremental_misses)),
-            ("spliced", Json::Uint(self.spliced)),
         ])
     }
 }
@@ -330,9 +275,6 @@ struct Counters {
     misses: AtomicU64,
     collisions: AtomicU64,
     evictions: AtomicU64,
-    incremental_hits: AtomicU64,
-    incremental_misses: AtomicU64,
-    spliced: AtomicU64,
 }
 
 type Cell = Arc<OnceLock<Arc<CoreSnapshot>>>;
@@ -353,9 +295,9 @@ pub struct GraphCache {
     capacity: Option<usize>,
     map: Mutex<CacheMap>,
     counters: Counters,
-    /// Deferred `(event name, key)` warnings, reported (sorted, so the
-    /// stream is deterministic) by [`GraphCache::report_to`].
-    warnings: Mutex<Vec<(&'static str, String)>>,
+    /// Keys whose published snapshot failed validation, reported (sorted,
+    /// so the stream is deterministic) by [`GraphCache::report_to`].
+    collided: Mutex<Vec<u64>>,
 }
 
 impl GraphCache {
@@ -365,7 +307,7 @@ impl GraphCache {
             capacity: None,
             map: Mutex::new(CacheMap::default()),
             counters: Counters::default(),
-            warnings: Mutex::new(Vec::new()),
+            collided: Mutex::new(Vec::new()),
         }
     }
 
@@ -387,17 +329,7 @@ impl GraphCache {
             misses: get(&c.misses),
             collisions: get(&c.collisions),
             evictions: get(&c.evictions),
-            incremental_hits: get(&c.incremental_hits),
-            incremental_misses: get(&c.incremental_misses),
-            spliced: get(&c.spliced),
         }
-    }
-
-    fn warn(&self, event: &'static str, key: String) {
-        self.warnings
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push((event, key));
     }
 
     fn cell_for(&self, key: u64) -> Cell {
@@ -434,114 +366,6 @@ impl GraphCache {
         props: &[&Prop<RtlAtom>],
         engine: Engine,
     ) -> (StateGraph<'p, 'd>, CacheSource) {
-        self.build_graph_inner(problem, props, engine, None)
-    }
-
-    /// [`GraphCache::build_graph`] with an incremental fast path: on an
-    /// in-memory miss, first try to splice the requested graph from the
-    /// published core of `baseline` (the un-mutated design this problem's
-    /// design was derived from), re-simulating only the dirty cones'
-    /// contributions; the cold build remains as the fallback. The spliced
-    /// graph is bit-identical to what a cold build would have produced
-    /// (see [`StateGraph::splice`]), so the published snapshot and the
-    /// walks are indistinguishable from the non-incremental path — only
-    /// the construction cost and the `cone.*` counters differ.
-    ///
-    /// `validate` additionally re-simulates every spliced row and asserts
-    /// equality with the copied data (the belt-and-braces mode the
-    /// differential CI exercises).
-    pub fn build_graph_incremental<'p, 'd>(
-        &self,
-        problem: &'p Problem<'d>,
-        props: &[&Prop<RtlAtom>],
-        engine: Engine,
-        baseline: &Design,
-        validate: bool,
-    ) -> (StateGraph<'p, 'd>, CacheSource) {
-        self.build_graph_inner(problem, props, engine, Some((baseline, validate)))
-    }
-
-    /// Probes the cache for a *baseline* core to splice against. Never
-    /// blocks on an in-flight build: incremental probes run inside the
-    /// requesting key's own build slot, where waiting on another key's
-    /// `OnceLock` could deadlock. `dirty` is the classified dirty set the caller intends
-    /// to splice with (from [`ConeSet::diff`]; an empty set — pure reuse
-    /// — is fine).
-    pub fn lookup_incremental(
-        &self,
-        baseline: GraphKey,
-        dirty: &ConeSet,
-    ) -> Option<Arc<CoreSnapshot>> {
-        debug_assert!(
-            dirty.wires.windows(2).all(|w| w[0] < w[1])
-                && dirty.regs.windows(2).all(|w| w[0] < w[1]),
-            "dirty sets come from ConeSet::diff, sorted and deduplicated"
-        );
-        let cell = {
-            let map = self.map.lock().unwrap_or_else(|e| e.into_inner());
-            map.entries.get(&baseline.key).cloned()
-        };
-        match cell.and_then(|c| c.get().cloned()) {
-            Some(snap) => {
-                self.counters
-                    .incremental_hits
-                    .fetch_add(1, Ordering::Relaxed);
-                Some(snap)
-            }
-            None => {
-                self.counters
-                    .incremental_misses
-                    .fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// The incremental attempt: diff the designs, locate the baseline's
-    /// published core, check it really describes the baseline problem
-    /// (collision guard), and splice.
-    fn try_splice<'p, 'd>(
-        &self,
-        problem: &'p Problem<'d>,
-        props: &[&Prop<RtlAtom>],
-        engine: Engine,
-        baseline: &Design,
-        validate: bool,
-        atoms: &[RtlAtom],
-    ) -> Option<StateGraph<'p, 'd>> {
-        let dirty = ConeSet::diff(baseline, problem.design)?;
-        // The baseline problem: same pins/assumptions/cover over the
-        // un-mutated design. Signal ordinals are shared (diff proved the
-        // tables compatible), so the handles transfer directly — this is
-        // exactly the problem the baseline's own requests fingerprinted.
-        let bproblem = Problem {
-            design: baseline,
-            init_pins: problem.init_pins.clone(),
-            assumptions: problem.assumptions.clone(),
-            cover: problem.cover.clone(),
-        };
-        let bkey = fingerprint(&bproblem, atoms);
-        let bsnap = self.lookup_incremental(bkey, &dirty)?;
-        if !snapshot_describes(&bsnap, &bproblem) {
-            return None;
-        }
-        StateGraph::splice(
-            problem,
-            props.iter().copied(),
-            bsnap,
-            &dirty,
-            engine,
-            validate,
-        )
-    }
-
-    fn build_graph_inner<'p, 'd>(
-        &self,
-        problem: &'p Problem<'d>,
-        props: &[&Prop<RtlAtom>],
-        engine: Engine,
-        incremental: Option<(&Design, bool)>,
-    ) -> (StateGraph<'p, 'd>, CacheSource) {
         let atoms = StateGraph::atom_table(problem, props.iter().copied());
         let key = fingerprint(problem, &atoms);
         self.counters.requests.fetch_add(1, Ordering::Relaxed);
@@ -551,16 +375,6 @@ impl GraphCache {
         let snap = cell
             .get_or_init(|| {
                 self.counters.misses.fetch_add(1, Ordering::Relaxed);
-                if let Some((baseline, validate)) = incremental {
-                    if let Some(graph) =
-                        self.try_splice(problem, props, engine, baseline, validate, &atoms)
-                    {
-                        self.counters.spliced.fetch_add(1, Ordering::Relaxed);
-                        let snap = Arc::new(graph.snapshot());
-                        local = Some((graph, CacheSource::Spliced));
-                        return snap;
-                    }
-                }
                 let graph = StateGraph::build(problem, props.iter().copied(), engine);
                 let snap = Arc::new(graph.snapshot());
                 local = Some((graph, CacheSource::Cold));
@@ -579,7 +393,10 @@ impl GraphCache {
                         // different problems: build privately, leave the
                         // published entry alone.
                         self.counters.collisions.fetch_add(1, Ordering::Relaxed);
-                        self.warn("graph_cache.key_collision", format!("{:016x}", key.key));
+                        self.collided
+                            .lock()
+                            .unwrap_or_else(|e| e.into_inner())
+                            .push(key.key);
                         (
                             StateGraph::build(problem, props.iter().copied(), engine),
                             CacheSource::Cold,
@@ -602,51 +419,23 @@ impl GraphCache {
         collector.counter("graph_cache.misses", s.misses, attrs![]);
         collector.counter("graph_cache.collisions", s.collisions, attrs![]);
         collector.counter("graph_cache.evictions", s.evictions, attrs![]);
-        collector.counter("graph_cache.incremental_hits", s.incremental_hits, attrs![]);
-        collector.counter(
-            "graph_cache.incremental_misses",
-            s.incremental_misses,
-            attrs![],
-        );
-        collector.counter("graph_cache.spliced", s.spliced, attrs![]);
-        let mut warnings =
-            std::mem::take(&mut *self.warnings.lock().unwrap_or_else(|e| e.into_inner()));
-        warnings.sort();
-        for (event, file) in &warnings {
-            collector.event(event, attrs!["file" => file.as_str()]);
+        let mut collided =
+            std::mem::take(&mut *self.collided.lock().unwrap_or_else(|e| e.into_inner()));
+        collided.sort_unstable();
+        for key in collided {
+            collector.event(
+                "graph_cache.key_collision",
+                attrs!["key" => format!("{key:016x}")],
+            );
         }
     }
-}
-
-/// Collision guard for the incremental path: a published snapshot is only
-/// spliced from if its initial product node is the baseline problem's —
-/// the same check [`StateGraph::from_snapshot`] performs, minus the parts
-/// [`StateGraph::splice`] re-validates itself (atom table, dimensions,
-/// row well-formedness).
-fn snapshot_describes(snap: &CoreSnapshot, problem: &Problem<'_>) -> bool {
-    if snap.num_monitors != problem.assumptions.len()
-        || snap.num_regs != problem.design.num_regs()
-        || snap.nodes.is_empty()
-    {
-        return false;
-    }
-    let sim = Simulator::new(problem.design);
-    let Ok(initial) = sim.initial_state_with(&problem.init_pins) else {
-        return false;
-    };
-    let init_states: Vec<MonitorState> = problem
-        .assumptions
-        .iter()
-        .map(|d| Monitor::new(&d.prop).state().clone())
-        .collect();
-    snap.nodes[0].regs == initial.regs() && snap.nodes[0].assumptions == init_states
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::problem::Directive;
-    use rtlcheck_rtl::DesignBuilder;
+    use rtlcheck_rtl::{Design, DesignBuilder};
     use rtlcheck_sva::SvaBool;
 
     fn counter() -> Design {
@@ -698,67 +487,5 @@ mod tests {
         assert_eq!(g2.stats(), warm_stats, "hit resumes the published core");
         let s = cache.stats();
         assert_eq!((s.requests, s.hits, s.misses), (2, 1, 1));
-    }
-
-    /// The counter with a mutated increment: `count <= en ? count+2 : count`.
-    /// Same signal table as [`counter`], so `ConeSet::diff` is exact.
-    fn counter_by_two() -> Design {
-        let mut b = DesignBuilder::new("c");
-        let en = b.input("en", 1);
-        let count = b.reg("count", 3, Some(0));
-        let two = b.lit(2, 3);
-        let ce = b.sig(count);
-        let sum = b.add(ce, two);
-        let ene = b.sig(en);
-        let hold = b.sig(count);
-        let nxt = b.mux(ene, sum, hold);
-        b.set_next(count, nxt);
-        b.build().unwrap()
-    }
-
-    #[test]
-    fn incremental_splices_from_a_published_baseline() {
-        let base = counter();
-        let mutant = counter_by_two();
-        let count = base.signal_by_name("count").unwrap();
-        let prop = Prop::Never(SvaBool::atom(RtlAtom::eq(count, 7)));
-        let cache = GraphCache::in_memory();
-
-        let bproblem = Problem::new(&base);
-        let (_, bt) = cache.build_graph(&bproblem, &[&prop], Engine::full(100_000));
-        assert_eq!(bt, CacheSource::Cold);
-
-        let mproblem = Problem::new(&mutant);
-        let (mg, mt) =
-            cache.build_graph_incremental(&mproblem, &[&prop], Engine::full(100_000), &base, true);
-        assert_eq!(mt, CacheSource::Spliced);
-        let cold = StateGraph::build(&mproblem, [&prop], Engine::full(100_000));
-        assert_eq!(mg.snapshot(), cold.snapshot(), "splice is bit-identical");
-        let s = cache.stats();
-        assert_eq!((s.incremental_hits, s.spliced), (1, 1));
-
-        // A repeat of the same mutant request is a plain memory hit: the
-        // spliced core was published like any other.
-        let (_, t3) =
-            cache.build_graph_incremental(&mproblem, &[&prop], Engine::full(100_000), &base, false);
-        assert_eq!(t3, CacheSource::Memory);
-    }
-
-    #[test]
-    fn incremental_without_a_baseline_falls_back_cold() {
-        let base = counter();
-        let mutant = counter_by_two();
-        let count = base.signal_by_name("count").unwrap();
-        let prop = Prop::Never(SvaBool::atom(RtlAtom::eq(count, 7)));
-        let cache = GraphCache::in_memory();
-        let mproblem = Problem::new(&mutant);
-        let (mg, mt) =
-            cache.build_graph_incremental(&mproblem, &[&prop], Engine::full(100_000), &base, false);
-        assert_eq!(mt, CacheSource::Cold);
-        let cold = StateGraph::build(&mproblem, [&prop], Engine::full(100_000));
-        assert_eq!(mg.snapshot(), cold.snapshot());
-        let s = cache.stats();
-        assert_eq!((s.incremental_hits, s.incremental_misses), (0, 1));
-        assert_eq!(s.spliced, 0);
     }
 }

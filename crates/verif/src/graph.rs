@@ -444,7 +444,7 @@ impl<'p, 'd> StateGraph<'p, 'd> {
     ///
     /// With `validate` set, every copied or patched row is additionally
     /// re-derived by full simulation and asserted equal — the mode the
-    /// differential CI runs to police the splice soundness argument.
+    /// `splice_*` tests run to police the splice soundness argument.
     ///
     /// # Panics
     ///

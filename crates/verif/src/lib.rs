@@ -42,7 +42,6 @@ pub use atom::RtlAtom;
 pub use backend::Backend;
 pub use cache::{
     fingerprint, fingerprint_problem, CacheSource, CacheStats, CoreSnapshot, GraphCache, GraphKey,
-    Incremental,
 };
 pub use engine::{Engine, EngineKind, PropertyVerdict, VerifyConfig};
 pub use explore::{

@@ -49,7 +49,7 @@ use rtlcheck::obs::{
 use rtlcheck::prelude::*;
 use rtlcheck::uhb::solve;
 use rtlcheck::uspec::ground::{ground, DataMode};
-use rtlcheck::verif::{Incremental, PropertyVerdict};
+use rtlcheck::verif::PropertyVerdict;
 
 /// Exit status when stdout's reader has gone away: 128 + SIGPIPE, what a
 /// shell reports for a writer killed by a closed pipe, so a `pipefail`
@@ -119,15 +119,14 @@ usage:
                  [--json <out.json>] [--events <out.jsonl>] [--metrics <out.json>]
                  [--trace-out <out.json>] [--progress]
   rtlcheck mutate [--design multi_vscale|five_stage|tso] [--config ...] [--jobs N]
-                 [--only a,b,c] [--mutants a,b,c]
-                 [--incremental[=off|on|validate]] [--json <out.json>]
+                 [--only a,b,c] [--mutants a,b,c] [--json <out.json>]
                  [--events <out.jsonl>] [--metrics <out.json>]
                  [--trace-out <out.json>] [--progress]
   rtlcheck fuzz [--count N] [--seed S] [--memory fixed|buggy|tso] [--config ...]
                  [--jobs N] [--len MIN..MAX] [--escalate N] [--json <out.json>]
                  [--events <out.jsonl>] [--metrics <out.json>]
                  [--trace-out <out.json>] [--progress]
-  rtlcheck bench [--workload suite,mutate,mutate-cold,check] [--config a,b]
+  rtlcheck bench [--workload suite,mutate,check] [--config a,b]
                  [--jobs 1,8] [--only a,b,c] [--iterations N] [--warmup N]
                  [--json <out.json>] [--baseline <bench.json>] [--tolerance PCT]
   rtlcheck serve [--addr HOST:PORT] [--jobs N] [--queue N]
@@ -150,10 +149,6 @@ the report or metrics streams.
 `mutate` checks every catalogued mutant of --design against the suite and
 reports the mutation score; --mutants restricts the mutant set and --json
 writes the full report (kill matrix, survivors) as a JSON artifact.
---incremental (default on) splices each mutant's state graph from the
-baseline core, re-simulating only the mutation's dirty cones — output is
-byte-identical to --incremental=off (cold builds); =validate additionally
-re-simulates every spliced row and asserts equality.
 `suite --json` writes the per-test rows as a JSON artifact.
 `fuzz` runs a seeded diy litmus fuzzing campaign: --count random cycles are
 generated, deduplicated by rotation/reflection-invariant signature, triaged
@@ -164,9 +159,7 @@ report carries the axiom exercise matrix and is byte-identical across
 `bench` runs warmup + N timed iterations of each workload case (the cross
 product of the comma-separated lists) and writes an `rtlcheck-bench/1`
 document; with --baseline it exits non-zero when a case's median regresses
-past --tolerance percent (default 25). The `mutate` workload runs the
-campaign incrementally; `mutate-cold` is the same campaign with
---incremental=off (the before/after pair for splice speedups).
+past --tolerance percent (default 25).
 `profile --diff` compares two metrics files: per-counter deltas and
 histogram shifts.
 `serve` runs the long-lived verification server: a TCP daemon accepting
@@ -612,21 +605,6 @@ fn mutate_cmd(args: &[String], out: &mut dyn Write) -> Result<ExitCode, Failure>
                 shared_flags.push(format!("--trace-out={v}"));
             }
             "--progress" => shared_flags.push("--progress".to_string()),
-            "--incremental" => options.incremental = Incremental::On,
-            other if other.starts_with("--incremental=") => {
-                let v = &other["--incremental=".len()..];
-                options.incremental = match v {
-                    "on" => Incremental::On,
-                    "off" => Incremental::Off,
-                    "validate" => Incremental::Validate,
-                    _ => {
-                        return Err(format!(
-                            "unknown --incremental value `{v}` (expected on, off, or validate)"
-                        )
-                        .into())
-                    }
-                };
-            }
             f if f.starts_with("--") => return Err(format!("unknown flag `{f}`").into()),
             other => return Err(format!("unexpected argument `{other}`").into()),
         }
@@ -1091,11 +1069,10 @@ fn bench_cmd(args: &[String], out: &mut dyn Write) -> Result<ExitCode, Failure> 
         None => suite::all(),
     };
     for w in &workloads {
-        if !matches!(w.as_str(), "suite" | "mutate" | "mutate-cold" | "check") {
-            return Err(format!(
-                "unknown workload `{w}` (expected suite, mutate, mutate-cold, or check)"
-            )
-            .into());
+        if !matches!(w.as_str(), "suite" | "mutate" | "check") {
+            return Err(
+                format!("unknown workload `{w}` (expected suite, mutate, or check)").into(),
+            );
         }
     }
     let configs = configs
@@ -1135,15 +1112,10 @@ fn bench_cmd(args: &[String], out: &mut dyn Write) -> Result<ExitCode, Failure> 
                             tool.check_test_observed(test, config, metrics);
                         })
                     }
-                    "mutate" | "mutate-cold" => {
+                    "mutate" => {
                         let mut options = CampaignOptions::new(CatalogTarget::MultiVscale);
                         options.jobs = jobs;
                         options.tests = only.clone();
-                        options.incremental = if workload == "mutate" {
-                            Incremental::On
-                        } else {
-                            Incremental::Off
-                        };
                         run_case(key, warmup, iterations, |metrics| {
                             run_campaign(&options, config, metrics, None)
                                 .expect("bench selections pre-validated");

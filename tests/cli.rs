@@ -252,26 +252,59 @@ fn bad_usage_exits_2_with_usage_text() {
         assert!(err.contains("usage:"), "{err}");
     }
 
-    // The on-disk graph cache is retired: `--graph-cache` is an unknown
-    // flag on every subcommand that took it.
-    for args in [
-        &["check", "mp", "--graph-cache", "gc"][..],
-        &["suite", "--only", "mp", "--graph-cache", "gc"][..],
-        &["mutate", "--only", "mp", "--graph-cache", "gc"][..],
-        &["fuzz", "--count", "10", "--graph-cache", "gc"][..],
-        &["bench", "--workload", "check", "--graph-cache", "gc"][..],
-        &["serve", "--graph-cache", "gc"][..],
+    // Retired flags are unknown: the on-disk graph cache's `--graph-cache`
+    // on every subcommand that took it, and `mutate --incremental` in
+    // each of its former spellings (every mutant graph is built cold).
+    for (flag, args) in [
+        ("--graph-cache", &["check", "mp", "--graph-cache", "gc"][..]),
+        (
+            "--graph-cache",
+            &["suite", "--only", "mp", "--graph-cache", "gc"][..],
+        ),
+        (
+            "--graph-cache",
+            &["mutate", "--only", "mp", "--graph-cache", "gc"][..],
+        ),
+        (
+            "--graph-cache",
+            &["fuzz", "--count", "10", "--graph-cache", "gc"][..],
+        ),
+        (
+            "--graph-cache",
+            &["bench", "--workload", "check", "--graph-cache", "gc"][..],
+        ),
+        ("--graph-cache", &["serve", "--graph-cache", "gc"][..]),
+        (
+            "--incremental",
+            &["mutate", "--only", "mp", "--incremental"][..],
+        ),
+        (
+            "--incremental=off",
+            &["mutate", "--only", "mp", "--incremental=off"][..],
+        ),
+        (
+            "--incremental=validate",
+            &["mutate", "--only", "mp", "--incremental=validate"][..],
+        ),
     ] {
         let out = rtlcheck(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
         assert!(out.stdout.is_empty(), "{args:?}: work ran: {out:?}");
         let err = String::from_utf8(out.stderr).unwrap();
         assert!(
-            err.contains("unknown flag `--graph-cache`"),
+            err.contains(&format!("unknown flag `{flag}`")),
             "{args:?}: {err}"
         );
         assert!(err.contains("usage:"), "{args:?}: {err}");
     }
+
+    // The cold-campaign bench workload went with `--incremental`.
+    let out = rtlcheck(&["bench", "--workload", "mutate-cold", "--only", "mp"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(out.stdout.is_empty(), "work ran: {out:?}");
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("unknown workload `mutate-cold`"), "{err}");
+    assert!(err.contains("usage:"), "{err}");
 
     // An empty selection is a usage error, not a campaign of nothing.
     let out = rtlcheck(&["mutate", "--only", "mp", "--mutants", ""]);

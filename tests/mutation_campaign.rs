@@ -78,16 +78,26 @@ fn multi_vscale_campaign_kills_the_seeded_mutants() {
 
 #[test]
 fn report_is_byte_identical_across_job_counts() {
-    let run = |jobs: usize| {
-        let mut options = CampaignOptions::new(CatalogTarget::MultiVscale);
-        options.jobs = jobs;
-        options.tests = Some(vec!["mp".into(), "sb".into()]);
-        run_campaign(&options, &quick(), &NullCollector, None).unwrap()
-    };
-    let seq = run(1);
-    let par = run(8);
-    assert_eq!(seq.render(), par.render());
-    assert_eq!(seq.to_json().render(), par.to_json().render());
+    for target in [
+        CatalogTarget::MultiVscale,
+        CatalogTarget::Tso,
+        CatalogTarget::FiveStage,
+    ] {
+        let run = |jobs: usize| {
+            let mut options = CampaignOptions::new(target);
+            options.jobs = jobs;
+            options.tests = Some(vec!["mp".into(), "sb".into()]);
+            run_campaign(&options, &quick(), &NullCollector, None).unwrap()
+        };
+        let seq = run(1);
+        let par = run(8);
+        assert_eq!(seq.render(), par.render(), "{target}: text");
+        assert_eq!(
+            seq.to_json().render(),
+            par.to_json().render(),
+            "{target}: JSON"
+        );
+    }
 }
 
 #[test]

@@ -287,6 +287,44 @@ fn repeated_names_are_bad_requests() {
     handle.join().unwrap();
 }
 
+/// `mutate` has no `incremental` option any more (every mutant graph is
+/// built cold), so a request still carrying one falls under the "unknown
+/// fields are ignored" rule and gets the same result frame as one
+/// without it; the `stats` reply's cache object has no splice counters.
+#[test]
+fn retired_incremental_field_is_ignored_and_gone_from_stats() {
+    let (addr, handle) = start_server(ServeOptions {
+        jobs: 1,
+        ..ServeOptions::default()
+    });
+    let (mut stream, mut reader) = connect(&addr);
+    let mut answer = |request: &str| {
+        stream.write_all(format!("{request}\n").as_bytes()).unwrap();
+        read_terminal(&mut reader)
+    };
+    let mutate = r#""id":"m","kind":"mutate","only":["mp"],"mutants":["store_drop_when_busy"]"#;
+    let plain = answer(&format!("{{{mutate}}}"));
+    let retired = answer(&format!(r#"{{{mutate},"incremental":"validate"}}"#));
+    assert_eq!(
+        plain.get("status").and_then(Json::as_str),
+        Some("ok"),
+        "{}",
+        plain.render()
+    );
+    assert_eq!(plain.render(), retired.render());
+
+    let stats = answer(r#"{"id":"s","kind":"stats"}"#);
+    let cache = stats
+        .get("graph_cache")
+        .expect("stats carry the graph cache");
+    assert!(cache.get("requests").is_some(), "{}", stats.render());
+    for key in ["incremental_hits", "incremental_misses", "spliced"] {
+        assert!(cache.get(key).is_none(), "{key}: {}", stats.render());
+    }
+    shut_down(&addr);
+    handle.join().unwrap();
+}
+
 #[test]
 fn hello_banner_identifies_the_protocol() {
     let (addr, handle) = start_server(ServeOptions::default());
