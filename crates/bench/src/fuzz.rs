@@ -232,16 +232,6 @@ impl FuzzReport {
         self.shapes.iter().filter(|s| s.design_verdict == v).count()
     }
 
-    /// The report's `backend` column: `explicit` once an engine bucket
-    /// ran, `-` otherwise.
-    fn backend(&self) -> &'static str {
-        if self.bucket_sizes.is_empty() {
-            "-"
-        } else {
-            "explicit"
-        }
-    }
-
     /// Shapes handed to the engine.
     pub fn escalated(&self) -> usize {
         self.shapes
@@ -363,12 +353,11 @@ impl FuzzReport {
         );
         let _ = writeln!(
             out,
-            "  escalated  {} shapes in {} engine buckets (budget {}, backend {}): \
+            "  escalated  {} shapes in {} engine buckets (budget {}): \
              {} agree, {} disagree, {} inconclusive",
             self.escalated(),
             self.bucket_sizes.len(),
             self.escalate_budget,
-            self.backend(),
             self.agreements(),
             self.disagreements(),
             self.engine_inconclusive()
@@ -461,7 +450,6 @@ impl FuzzReport {
             ("memory", Json::Str(self.memory.clone())),
             ("model", Json::Str(self.model.label().to_string())),
             ("config", Json::Str(self.config.clone())),
-            ("backend", Json::Str(self.backend().to_string())),
             ("min_len", Json::Num(self.len_range.0 as f64)),
             ("max_len", Json::Num(self.len_range.1 as f64)),
             ("generated", Json::Num(self.generated() as f64)),

@@ -17,7 +17,7 @@
 //! numbers the figures plot.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 use rtlcheck_core::{Rtlcheck, TestReport};
@@ -29,7 +29,6 @@ use rtlcheck_obs::{
 use rtlcheck_rtl::multi_vscale::MemoryImpl;
 use rtlcheck_verif::VerifyConfig;
 
-pub mod bench;
 pub mod fuzz;
 pub mod mutation;
 pub mod serve;
@@ -246,13 +245,17 @@ pub fn check_tests(
 ///
 /// Determinism contract: the returned results and everything `collector`
 /// observes are independent of `jobs`. Each worker records its unit's
-/// instrumentation into a private [`BufferCollector`]; once all workers
-/// finish, the buffers are replayed into `collector` in index order, so the
-/// collector sees exactly the stream a sequential run would have produced
-/// (span durations are the workers' original measurements). The
-/// observability invariants — counters summing to report totals, balanced
-/// spans — therefore hold under any job count. `jobs` ≤ 1 runs inline on
-/// the calling thread, reporting straight to `collector` with no buffering.
+/// instrumentation into a private [`BufferCollector`]. The calling thread
+/// is the sequencer: as soon as unit `i` and every unit before it have
+/// finished, it replays unit `i`'s buffer into `collector` and drops it, so
+/// the collector sees exactly the stream a sequential run would have
+/// produced (span durations are the workers' original measurements), and
+/// only the units finished ahead of the oldest running one stay buffered.
+/// The observability invariants — counters summing to report totals,
+/// balanced spans — therefore hold under any job count. A panicking unit
+/// makes `run_pool` panic once the other workers stop. `jobs` ≤ 1 runs
+/// inline on the calling thread, reporting straight to `collector` with no
+/// buffering.
 ///
 /// Each worker additionally reports, as work happens and on its own track,
 /// to every live sink ([`TrackSink`]) — this is how `--trace-out` sees the
@@ -289,36 +292,82 @@ pub fn run_pool<R: Send>(
     }
 
     let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<(R, BufferCollector)>>> =
-        (0..units).map(|_| Mutex::new(None)).collect();
+    let slots = Slots {
+        state: Mutex::new(SlotState {
+            done: (0..units).map(|_| None).collect(),
+            panicked: false,
+        }),
+        filled: Condvar::new(),
+    };
     std::thread::scope(|scope| {
         let (next, slots, unit) = (&next, &slots, &unit);
         for w in 0..workers {
             scope.spawn(move || {
+                let _alarm = PanicAlarm(slots);
                 let tracks: Vec<Box<dyn Collector + '_>> =
                     live.iter().map(|s| s.track(w as u64 + 1)).collect();
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(slot) = slots.get(i) else { break };
+                    if i >= units {
+                        break;
+                    }
                     let buf = BufferCollector::new();
                     let result = unit(i, &buf, &tracks);
-                    *slot.lock().unwrap_or_else(|e| e.into_inner()) = Some((result, buf));
+                    slots.lock().done[i] = Some((result, buf));
+                    slots.filled.notify_all();
                 }
             });
         }
-    });
 
-    slots
-        .into_iter()
-        .map(|slot| {
-            let (result, buf) = slot
-                .into_inner()
-                .unwrap_or_else(|e| e.into_inner())
-                .expect("every unit slot is filled once its worker finishes");
+        let mut results = Vec::with_capacity(units);
+        for i in 0..units {
+            let mut state = slots.lock();
+            while state.done[i].is_none() && !state.panicked {
+                state = slots.filled.wait(state).unwrap_or_else(|e| e.into_inner());
+            }
+            // A worker panicked: stop here, and the scope re-raises it.
+            let Some((result, buf)) = state.done[i].take() else {
+                break;
+            };
+            drop(state);
             buf.replay_into(collector);
-            result
-        })
-        .collect()
+            results.push(result);
+        }
+        results
+    })
+}
+
+/// The finished units [`run_pool`]'s workers hand to its calling thread.
+struct Slots<R> {
+    state: Mutex<SlotState<R>>,
+    /// Notified whenever a unit finishes or a worker panics.
+    filled: Condvar,
+}
+
+struct SlotState<R> {
+    /// Finished units not yet replayed, by index.
+    done: Vec<Option<(R, BufferCollector)>>,
+    /// Set when a worker panics, so its unit's slot will never fill.
+    panicked: bool,
+}
+
+impl<R> Slots<R> {
+    fn lock(&self) -> MutexGuard<'_, SlotState<R>> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+/// Held by each pool worker: if the worker unwinds, it wakes the calling
+/// thread, which would otherwise wait for the lost unit forever.
+struct PanicAlarm<'a, R>(&'a Slots<R>);
+
+impl<R> Drop for PanicAlarm<'_, R> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.lock().panicked = true;
+            self.0.filled.notify_all();
+        }
+    }
 }
 
 /// Resolves user-supplied names in order with `find`. A name listed twice
@@ -350,6 +399,26 @@ pub fn suite_tests<S: AsRef<str>>(names: &[S]) -> Result<Vec<LitmusTest>, String
     })
 }
 
+/// Parses a memory implementation name (`--memory`, serve `memory`).
+pub fn parse_memory(v: &str) -> Result<MemoryImpl, String> {
+    match v {
+        "fixed" => Ok(MemoryImpl::Fixed),
+        "buggy" => Ok(MemoryImpl::Buggy),
+        "tso" => Ok(MemoryImpl::Tso),
+        other => Err(format!("unknown memory implementation `{other}`")),
+    }
+}
+
+/// Parses a verification configuration name (`--config`, serve `config`).
+pub fn parse_config(v: &str) -> Result<VerifyConfig, String> {
+    match v {
+        "quick" => Ok(VerifyConfig::quick()),
+        "hybrid" => Ok(VerifyConfig::hybrid()),
+        "full-proof" | "full_proof" => Ok(VerifyConfig::full_proof()),
+        other => Err(format!("unknown config `{other}`")),
+    }
+}
+
 /// Renders an ASCII bar chart: one row per `(label, value)`, scaled to
 /// `width` columns, annotated with the formatted value.
 pub fn bar_chart(items: &[(String, f64)], width: usize, unit: &str) -> String {
@@ -368,8 +437,7 @@ pub fn bar_chart(items: &[(String, f64)], width: usize, unit: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtlcheck_obs::{attrs, Attrs};
-    use std::sync::Condvar;
+    use rtlcheck_obs::{attrs, Attrs, NullCollector};
 
     fn row(test: &str, proven: usize, total: usize, runtime_ms: u64) -> TestRow {
         TestRow {
@@ -406,21 +474,36 @@ mod tests {
 
     /// Records counters and events as text lines, in arrival order.
     #[derive(Default)]
-    struct Log(Mutex<Vec<String>>);
+    struct Log(Mutex<Vec<String>>, Condvar);
 
     impl Log {
         fn lines(&self) -> Vec<String> {
             self.0.lock().unwrap().clone()
         }
+
+        fn push(&self, line: String) {
+            self.0.lock().unwrap().push(line);
+            self.1.notify_all();
+        }
+
+        /// Waits up to `timeout` for `line` to arrive; returns whether it
+        /// did.
+        fn wait_for(&self, line: &str, timeout: Duration) -> bool {
+            let missing = |lines: &mut Vec<String>| !lines.iter().any(|l| l == line);
+            let waited = self
+                .1
+                .wait_timeout_while(self.0.lock().unwrap(), timeout, missing);
+            !waited.unwrap().1.timed_out()
+        }
     }
 
     impl Collector for Log {
         fn counter(&self, name: &str, value: u64, _attrs: Attrs) {
-            self.0.lock().unwrap().push(format!("{name} {value}"));
+            self.push(format!("{name} {value}"));
         }
 
         fn event(&self, name: &str, attrs: Attrs) {
-            self.0.lock().unwrap().push(format!("{name} {attrs:?}"));
+            self.push(format!("{name} {attrs:?}"));
         }
     }
 
@@ -484,6 +567,56 @@ mod tests {
         assert_eq!(par_live, seq_live);
         let done = seq_live.iter().filter(|l| l.starts_with(UNIT_DONE));
         assert_eq!(done.count(), units);
+    }
+
+    #[test]
+    fn pool_replays_each_unit_once_every_earlier_unit_is_done() {
+        let units = 6;
+        let stream = Log::default();
+        let seen_before_start = run_pool(
+            units,
+            2,
+            &stream,
+            &[],
+            |i| ("unit", i.into()),
+            |i, sink| {
+                // Unit `i` starts only once the collector has seen unit
+                // `i - 1`, which the calling thread must replay while the
+                // workers still run.
+                let seen = i == 0
+                    || stream.wait_for(&format!("unit.index {}", i - 1), Duration::from_secs(10));
+                sink.counter("unit.index", i as u64, attrs![]);
+                seen
+            },
+        );
+        assert_eq!(seen_before_start, vec![true; units]);
+        let expected: Vec<String> = (0..units).map(|i| format!("unit.index {i}")).collect();
+        assert_eq!(stream.lines(), expected);
+    }
+
+    #[test]
+    fn a_panicking_unit_makes_the_pool_panic_instead_of_hang() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        // On its own thread, so that a hang fails the test instead of
+        // stalling it.
+        let pool = std::thread::spawn(move || {
+            let outcome = std::panic::catch_unwind(|| {
+                run_pool(
+                    4,
+                    2,
+                    &NullCollector,
+                    &[],
+                    |i| ("unit", i.into()),
+                    |i, _| {
+                        assert_ne!(i, 0, "unit 0 fails");
+                        i
+                    },
+                )
+            });
+            tx.send(outcome.is_err()).unwrap();
+        });
+        assert_eq!(rx.recv_timeout(Duration::from_secs(60)), Ok(true));
+        pool.join().unwrap();
     }
 
     #[test]

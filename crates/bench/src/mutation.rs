@@ -302,8 +302,6 @@ impl CampaignReport {
                                 ("family", Json::Str(m.family.clone())),
                                 ("description", Json::Str(m.description.clone())),
                                 ("verdict", Json::Str(m.verdict.label().to_string())),
-                                // Constant since `--backend` was retired.
-                                ("backend", Json::Str("explicit".to_string())),
                                 (
                                     "killed_by",
                                     Json::Arr(
@@ -664,7 +662,6 @@ mod tests {
         let text = v.render();
         assert!(text.contains("\"survivors\":[\"b\"]"), "{text}");
         assert!(text.contains("\"verdict\":\"killed\""), "{text}");
-        assert!(text.contains("\"backend\":\"explicit\""), "{text}");
         let parsed = Json::parse(&text).unwrap();
         assert_eq!(
             parsed.get("score_pct").and_then(Json::as_u64),

@@ -83,6 +83,7 @@ use rtlcheck_verif::{GraphCache, VerifyConfig};
 
 use crate::fuzz::{run_fuzz, FuzzOptions};
 use crate::mutation::{run_campaign, CampaignOptions};
+use crate::{parse_config, parse_memory};
 
 /// Protocol identifier sent in the `hello` frame.
 pub const PROTOCOL: &str = "rtlcheck-serve/1";
@@ -344,24 +345,6 @@ fn get_names(obj: &Json, key: &str) -> Result<Option<Vec<String>>, String> {
             Ok(Some(names))
         }
         Some(_) => Err(format!("`{key}` must be an array of strings")),
-    }
-}
-
-fn parse_memory(v: &str) -> Result<MemoryImpl, String> {
-    match v {
-        "fixed" => Ok(MemoryImpl::Fixed),
-        "buggy" => Ok(MemoryImpl::Buggy),
-        "tso" => Ok(MemoryImpl::Tso),
-        other => Err(format!("unknown memory implementation `{other}`")),
-    }
-}
-
-fn parse_config(v: &str) -> Result<VerifyConfig, String> {
-    match v {
-        "quick" => Ok(VerifyConfig::quick()),
-        "hybrid" => Ok(VerifyConfig::hybrid()),
-        "full-proof" | "full_proof" => Ok(VerifyConfig::full_proof()),
-        other => Err(format!("unknown config `{other}`")),
     }
 }
 
@@ -1605,6 +1588,14 @@ mod tests {
                 "unknown suite test",
             ),
             ("{\"kind\":\"suite\",\"only\":[1]}", "array of strings"),
+            (
+                "{\"kind\":\"suite\",\"config\":\"frobnicate\"}",
+                "unknown config `frobnicate`",
+            ),
+            (
+                "{\"kind\":\"check\",\"test\":\"mp\",\"memory\":\"frobnicate\"}",
+                "unknown memory implementation `frobnicate`",
+            ),
         ];
         for (src, needle) in cases {
             let v = Json::parse(src).unwrap();

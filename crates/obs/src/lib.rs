@@ -40,7 +40,7 @@ pub mod trace;
 
 pub use jsonl::JsonlCollector;
 pub use metrics::{
-    fmt_us, CounterSummary, Histogram, MetricsCollector, MetricsSummary, SlowSpan, SpanSummary,
+    CounterSummary, Histogram, MetricsCollector, MetricsSummary, SlowSpan, SpanSummary,
     SummaryError,
 };
 pub use progress::ProgressSink;

@@ -946,7 +946,7 @@ fn fmt_pct_delta(a: Option<u64>, b: Option<u64>) -> String {
 }
 
 /// Formats a microsecond duration with an adaptive unit.
-pub fn fmt_us(us: u64) -> String {
+pub(crate) fn fmt_us(us: u64) -> String {
     match us {
         0..=999 => format!("{us} µs"),
         1_000..=999_999 => format!("{:.1} ms", us as f64 / 1e3),

@@ -40,6 +40,7 @@
 use std::io::{BufWriter, ErrorKind, Write};
 use std::process::ExitCode;
 
+use rtlcheck::bench::{parse_config, parse_memory};
 use rtlcheck::core::{CoverOutcome, Rtlcheck};
 use rtlcheck::litmus::{suite, LitmusTest};
 use rtlcheck::obs::{
@@ -126,9 +127,6 @@ usage:
                  [--jobs N] [--len MIN..MAX] [--escalate N] [--json <out.json>]
                  [--events <out.jsonl>] [--metrics <out.json>]
                  [--trace-out <out.json>] [--progress]
-  rtlcheck bench [--workload suite,mutate,check] [--config a,b]
-                 [--jobs 1,8] [--only a,b,c] [--iterations N] [--warmup N]
-                 [--json <out.json>] [--baseline <bench.json>] [--tolerance PCT]
   rtlcheck serve [--addr HOST:PORT] [--jobs N] [--queue N]
                  [--cache-capacity N] [--max-frame BYTES]
                  [--events <out.jsonl>] [--metrics <out.json>]
@@ -156,10 +154,6 @@ by a polynomial SC/TSO oracle, and the shapes the oracle cannot settle (or
 that --escalate budgets in) are escalated to the full RTL engine; the
 report carries the axiom exercise matrix and is byte-identical across
 --jobs values. --len bounds the cycle length (default 3..6).
-`bench` runs warmup + N timed iterations of each workload case (the cross
-product of the comma-separated lists) and writes an `rtlcheck-bench/1`
-document; with --baseline it exits non-zero when a case's median regresses
-past --tolerance percent (default 25).
 `profile --diff` compares two metrics files: per-counter deltas and
 histogram shifts.
 `serve` runs the long-lived verification server: a TCP daemon accepting
@@ -202,29 +196,10 @@ fn run(args: &[String], out: &mut dyn Write) -> Result<ExitCode, Failure> {
         "suite" => suite_cmd(rest, out),
         "mutate" => mutate_cmd(rest, out),
         "fuzz" => fuzz_cmd(rest, out),
-        "bench" => bench_cmd(rest, out),
         "serve" => serve_cmd(rest, out),
         "connect" => connect_cmd(rest, out),
         "profile" => profile(rest, out),
         other => Err(format!("unknown subcommand `{other}`").into()),
-    }
-}
-
-fn parse_memory(v: &str) -> Result<MemoryImpl, String> {
-    match v {
-        "fixed" => Ok(MemoryImpl::Fixed),
-        "buggy" => Ok(MemoryImpl::Buggy),
-        "tso" => Ok(MemoryImpl::Tso),
-        other => Err(format!("unknown memory implementation `{other}`")),
-    }
-}
-
-fn parse_config(v: &str) -> Result<VerifyConfig, String> {
-    match v {
-        "quick" => Ok(VerifyConfig::quick()),
-        "hybrid" => Ok(VerifyConfig::hybrid()),
-        "full-proof" | "full_proof" => Ok(VerifyConfig::full_proof()),
-        other => Err(format!("unknown config `{other}`")),
     }
 }
 
@@ -965,200 +940,6 @@ fn connect_cmd(args: &[String], out: &mut dyn Write) -> Result<ExitCode, Failure
     } else {
         ExitCode::SUCCESS
     })
-}
-
-/// The `bench` subcommand: warmup + timed iterations over the cross
-/// product of `--workload` × `--config` × `--jobs`, phase
-/// breakdowns from the obs metrics, and optional `--baseline` regression
-/// gating. Structurally it is a thin CLI over [`rtlcheck::bench::bench`]:
-/// the harness owns timing/statistics, this function owns case
-/// enumeration and the per-workload iteration closures.
-fn bench_cmd(args: &[String], out: &mut dyn Write) -> Result<ExitCode, Failure> {
-    use rtlcheck::bench::bench::{
-        regressions, render_comparison, run_case, BenchReport, CaseKey, SCHEMA,
-    };
-    use rtlcheck::bench::mutation::{run_campaign, CampaignOptions};
-    use rtlcheck::rtl::mutate::CatalogTarget;
-
-    let split_list = |v: &str| -> Vec<String> {
-        v.split(',')
-            .map(str::trim)
-            .filter(|n| !n.is_empty())
-            .map(String::from)
-            .collect()
-    };
-    let mut workloads = vec!["suite".to_string()];
-    let mut configs = vec!["quick".to_string()];
-    let mut jobs_list = vec![1usize];
-    let mut only: Option<Vec<String>> = None;
-    let mut iterations = 3usize;
-    let mut warmup = 1usize;
-    let mut json_path: Option<String> = None;
-    let mut baseline_path: Option<String> = None;
-    let mut tolerance = 25.0f64;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--workload" => {
-                let v = it.next().ok_or("--workload needs a comma-separated list")?;
-                workloads = split_list(v);
-            }
-            "--config" => {
-                let v = it.next().ok_or("--config needs a comma-separated list")?;
-                configs = split_list(v);
-            }
-            "--jobs" => {
-                let v = it.next().ok_or("--jobs needs a comma-separated list")?;
-                jobs_list = Vec::new();
-                for n in split_list(v) {
-                    jobs_list.push(
-                        n.parse()
-                            .ok()
-                            .filter(|&j| j >= 1)
-                            .ok_or(format!("--jobs needs positive integers, got `{n}`"))?,
-                    );
-                }
-            }
-            "--only" => {
-                let v = it
-                    .next()
-                    .ok_or("--only needs a comma-separated test list")?;
-                only = Some(split_list(v));
-            }
-            "--iterations" => {
-                let v = it.next().ok_or("--iterations needs a count")?;
-                iterations = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or(format!("--iterations needs a positive integer, got `{v}`"))?;
-            }
-            "--warmup" => {
-                let v = it.next().ok_or("--warmup needs a count")?;
-                warmup = v
-                    .parse()
-                    .map_err(|_| format!("--warmup needs an integer, got `{v}`"))?;
-            }
-            "--json" => {
-                let v = it.next().ok_or("--json needs a path")?;
-                json_path = Some(v.clone());
-            }
-            "--baseline" => {
-                let v = it.next().ok_or("--baseline needs a bench.json path")?;
-                baseline_path = Some(v.clone());
-            }
-            "--tolerance" => {
-                let v = it.next().ok_or("--tolerance needs a percentage")?;
-                tolerance = v
-                    .parse()
-                    .ok()
-                    .filter(|t: &f64| t.is_finite() && *t >= 0.0)
-                    .ok_or(format!("--tolerance needs a percentage, got `{v}`"))?;
-            }
-            f if f.starts_with("--") => return Err(format!("unknown flag `{f}`").into()),
-            other => return Err(format!("unexpected argument `{other}`").into()),
-        }
-    }
-    if workloads.is_empty() || configs.is_empty() || jobs_list.is_empty() {
-        return Err("empty --workload/--config/--jobs list".into());
-    }
-
-    // Resolve everything up front so a typo fails before minutes of timing.
-    let tests: Vec<LitmusTest> = match &only {
-        Some(names) => rtlcheck::bench::suite_tests(names)?,
-        None => suite::all(),
-    };
-    for w in &workloads {
-        if !matches!(w.as_str(), "suite" | "mutate" | "check") {
-            return Err(
-                format!("unknown workload `{w}` (expected suite, mutate, or check)").into(),
-            );
-        }
-    }
-    let configs = configs
-        .iter()
-        .map(|name| Ok((name, parse_config(name)?)))
-        .collect::<Result<Vec<_>, String>>()?;
-
-    let mut report = BenchReport {
-        nproc: std::thread::available_parallelism()
-            .ok()
-            .map(|n| n.get() as u64),
-        cases: Vec::new(),
-    };
-    for workload in &workloads {
-        for (config_name, config) in &configs {
-            for &jobs in &jobs_list {
-                let key = CaseKey {
-                    workload: workload.clone(),
-                    config: config_name.to_string(),
-                    jobs,
-                };
-                eprintln!(
-                    "bench: {} ({warmup} warmup + {iterations} timed)",
-                    key.label()
-                );
-                let case = match workload.as_str() {
-                    "suite" => {
-                        let tool = Rtlcheck::new(MemoryImpl::Fixed);
-                        run_case(key, warmup, iterations, |metrics| {
-                            rtlcheck::bench::check_tests(&tool, &tests, config, jobs, metrics, &[]);
-                        })
-                    }
-                    "check" => {
-                        let tool = Rtlcheck::new(MemoryImpl::Fixed);
-                        let test = &tests[0];
-                        run_case(key, warmup, iterations, |metrics| {
-                            tool.check_test_observed(test, config, metrics);
-                        })
-                    }
-                    "mutate" => {
-                        let mut options = CampaignOptions::new(CatalogTarget::MultiVscale);
-                        options.jobs = jobs;
-                        options.tests = only.clone();
-                        run_case(key, warmup, iterations, |metrics| {
-                            run_campaign(&options, config, metrics, None)
-                                .expect("bench selections pre-validated");
-                        })
-                    }
-                    _ => unreachable!("workloads validated above"),
-                };
-                report.cases.push(case);
-            }
-        }
-    }
-
-    write!(out, "{}", report.render())?;
-    if let Some(path) = &json_path {
-        let text = report.to_json().pretty();
-        std::fs::write(path, text + "\n").map_err(|e| format!("writing {path}: {e}"))?;
-        writeln!(out, "\nbench JSON written to {path}")?;
-    }
-    if let Some(path) = &baseline_path {
-        let text = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(e) => {
-                eprintln!("error: {path}: {e}");
-                return Ok(ExitCode::FAILURE);
-            }
-        };
-        let baseline = match BenchReport::parse(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("error: {path}: {e} (expected a `{SCHEMA}` document, from bench --json)");
-                return Ok(ExitCode::FAILURE);
-            }
-        };
-        write!(
-            out,
-            "\n{}",
-            render_comparison(&report, &baseline, tolerance)
-        )?;
-        if !regressions(&report, &baseline, tolerance).is_empty() {
-            return Ok(ExitCode::FAILURE);
-        }
-    }
-    Ok(ExitCode::SUCCESS)
 }
 
 fn profile(args: &[String], out: &mut dyn Write) -> Result<ExitCode, Failure> {

@@ -235,8 +235,6 @@ fn bad_usage_exits_2_with_usage_text() {
         &["check", "nonexistent-test"][..],
         &["suite", "--only", "mp", "--jobs", "zero"][..],
         &["suite", "--only", "not-a-test"][..],
-        &["bench", "--workload", "frobnicate"][..],
-        &["bench", "--tolerance", "lots"][..],
         &["profile", "--diff", "only-one.json"][..],
         &["check", "mp", "--backend", "composed"][..],
         &["suite", "--only", "mp", "--backend", "composed"][..],
@@ -244,7 +242,6 @@ fn bad_usage_exits_2_with_usage_text() {
         &["fuzz", "--backend", "composed"][..],
         // `--backend` is retired: even its former default is unknown.
         &["check", "mp", "--backend", "explicit"][..],
-        &["bench", "--backend", "explicit"][..],
     ] {
         let out = rtlcheck(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
@@ -268,10 +265,6 @@ fn bad_usage_exits_2_with_usage_text() {
         (
             "--graph-cache",
             &["fuzz", "--count", "10", "--graph-cache", "gc"][..],
-        ),
-        (
-            "--graph-cache",
-            &["bench", "--workload", "check", "--graph-cache", "gc"][..],
         ),
         ("--graph-cache", &["serve", "--graph-cache", "gc"][..]),
         (
@@ -298,13 +291,27 @@ fn bad_usage_exits_2_with_usage_text() {
         assert!(err.contains("usage:"), "{args:?}: {err}");
     }
 
-    // The cold-campaign bench workload went with `--incremental`.
-    let out = rtlcheck(&["bench", "--workload", "mutate-cold", "--only", "mp"]);
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
-    assert!(out.stdout.is_empty(), "work ran: {out:?}");
-    let err = String::from_utf8(out.stderr).unwrap();
-    assert!(err.contains("unknown workload `mutate-cold`"), "{err}");
-    assert!(err.contains("usage:"), "{err}");
+    // Unknown names fail before any work runs: the retired `bench`
+    // subcommand (timing lives in the `benchmark/` package), and bad
+    // config and memory names.
+    for (args, message) in [
+        (&["bench"][..], "unknown subcommand `bench`"),
+        (
+            &["suite", "--config", "frobnicate"][..],
+            "unknown config `frobnicate`",
+        ),
+        (
+            &["check", "mp", "--memory", "frobnicate"][..],
+            "unknown memory implementation `frobnicate`",
+        ),
+    ] {
+        let out = rtlcheck(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: work ran: {out:?}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.contains(message), "{args:?}: {err}");
+        assert!(err.contains("usage:"), "{args:?}: {err}");
+    }
 
     // An empty selection is a usage error, not a campaign of nothing.
     let out = rtlcheck(&["mutate", "--only", "mp", "--mutants", ""]);
@@ -313,26 +320,6 @@ fn bad_usage_exits_2_with_usage_text() {
     let err = String::from_utf8(out.stderr).unwrap();
     assert!(err.contains("no mutants selected"), "{err}");
     assert!(err.contains("usage:"), "{err}");
-
-    // `bench` validates its whole config list before the first case, so
-    // a bad entry after a good one runs nothing.
-    let out = rtlcheck(&[
-        "bench",
-        "--workload",
-        "check",
-        "--only",
-        "mp",
-        "--config",
-        "hybrid,frobnicate",
-    ]);
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
-    let err = String::from_utf8(out.stderr).unwrap();
-    assert!(err.contains("unknown config `frobnicate`"), "{err}");
-    assert!(err.contains("usage:"), "{err}");
-    assert!(
-        !err.contains("bench: "),
-        "a case ran before validation: {err}"
-    );
 }
 
 /// A test or mutant named twice in a list is a usage error naming it,
@@ -343,10 +330,6 @@ fn repeated_names_exit_2_instead_of_double_counting() {
     for (args, message) in [
         (
             &["suite", "--only", "mp,sb,mp"][..],
-            "duplicate suite test `mp`",
-        ),
-        (
-            &["bench", "--workload", "check", "--only", "mp,mp"][..],
             "duplicate suite test `mp`",
         ),
         (

@@ -21,7 +21,15 @@ fn quick() -> VerifyConfig {
 fn multi_vscale_campaign_kills_the_seeded_mutants() {
     let mut options = CampaignOptions::new(CatalogTarget::MultiVscale);
     options.jobs = 8;
-    let report = run_campaign(&options, &quick(), &NullCollector, None).unwrap();
+    let metrics = MetricsCollector::new();
+    let report = run_campaign(&options, &quick(), &metrics, None).unwrap();
+
+    // The campaign's row-build and walk work, pinned: a change that builds
+    // more rows or fetches more edges shows here, whatever the wall clock.
+    let summary = metrics.summary();
+    let total = |name: &str| summary.counter(name).map(|c| c.total);
+    assert_eq!(total("graph.rows_built"), Some(46_841));
+    assert_eq!(total("graph.lookups"), Some(16_184_871));
 
     // The §7.1 analog: dropping the first of two back-to-back stores is
     // caught, and `mp` is among the killing tests.
@@ -61,16 +69,6 @@ fn multi_vscale_campaign_kills_the_seeded_mutants() {
         parsed.get("killed").and_then(Json::as_u64),
         Some(report.killed() as u64)
     );
-    // Every campaign unit records the backend its checks ran on.
-    let units = parsed.get("mutants").and_then(Json::as_arr).unwrap();
-    assert!(!units.is_empty());
-    for unit in units {
-        assert_eq!(
-            unit.get("backend").and_then(Json::as_str),
-            Some("explicit"),
-            "{json}"
-        );
-    }
     // Survivors force the weakest-axiom listing to be meaningful: at least
     // one axiom killed nothing.
     assert!(!report.weakest_axioms().is_empty(), "{}", report.render());

@@ -262,12 +262,13 @@ fn suite_monitor_metrics_and_memo_counters_are_pinned() {
     }
 }
 
-/// The hybrid suite's walk work, pinned: `graph.lookups` counts exactly
-/// the edges the property and cover walks fetch, and
-/// `walk.derived_full_runs` the full-engine runs answered from the bounded
-/// walk instead of walked again. On both memories no bounded walk stops on
-/// its depth bound, so every full run is derived. Both totals are equal at
-/// `--jobs 1` and `--jobs 8`.
+/// The hybrid suite's walk work, pinned: `graph.rows_built` counts the
+/// rows the walks build lazily, `graph.lookups` exactly the edges the
+/// property and cover walks fetch, and `walk.derived_full_runs` the
+/// full-engine runs answered from the bounded walk instead of walked
+/// again. On both memories no bounded walk stops on its depth bound, so
+/// every full run is derived. All three totals are equal at `--jobs 1` and
+/// `--jobs 8`.
 #[test]
 fn hybrid_suite_walk_work_is_pinned() {
     let config = VerifyConfig::hybrid();
@@ -276,10 +277,14 @@ fn hybrid_suite_walk_work_is_pinned() {
         run_suite(memory, &config, jobs, &metrics);
         metrics.summary()
     };
-    const WALK_WORK: [&str; 2] = ["graph.lookups", "walk.derived_full_runs"];
+    const WALK_WORK: [&str; 3] = [
+        "graph.rows_built",
+        "graph.lookups",
+        "walk.derived_full_runs",
+    ];
     for (memory, walk_work) in [
-        (MemoryImpl::Fixed, [1_755_180, 2_475]),
-        (MemoryImpl::Buggy, [7_438_742, 2_419]),
+        (MemoryImpl::Fixed, [4_880, 1_755_180, 2_475]),
+        (MemoryImpl::Buggy, [19_929, 7_438_742, 2_419]),
     ] {
         let summary = run(memory, 1);
         let total = |name: &str| summary.counter(name).map_or(0, |c| c.total);
