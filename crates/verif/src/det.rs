@@ -1,7 +1,8 @@
 //! Monitors determinised on the fly.
 //!
-//! Both the property walks (assertion monitors over atom-table indices)
-//! and the state graph's row build (assumption monitors over [`RtlAtom`]s)
+//! Both the property walks (assertion monitors over the atom ranks of a
+//! property shape, shared by a graph's walks of that shape) and the state
+//! graph's row build (assumption monitors over [`RtlAtom`]s)
 //! step an SVA [`Monitor`] from many product states. [`DetMonitor`]
 //! interns every monitor state it reaches to a dense `u32` id and memoises
 //! each transition `(id, valuation of the property's own atoms)`, so the
@@ -13,6 +14,7 @@
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::rc::Rc;
 
 use rtlcheck_sva::{Monitor, MonitorState, Prop};
 
@@ -83,9 +85,10 @@ pub(crate) const FAILED: u32 = u32::MAX - 1;
 /// match an unmemoised run.
 pub(crate) struct DetMonitor<A> {
     pub(crate) monitor: Monitor<A>,
-    /// Interned states by id.
-    states: Vec<MonitorState>,
-    ids: HashMap<MonitorState, u32>,
+    /// Interned states by id, each allocated once and shared with `ids`:
+    /// a graph keeps a shape's monitor across that shape's walks.
+    states: Vec<Rc<MonitorState>>,
+    ids: HashMap<Rc<MonitorState>, u32>,
     /// The property's distinct atoms, ascending: bit `j` of a memo key is
     /// the value of `atoms[j]`.
     atoms: Vec<A>,
@@ -137,7 +140,8 @@ impl<A: Clone + Ord> DetMonitor<A> {
             .ok()
             .filter(|&id| id < FAILED)
             .expect("monitor states fit in u32 ids");
-        self.states.push(state.clone());
+        let state = Rc::new(state);
+        self.states.push(Rc::clone(&state));
         self.ids.insert(state, id);
         id
     }
@@ -165,7 +169,8 @@ impl<A: Clone + Ord> DetMonitor<A> {
         }
         self.steps += 1;
         let filter_hits = self.monitor.metrics().first_filter_hits;
-        self.monitor.set_state(self.states[id as usize].clone());
+        self.monitor
+            .set_state(MonitorState::clone(&self.states[id as usize]));
         self.monitor.step(&holds);
         let filtered = self.monitor.metrics().first_filter_hits != filter_hits;
         let next = if self.monitor.failed() {

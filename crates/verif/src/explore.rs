@@ -7,7 +7,9 @@
 //!   per-edge atom valuations — once per [`Problem`].
 //! * `Walk` (internal) layers one assertion monitor's NFA over the cached
 //!   graph, determinising it lazily: monitor states are interned to dense
-//!   ids and transitions memoised per walk (`DetMonitor`).
+//!   ids and transitions memoised (`DetMonitor`), once per property shape
+//!   and graph, so walks of properties that differ only in their signals
+//!   share the work.
 //!   [`verify_property`] and [`check_cover`] are thin drivers around
 //!   walks; their budget semantics ([`Engine`] limits, bounded-vs-complete
 //!   verdicts, [`ExploreStats`]) are bit-for-bit those of the pre-split
@@ -28,7 +30,7 @@ use rtlcheck_sva::{Monitor, MonitorMetrics, MonitorState, Prop, SvaBool};
 use crate::atom::RtlAtom;
 use crate::det::{DetMonitor, IdMap, FAILED};
 use crate::engine::{Engine, EngineKind, PropertyVerdict, VerifyConfig};
-use crate::graph::{input_valuations, StateGraph, PRUNED};
+use crate::graph::{input_valuations, ShapeMonitor, StateGraph, PRUNED};
 use crate::problem::Problem;
 
 /// Statistics from one exploration run.
@@ -144,6 +146,30 @@ struct MonitorRecord {
     metrics: MonitorMetrics,
 }
 
+impl MonitorRecord {
+    /// Everything `det` has done so far.
+    fn of(det: &DetMonitor<usize>) -> Self {
+        MonitorRecord {
+            steps: det.steps,
+            memo_hits: det.memo_hits,
+            metrics: det.monitor.metrics(),
+        }
+    }
+
+    /// The work done since `base`, with the automaton's static size.
+    fn since(self, base: MonitorRecord) -> Self {
+        MonitorRecord {
+            steps: self.steps - base.steps,
+            memo_hits: self.memo_hits - base.memo_hits,
+            metrics: MonitorMetrics {
+                attempts: self.metrics.attempts - base.metrics.attempts,
+                first_filter_hits: self.metrics.first_filter_hits - base.metrics.first_filter_hits,
+                ..self.metrics
+            },
+        }
+    }
+}
+
 impl RunRecord {
     /// Reports the run to a collector: the exploration counters under
     /// `engine.<scope>.*` (so the profile view can relate work done to the
@@ -191,8 +217,11 @@ fn atom_holds(bits: &[u64], i: usize) -> bool {
 /// stepping and assumption pruning are served by the graph.
 struct Walk<'g, 'p, 'd> {
     graph: &'g StateGraph<'p, 'd>,
-    /// The assertion monitor (compiled over atom-table indices), if any.
-    monitor: Option<DetMonitor<usize>>,
+    /// The assertion's shape monitor, taken from the graph until the walk
+    /// is dropped, and the monitor's work at that point, so that
+    /// [`Walk::record`] reports the walk's own. `None` without an
+    /// assertion.
+    monitor: Option<(ShapeMonitor, MonitorRecord)>,
     /// The cover condition (over atom-table indices), if searched for.
     cover: Option<SvaBool<usize>>,
     nodes: Vec<WalkNode>,
@@ -215,7 +244,11 @@ impl<'g, 'p, 'd> Walk<'g, 'p, 'd> {
         assertion: Option<&Prop<RtlAtom>>,
         check_cover: bool,
     ) -> Self {
-        let monitor = assertion.map(|p| DetMonitor::new(&graph.map_prop(p)));
+        let monitor = assertion.map(|p| {
+            let m = graph.take_monitor(p);
+            let base = MonitorRecord::of(&m.det);
+            (m, base)
+        });
         let cover = if check_cover {
             graph.problem().cover.as_ref().map(|c| graph.map_bool(c))
         } else {
@@ -327,10 +360,15 @@ impl<'g, 'p, 'd> Walk<'g, 'p, 'd> {
         self.stats.transitions += 1;
 
         let next_monitor = match &mut self.monitor {
-            Some(m) => match m.step(self.nodes[node_idx].monitor, |&i| atom_holds(&self.bits, i)) {
-                FAILED => return Step::AssertFailed,
-                id => id,
-            },
+            Some((m, _)) => {
+                let atoms = &m.atoms;
+                match m.det.step(self.nodes[node_idx].monitor, |&r| {
+                    atom_holds(&self.bits, atoms[r])
+                }) {
+                    FAILED => return Step::AssertFailed,
+                    id => id,
+                }
+            }
             None => NO_MONITOR,
         };
         if let Some(cover) = &self.cover {
@@ -356,11 +394,10 @@ impl<'g, 'p, 'd> Walk<'g, 'p, 'd> {
     fn record(&self) -> RunRecord {
         RunRecord {
             stats: self.stats,
-            monitor: self.monitor.as_ref().map(|m| MonitorRecord {
-                steps: m.steps,
-                memo_hits: m.memo_hits,
-                metrics: m.monitor.metrics(),
-            }),
+            monitor: self
+                .monitor
+                .as_ref()
+                .map(|(m, base)| MonitorRecord::of(&m.det).since(*base)),
         }
     }
 
@@ -383,6 +420,14 @@ impl<'g, 'p, 'd> Walk<'g, 'p, 'd> {
             trace.push(state, input.to_vec());
         }
         trace
+    }
+}
+
+impl Drop for Walk<'_, '_, '_> {
+    fn drop(&mut self) {
+        if let Some((m, _)) = self.monitor.take() {
+            self.graph.return_monitor(m);
+        }
     }
 }
 

@@ -35,7 +35,7 @@ use std::sync::Arc;
 use rtlcheck_obs::{attrs, Collector};
 use rtlcheck_rtl::sim::{Frame, Simulator, State};
 use rtlcheck_rtl::{ConeSet, Design, SignalId, SignalKind};
-use rtlcheck_sva::{MonitorState, Prop, SvaBool};
+use rtlcheck_sva::{MonitorState, Prop, Seq, SvaBool};
 
 use crate::atom::{RtlAtom, RtlBool};
 use crate::cache::{CoreSnapshot, NodeSnapshot};
@@ -292,8 +292,149 @@ pub struct StateGraph<'p, 'd> {
     /// u64 words per edge bitset.
     words: usize,
     core: RefCell<GraphCore<'d>>,
+    /// The walks' assertion monitors, one per property shape. Walk state:
+    /// no snapshot captures it.
+    shapes: RefCell<ShapeTable>,
     /// Baseline-reuse context when this graph was assembled incrementally.
     splice: Option<SpliceState>,
+}
+
+/// Determinised assertion monitors by property *shape*: the property with
+/// each atom renamed to the rank of its first occurrence. Properties that
+/// differ only in the signals they sample share a shape, and so a monitor,
+/// its interned states and its transition memo. This is sound because an
+/// injective atom renaming preserves monitor behaviour exactly
+/// ([`Prop::map_atoms`]): a walk steps its shape's monitor with rank `r`
+/// valued as its own `r`-th atom.
+#[derive(Default)]
+struct ShapeTable {
+    /// Shape ([`encode_prop`]) → index into `shapes`. Keyed by the whole
+    /// encoding, so shapes are compared structurally, not by hash alone.
+    slots: HashMap<Box<[u32]>, usize>,
+    shapes: Vec<Shape>,
+    /// Scratch encoding of the property being looked up.
+    key: Vec<u32>,
+}
+
+/// One entry of a [`ShapeTable`].
+#[derive(Default)]
+struct Shape {
+    /// The shape's monitor: `None` until a walk builds it, while a walk
+    /// has it, and once no further walk of the shape is expected.
+    monitor: Option<DetMonitor<usize>>,
+    /// Walks of the shape still expected: one per property the graph was
+    /// built with, less one per walk that has ended. Dropping the monitor
+    /// when it runs out keeps a flow's peak memory to the automata its
+    /// remaining walks need; a walk after that builds a fresh one.
+    walks_left: usize,
+}
+
+impl ShapeTable {
+    /// A table expecting one walk of each of `props`.
+    fn expecting(props: &[&Prop<RtlAtom>]) -> Self {
+        let mut table = ShapeTable::default();
+        for p in props {
+            let slot = table.slot(p, &mut Vec::new());
+            table.shapes[slot].walks_left += 1;
+        }
+        table
+    }
+
+    /// The slot of `prop`'s shape, added on first sight. `ranked` receives
+    /// the property's atoms in rank order.
+    fn slot(&mut self, prop: &Prop<RtlAtom>, ranked: &mut Vec<RtlAtom>) -> usize {
+        self.key.clear();
+        encode_prop(prop, ranked, &mut self.key);
+        if let Some(&slot) = self.slots.get(self.key.as_slice()) {
+            return slot;
+        }
+        self.slots
+            .insert(self.key.as_slice().into(), self.shapes.len());
+        self.shapes.push(Shape::default());
+        self.shapes.len() - 1
+    }
+}
+
+/// Appends `prop`'s shape to `out` as a preorder token stream, with each
+/// atom written as its rank in `atoms`, which collects the property's
+/// distinct atoms in order of first occurrence. Every node writes a tag
+/// unique among its type's variants, then its fixed fields (and a child
+/// count for `and` / `or`), so the stream decodes uniquely: two properties
+/// have equal streams exactly when one is the other with its atoms
+/// renamed injectively.
+fn encode_prop(prop: &Prop<RtlAtom>, atoms: &mut Vec<RtlAtom>, out: &mut Vec<u32>) {
+    match prop {
+        Prop::Seq(s) => {
+            out.push(0);
+            encode_seq(s, atoms, out);
+        }
+        Prop::Implies { antecedent, body } => {
+            out.push(1);
+            encode_bool(antecedent, atoms, out);
+            encode_prop(body, atoms, out);
+        }
+        Prop::And(ps) | Prop::Or(ps) => {
+            let tag = if matches!(prop, Prop::And(_)) { 2 } else { 3 };
+            out.extend([tag, ps.len() as u32]);
+            for p in ps {
+                encode_prop(p, atoms, out);
+            }
+        }
+        Prop::Never(b) => {
+            out.push(4);
+            encode_bool(b, atoms, out);
+        }
+    }
+}
+
+fn encode_seq(seq: &Seq<RtlAtom>, atoms: &mut Vec<RtlAtom>, out: &mut Vec<u32>) {
+    match seq {
+        Seq::Bool(b) => {
+            out.push(0);
+            encode_bool(b, atoms, out);
+        }
+        Seq::Then(a, b) | Seq::Or(a, b) => {
+            out.push(if matches!(seq, Seq::Then(..)) { 1 } else { 2 });
+            encode_seq(a, atoms, out);
+            encode_seq(b, atoms, out);
+        }
+        Seq::Repeat { body, min, max } => {
+            out.extend([3, *min, u32::from(max.is_some()), max.unwrap_or(0)]);
+            encode_seq(body, atoms, out);
+        }
+    }
+}
+
+fn encode_bool(b: &RtlBool, atoms: &mut Vec<RtlAtom>, out: &mut Vec<u32>) {
+    match b {
+        SvaBool::Const(c) => out.extend([0, u32::from(*c)]),
+        SvaBool::Atom(a) => {
+            let rank = atoms.iter().position(|x| x == a).unwrap_or_else(|| {
+                atoms.push(*a);
+                atoms.len() - 1
+            });
+            out.extend([1, rank as u32]);
+        }
+        SvaBool::Not(x) => {
+            out.push(2);
+            encode_bool(x, atoms, out);
+        }
+        SvaBool::And(x, y) | SvaBool::Or(x, y) => {
+            out.push(if matches!(b, SvaBool::And(..)) { 3 } else { 4 });
+            encode_bool(x, atoms, out);
+            encode_bool(y, atoms, out);
+        }
+    }
+}
+
+/// An assertion monitor a walk has taken from its graph's shape table
+/// ([`StateGraph::take_monitor`]).
+pub(crate) struct ShapeMonitor {
+    slot: usize,
+    /// The shape's monitor, over atom ranks.
+    pub(crate) det: DetMonitor<usize>,
+    /// Atom-table index of each rank, in this walk's property.
+    pub(crate) atoms: Vec<usize>,
 }
 
 impl std::fmt::Debug for StateGraph<'_, '_> {
@@ -320,8 +461,9 @@ impl<'p, 'd> StateGraph<'p, 'd> {
     where
         I: IntoIterator<Item = &'a Prop<RtlAtom>>,
     {
-        let atoms = StateGraph::atom_table(problem, props);
-        StateGraph::with_atoms(problem, atoms)
+        let props: Vec<_> = props.into_iter().collect();
+        let atoms = StateGraph::atom_table(problem, props.iter().copied());
+        StateGraph::with_atoms(problem, atoms, &props)
     }
 
     /// The sorted, deduplicated atom table a graph for `problem`/`props`
@@ -348,7 +490,7 @@ impl<'p, 'd> StateGraph<'p, 'd> {
     }
 
     /// [`StateGraph::new`] with a precomputed atom table.
-    fn with_atoms(problem: &'p Problem<'d>, atoms: Vec<RtlAtom>) -> Self {
+    fn with_atoms(problem: &'p Problem<'d>, atoms: Vec<RtlAtom>, props: &[&Prop<RtlAtom>]) -> Self {
         let sim = Simulator::new(problem.design);
         let inputs = input_valuations(problem.design);
 
@@ -399,6 +541,7 @@ impl<'p, 'd> StateGraph<'p, 'd> {
             sig_atoms,
             words,
             core: RefCell::new(core),
+            shapes: RefCell::new(ShapeTable::expecting(props)),
             splice: None,
         }
     }
@@ -461,11 +604,12 @@ impl<'p, 'd> StateGraph<'p, 'd> {
     where
         I: IntoIterator<Item = &'a Prop<RtlAtom>>,
     {
-        let atoms = StateGraph::atom_table(problem, props);
+        let props: Vec<_> = props.into_iter().collect();
+        let atoms = StateGraph::atom_table(problem, props.iter().copied());
         if atoms != baseline.atoms {
             return None;
         }
-        let mut graph = StateGraph::with_atoms(problem, atoms);
+        let mut graph = StateGraph::with_atoms(problem, atoms, &props);
         if graph.inputs.len() != baseline.num_inputs
             || graph.words != baseline.words
             || problem.design.num_regs() != baseline.num_regs
@@ -817,6 +961,39 @@ impl<'p, 'd> StateGraph<'p, 'd> {
         b.map_atoms(&mut |a| self.atom_index(a))
     }
 
+    /// Takes the monitor of `prop`'s shape from the shape table, building
+    /// it when the table holds none (on the shape's first walk, after its
+    /// last expected one, or while another walk has it). Hand it back with
+    /// [`StateGraph::return_monitor`].
+    ///
+    /// # Panics
+    ///
+    /// Panics like [`StateGraph::map_prop`] on an atom outside the table.
+    pub(crate) fn take_monitor(&self, prop: &Prop<RtlAtom>) -> ShapeMonitor {
+        let mut ranked = Vec::new();
+        let mut table = self.shapes.borrow_mut();
+        let slot = table.slot(prop, &mut ranked);
+        let atoms = ranked.iter().map(|a| self.atom_index(a)).collect();
+        let det = table.shapes[slot].monitor.take().unwrap_or_else(|| {
+            DetMonitor::new(&prop.map_atoms(&mut |a| {
+                ranked
+                    .iter()
+                    .position(|x| x == a)
+                    .expect("every atom is ranked")
+            }))
+        });
+        ShapeMonitor { slot, det, atoms }
+    }
+
+    /// Gives back a monitor taken with [`StateGraph::take_monitor`] when
+    /// its walk ends. The table keeps it while further walks of the shape
+    /// are expected, and drops it after the last.
+    pub(crate) fn return_monitor(&self, m: ShapeMonitor) {
+        let shape = &mut self.shapes.borrow_mut().shapes[m.slot];
+        shape.walks_left = shape.walks_left.saturating_sub(1);
+        shape.monitor = (shape.walks_left > 0).then_some(m.det);
+    }
+
     fn atom_index(&self, a: &RtlAtom) -> usize {
         match self.atoms.binary_search(a) {
             Ok(i) => i,
@@ -883,11 +1060,12 @@ impl<'p, 'd> StateGraph<'p, 'd> {
     where
         I: IntoIterator<Item = &'a Prop<RtlAtom>>,
     {
-        let atoms = StateGraph::atom_table(problem, props);
+        let props: Vec<_> = props.into_iter().collect();
+        let atoms = StateGraph::atom_table(problem, props.iter().copied());
         if atoms != snap.atoms {
             return None;
         }
-        let graph = StateGraph::with_atoms(problem, atoms);
+        let graph = StateGraph::with_atoms(problem, atoms, &props);
         if graph.inputs.len() != snap.num_inputs
             || graph.words != snap.words
             || problem.design.num_regs() != snap.num_regs
@@ -1150,6 +1328,41 @@ mod tests {
         graph.edge(0, 0, &mut bits);
         let b = graph.map_bool(&SvaBool::atom(RtlAtom::is_true(en)));
         assert!(!b.eval(&|i: &usize| bits[i / 64] & (1 << (i % 64)) != 0));
+    }
+
+    #[test]
+    fn properties_of_one_shape_share_a_monitor() {
+        let d = counter();
+        let count = d.signal_by_name("count").unwrap();
+        let en = d.signal_by_name("en").unwrap();
+        let problem = Problem::new(&d);
+        let never = |a| Prop::Never(SvaBool::atom(a));
+        let either = |a, b| Prop::Or(vec![never(a), never(b)]);
+        let (c3, c5, on) = (
+            RtlAtom::eq(count, 3),
+            RtlAtom::eq(count, 5),
+            RtlAtom::is_true(en),
+        );
+        let props = [either(c3, on), either(on, c3), either(c5, c5), never(c3)];
+        let graph = StateGraph::new(&problem, &props);
+        let index = |a| graph.atoms().binary_search(&a).unwrap();
+
+        let mut a = graph.take_monitor(&props[0]);
+        assert_eq!(a.atoms, [index(c3), index(on)]);
+        a.det.step(DetMonitor::<usize>::INITIAL, |_| false);
+        graph.return_monitor(a);
+        // The operand-swapped copy has the same shape, so its walk gets
+        // the monitor back, stepping it through its own atom order.
+        let b = graph.take_monitor(&props[1]);
+        assert_eq!((b.slot, &b.atoms), (0, &vec![index(on), index(c3)]));
+        assert_eq!(b.det.steps, 1);
+        // The graph was built for two walks of the shape: after the second
+        // the monitor is dropped, and a further walk builds a fresh one.
+        graph.return_monitor(b);
+        assert_eq!(graph.take_monitor(&props[0]).det.steps, 0);
+        // A repeated atom and a lone `never` are other shapes.
+        let slots = [&props[2], &props[3]].map(|p| graph.take_monitor(p).slot);
+        assert_eq!(slots, [1, 2]);
     }
 
     #[test]

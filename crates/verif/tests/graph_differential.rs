@@ -22,8 +22,9 @@ use rtlcheck_rtl::{Design, DesignBuilder, SignalId};
 use rtlcheck_sva::{Prop, Seq, SvaBool};
 use rtlcheck_verif::explore::{check_cover_reference, verify_property_reference};
 use rtlcheck_verif::{
-    check_cover, verify_property, verify_property_observed, Directive, Engine, EngineKind, Problem,
-    PropertyVerdict, RtlAtom, VerifyConfig,
+    build_graph, check_cover, verify_property, verify_property_observed,
+    verify_property_on_graph_observed, Directive, Engine, EngineKind, Problem, PropertyVerdict,
+    RtlAtom, VerifyConfig,
 };
 
 /// Recipe for one random design: register widths/inits and per-register
@@ -268,6 +269,43 @@ fn observe(
     (verdict, stream.0.into_inner())
 }
 
+/// The values of a stream's `engine.<scope>.<name>` counters, in order.
+fn engine_counter(lines: &[String], name: &str) -> Vec<u64> {
+    let key = format!(".{name}=");
+    lines
+        .iter()
+        .filter(|l| l.starts_with("counter engine."))
+        .filter_map(|l| l.split_once(&key)?.1.split(' ').next()?.parse().ok())
+        .collect()
+}
+
+/// Each property run's real monitor steps plus memo hits, in order.
+fn memo_sums(lines: &[String]) -> Vec<u64> {
+    let hits = engine_counter(lines, "monitor_memo_hits");
+    let steps = engine_counter(lines, "monitor_steps");
+    steps.iter().zip(&hits).map(|(s, h)| s + h).collect()
+}
+
+/// A stream with the values of its `engine.*.monitor_steps` and
+/// `engine.*.monitor_memo_hits` counters masked. Walks on one graph share
+/// their shape's monitor, so how a run's transitions split between real
+/// steps and memo hits depends on the walks before it; the sum
+/// ([`memo_sums`]) does not.
+fn mask_memo_split(lines: &[String]) -> Vec<String> {
+    lines
+        .iter()
+        .map(|line| {
+            for counter in [".monitor_steps=", ".monitor_memo_hits="] {
+                if let Some((head, rest)) = line.split_once(counter) {
+                    let tail = rest.split_once(' ').map_or("", |(_, t)| t);
+                    return format!("{head}{counter}_ {tail}");
+                }
+            }
+            line.clone()
+        })
+        .collect()
+}
+
 /// A full engine after a bounded one with a larger state budget is
 /// answered from the bounded walk. Its stream must be the one a fresh
 /// full run emits: the `[bounded, full]` stream, without its
@@ -275,6 +313,13 @@ fn observe(
 /// followed by a fresh `[full]` stream (or the `[bounded]` stream alone
 /// when the bounded walk falsifies). Each way the bounded walk can end
 /// is asserted to occur.
+///
+/// When the depth bound stops the bounded walk first, the full engine
+/// walks afresh on the graph the bounded walk used. Walks on one graph
+/// may share their shape's monitor, and a shared monitor makes fewer
+/// real steps than a fresh one, so every line is compared byte for byte
+/// except the values of the two memo counters, whose sum is compared per
+/// run.
 #[test]
 fn derived_full_runs_emit_the_stream_of_a_fresh_run() {
     let pairs = [
@@ -309,7 +354,15 @@ fn derived_full_runs_emit_the_stream_of_a_fresh_run() {
                     }
                     let (fresh_verdict, fresh) = observe(&problem, &prop, &[full]);
                     expected.extend(fresh);
-                    prop_assert_eq!(&both, &expected, "{:?} then {:?}", bounded, full);
+                    prop_assert_eq!(
+                        mask_memo_split(&both),
+                        mask_memo_split(&expected),
+                        "{:?} then {:?}",
+                        bounded,
+                        full
+                    );
+                    prop_assert_eq!(memo_sums(&both), memo_sums(&expected));
+                    prop_assert_eq!(memo_sums(&both), engine_counter(&both, "transitions"));
                     let case = match (full.max_states < bounded.max_states, derived) {
                         (false, _) => 3,
                         (true, 0) => 2,
@@ -324,6 +377,106 @@ fn derived_full_runs_emit_the_stream_of_a_fresh_run() {
         },
     );
     assert!(seen.iter().all(|&n| n > 0), "cases seen: {seen:?}");
+}
+
+/// `prop` with every atom's signal moved one register on (cyclically, over
+/// `regs`) and its value's low bit flipped: an injective renaming, so the
+/// copy has `prop`'s shape but samples other signals.
+fn renamed(prop: &Prop<RtlAtom>, regs: &[SignalId]) -> Prop<RtlAtom> {
+    prop.map_atoms(&mut |a| {
+        let i = regs
+            .iter()
+            .position(|&r| r == a.sig)
+            .expect("atoms read registers");
+        RtlAtom::eq(regs[(i + 1) % regs.len()], a.value ^ 1)
+    })
+}
+
+/// `prop` with the operands of every property `and` / `or` reversed: the
+/// same property written the other way round, as the two instances of a
+/// symmetric axiom are.
+fn swapped(prop: &Prop<RtlAtom>) -> Prop<RtlAtom> {
+    match prop {
+        Prop::And(ps) => Prop::And(ps.iter().rev().map(swapped).collect()),
+        Prop::Or(ps) => Prop::Or(ps.iter().rev().map(swapped).collect()),
+        Prop::Implies { antecedent, body } => Prop::implies(antecedent.clone(), swapped(body)),
+        other => other.clone(),
+    }
+}
+
+/// Walks of properties that share a graph share each property shape's
+/// determinised monitor. A family of properties is walked on one graph, in
+/// an order the case picks: each base property, copies of it renamed onto
+/// other signals (the same shape), and copies with their `and` / `or`
+/// operands swapped. Every walk must still give the verdict, statistics
+/// and trace of a walk on a fresh one-property graph and of the reference
+/// exploration, report the fresh run's `monitor.*` counters, and split
+/// its transitions exactly into real steps and memo hits. The shared
+/// walks must make fewer real steps than the fresh ones in some case.
+#[test]
+fn walks_sharing_a_graph_match_fresh_runs() {
+    let mut steps = (0u64, 0u64);
+    run_proptest(
+        ProptestConfig::with_cases(32),
+        "walks_sharing_a_graph_match_fresh_runs",
+        |rng| {
+            let recipe = arb_recipe().gen(rng);
+            let (design, regs, _) = build(&recipe);
+            let problem = Problem::new(&design);
+            let mut base = props_for(&regs, &recipe);
+            // A symmetric axiom's instance `A or B`, and a conjunction.
+            base.push(Prop::Or(vec![base[2].clone(), renamed(&base[2], &regs)]));
+            base.push(Prop::And(vec![base[1].clone(), base[0].clone()]));
+            let mut props = Vec::new();
+            for p in &base {
+                let copy = renamed(p, &regs);
+                props.extend([renamed(&copy, &regs), swapped(p), p.clone(), copy]);
+            }
+            let shift = rng.below(props.len() as u64) as usize;
+            props.rotate_left(shift);
+            if rng.below(2) == 1 {
+                props.reverse();
+            }
+            for config in configs() {
+                let graph = build_graph(&problem, &props, config.cover_engine());
+                for prop in &props {
+                    let stream = Stream::default();
+                    let shared =
+                        verify_property_on_graph_observed(&graph, prop, &config, "A[0]", &stream);
+                    let shared_lines = stream.0.into_inner();
+                    let (fresh, fresh_lines) = observe(&problem, prop, &config.engines);
+                    let reference = verify_property_reference(&problem, prop, &config);
+                    prop_assert_eq!(format!("{shared:?}"), format!("{fresh:?}"));
+                    prop_assert_eq!(format!("{shared:?}"), format!("{reference:?}"));
+                    let monitor_lines = |lines: &[String]| -> Vec<String> {
+                        lines
+                            .iter()
+                            .filter(|l| l.starts_with("counter monitor."))
+                            .cloned()
+                            .collect()
+                    };
+                    prop_assert_eq!(monitor_lines(&shared_lines), monitor_lines(&fresh_lines));
+                    prop_assert_eq!(
+                        mask_memo_split(&shared_lines),
+                        mask_memo_split(&fresh_lines),
+                        "config {}",
+                        config.name
+                    );
+                    prop_assert_eq!(
+                        memo_sums(&shared_lines),
+                        engine_counter(&shared_lines, "transitions")
+                    );
+                    let real_steps = |lines: &[String]| {
+                        engine_counter(lines, "monitor_steps").iter().sum::<u64>()
+                    };
+                    steps.0 += real_steps(&shared_lines);
+                    steps.1 += real_steps(&fresh_lines);
+                }
+            }
+            Ok(())
+        },
+    );
+    assert!(steps.0 < steps.1, "real steps shared / fresh: {steps:?}");
 }
 
 proptest! {

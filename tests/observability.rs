@@ -267,8 +267,11 @@ fn suite_monitor_metrics_and_memo_counters_are_pinned() {
 /// property and cover walks fetch, and `walk.derived_full_runs` the
 /// full-engine runs answered from the bounded walk instead of walked
 /// again. On both memories no bounded walk stops on its depth bound, so
-/// every full run is derived. All three totals are equal at `--jobs 1` and
-/// `--jobs 8`.
+/// every full run is derived. The real assertion-monitor steps
+/// (`engine.*.monitor_steps`) count the transitions each test's walks
+/// determinise, once per property shape: walks of properties that differ
+/// only in their signals share a monitor. All five totals are equal at
+/// `--jobs 1` and `--jobs 8`.
 #[test]
 fn hybrid_suite_walk_work_is_pinned() {
     let config = VerifyConfig::hybrid();
@@ -277,14 +280,16 @@ fn hybrid_suite_walk_work_is_pinned() {
         run_suite(memory, &config, jobs, &metrics);
         metrics.summary()
     };
-    const WALK_WORK: [&str; 3] = [
+    const WALK_WORK: [&str; 5] = [
         "graph.rows_built",
         "graph.lookups",
         "walk.derived_full_runs",
+        "engine.bounded.monitor_steps",
+        "engine.full.monitor_steps",
     ];
     for (memory, walk_work) in [
-        (MemoryImpl::Fixed, [4_880, 1_755_180, 2_475]),
-        (MemoryImpl::Buggy, [19_929, 7_438_742, 2_419]),
+        (MemoryImpl::Fixed, [4_880, 1_755_180, 2_475, 9_861, 9_766]),
+        (MemoryImpl::Buggy, [19_929, 7_438_742, 2_419, 9_726, 8_258]),
     ] {
         let summary = run(memory, 1);
         let total = |name: &str| summary.counter(name).map_or(0, |c| c.total);
