@@ -12,8 +12,8 @@ use rtlcheck_rtl::Design;
 use rtlcheck_sva::emit;
 use rtlcheck_uspec::Spec;
 use rtlcheck_verif::{
-    build_graph, check_cover_on_graph_observed, explore, verify_property_on_graph_observed,
-    CoverVerdict, GraphCache, Problem, PropertyVerdict, VerifyConfig,
+    check_cover_on_graph_observed, explore, verify_property_on_graph_observed, CoverVerdict,
+    GraphCache, Problem, PropertyVerdict, StateGraph, VerifyConfig,
 };
 
 use crate::assert_gen::{self, AssertionOptions, GeneratedAssertion};
@@ -397,7 +397,10 @@ pub(crate) fn run_flow_cached(
             let (graph, source) = cache.build_graph(problem, &props, config.cover_engine());
             (graph, Some(source))
         }
-        None => (build_graph(problem, props(), config.cover_engine()), None),
+        None => (
+            StateGraph::build(problem, props(), config.cover_engine()),
+            None,
+        ),
     };
     let gs = graph.stats();
     g.attr("nodes", gs.nodes);

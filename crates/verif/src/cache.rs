@@ -351,7 +351,7 @@ impl GraphCache {
         cell
     }
 
-    /// The cached counterpart of [`crate::build_graph`]: returns a warm
+    /// The cached counterpart of [`StateGraph::build`]: returns a warm
     /// graph for `problem`/`props` plus where it came from.
     ///
     /// The first request of a fingerprint builds (a cold warm-up under

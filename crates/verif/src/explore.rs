@@ -97,27 +97,11 @@ enum Step {
     Covered,
 }
 
-/// Builds the shared state graph for a problem and the properties that will
-/// be checked against it, eagerly warmed under `engine`'s budget. This is
-/// the "build once per test" entry point; hand the result to
-/// [`verify_property_on_graph`] / [`check_cover_on_graph`].
-pub fn build_graph<'p, 'd, 'a, I>(
-    problem: &'p Problem<'d>,
-    props: I,
-    engine: Engine,
-) -> StateGraph<'p, 'd>
-where
-    I: IntoIterator<Item = &'a Prop<RtlAtom>>,
-{
-    StateGraph::build(problem, props, engine)
-}
-
 // ---------------------------------------------------------------------------
 // The graph walk: one assertion (or cover) NFA over the shared graph.
 // ---------------------------------------------------------------------------
 
-/// Walk-node monitor id of walks without an assertion (cover searches and
-/// reachability runs).
+/// Walk-node monitor id of walks without an assertion (cover searches).
 const NO_MONITOR: u32 = u32::MAX;
 
 /// One node of a walk: a graph node paired with the interned id of the
@@ -439,8 +423,8 @@ impl Drop for Walk<'_, '_, '_> {
 /// running the configuration's engines in order (§6.1, Table 1).
 ///
 /// Builds a throwaway lazy [`StateGraph`] internally; when checking several
-/// properties of one problem, build the graph once with [`build_graph`] and
-/// use [`verify_property_on_graph`] instead.
+/// properties of one problem, build the graph once with
+/// [`StateGraph::build`] and use [`verify_property_on_graph`] instead.
 ///
 /// # Panics
 ///
@@ -451,20 +435,8 @@ pub fn verify_property(
     assertion: &Prop<RtlAtom>,
     config: &VerifyConfig,
 ) -> PropertyVerdict {
-    verify_property_observed(problem, assertion, config, "", &NullCollector)
-}
-
-/// [`verify_property`] with instrumentation; see
-/// [`verify_property_on_graph_observed`] for the span/counter contract.
-pub fn verify_property_observed(
-    problem: &Problem<'_>,
-    assertion: &Prop<RtlAtom>,
-    config: &VerifyConfig,
-    property: &str,
-    collector: &dyn Collector,
-) -> PropertyVerdict {
     let graph = StateGraph::new(problem, [assertion]);
-    verify_property_on_graph_observed(&graph, assertion, config, property, collector)
+    verify_property_on_graph(&graph, assertion, config)
 }
 
 /// Verifies one assertion as an NFA walk over a prebuilt [`StateGraph`].
@@ -608,18 +580,8 @@ fn run_outcome_label(outcome: &RunOutcome) -> &'static str {
 /// Panics if the problem has no cover condition, a free-init register is
 /// unpinned, or the input space is too large.
 pub fn check_cover(problem: &Problem<'_>, engine: Engine) -> CoverVerdict {
-    check_cover_observed(problem, engine, &NullCollector)
-}
-
-/// [`check_cover`] with instrumentation; see
-/// [`check_cover_on_graph_observed`] for the span/event contract.
-pub fn check_cover_observed(
-    problem: &Problem<'_>,
-    engine: Engine,
-    collector: &dyn Collector,
-) -> CoverVerdict {
     let graph = StateGraph::new(problem, []);
-    check_cover_on_graph_observed(&graph, engine, collector)
+    check_cover_on_graph(&graph, engine)
 }
 
 /// Searches for a covering trace as a walk over a prebuilt
@@ -686,16 +648,6 @@ pub fn check_cover_on_graph_observed(
     };
     g.finish();
     verdict
-}
-
-/// Convenience: run a full-proof exploration of the design with no
-/// assertion, returning reachable-state statistics. Useful for sizing
-/// budgets and in tests.
-pub fn reachable_stats(problem: &Problem<'_>, engine: Engine) -> ExploreStats {
-    let graph = StateGraph::new(problem, []);
-    let mut walk = Walk::new(&graph, None, false);
-    let _ = walk.run(engine);
-    walk.stats
 }
 
 // ---------------------------------------------------------------------------
@@ -1123,7 +1075,7 @@ mod tests {
         let props: Vec<Prop<RtlAtom>> = (0..4)
             .map(|v| guarded(first, Prop::Never(SvaBool::atom(RtlAtom::eq(count, 8 + v)))))
             .collect();
-        let graph = build_graph(&problem, props.iter(), Engine::full(100_000));
+        let graph = StateGraph::build(&problem, props.iter(), Engine::full(100_000));
         assert!(graph.stats().complete);
         let warm_nodes = graph.stats().nodes;
         for p in &props {
@@ -1204,8 +1156,9 @@ mod tests {
         let problem = Problem::new(&d);
         let prop = guarded(first, Prop::Never(SvaBool::atom(RtlAtom::eq(count, 8))));
         let rec = Rec::default();
+        let graph = StateGraph::new(&problem, [&prop]);
         let verdict =
-            verify_property_observed(&problem, &prop, &VerifyConfig::quick(), "A[0]", &rec);
+            verify_property_on_graph_observed(&graph, &prop, &VerifyConfig::quick(), "A[0]", &rec);
         let stats = match verdict {
             PropertyVerdict::Proven { stats } => stats,
             other => panic!("expected proof, got {other:?}"),
@@ -1248,7 +1201,8 @@ mod tests {
             cover_max_states: 100_000,
         };
         let rec = Rec::default();
-        let verdict = verify_property_observed(&problem, &prop, &config, "A[0]", &rec);
+        let graph = StateGraph::new(&problem, [&prop]);
+        let verdict = verify_property_on_graph_observed(&graph, &prop, &config, "A[0]", &rec);
         assert!(
             matches!(verdict, PropertyVerdict::Bounded { .. }),
             "{verdict:?}"
@@ -1262,7 +1216,8 @@ mod tests {
         let mut problem = Problem::new(&d);
         problem.cover = Some(SvaBool::atom(RtlAtom::eq(count, 3)));
         let rec = Rec::default();
-        let verdict = check_cover_observed(&problem, Engine::full(100_000), &rec);
+        let graph = StateGraph::new(&problem, []);
+        let verdict = check_cover_on_graph_observed(&graph, Engine::full(100_000), &rec);
         assert!(matches!(verdict, CoverVerdict::Covered(..)), "{verdict:?}");
         assert_eq!(rec.events.borrow().as_slice(), ["cover.covered"]);
         assert_eq!(
@@ -1276,9 +1231,9 @@ mod tests {
     fn reachable_stats_counts_states() {
         let (d, _, _) = counter();
         let problem = Problem::new(&d);
-        let stats = reachable_stats(&problem, Engine::full(100_000));
+        let graph = StateGraph::build(&problem, [], Engine::full(100_000));
         // 8 counter values × 2 first values, minus unreachable combos:
         // (first=1, count≠0) are unreachable → 8 + 1 = 9 states.
-        assert_eq!(stats.states, 9);
+        assert_eq!(graph.stats().nodes, 9);
     }
 }

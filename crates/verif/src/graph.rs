@@ -945,18 +945,12 @@ impl<'p, 'd> StateGraph<'p, 'd> {
         self.core.borrow().stats
     }
 
-    /// Maps a property's atoms onto this graph's atom-table indices.
+    /// Maps a boolean's atoms onto this graph's atom-table indices.
     ///
     /// # Panics
     ///
-    /// Panics if the property mentions an atom absent from the table — the
+    /// Panics if the boolean mentions an atom absent from the table — the
     /// graph must be (re)built with every property it will serve.
-    pub fn map_prop(&self, prop: &Prop<RtlAtom>) -> Prop<usize> {
-        prop.map_atoms(&mut |a| self.atom_index(a))
-    }
-
-    /// Maps a boolean's atoms onto this graph's atom-table indices; same
-    /// contract as [`StateGraph::map_prop`].
     pub fn map_bool(&self, b: &RtlBool) -> SvaBool<usize> {
         b.map_atoms(&mut |a| self.atom_index(a))
     }
@@ -968,7 +962,7 @@ impl<'p, 'd> StateGraph<'p, 'd> {
     ///
     /// # Panics
     ///
-    /// Panics like [`StateGraph::map_prop`] on an atom outside the table.
+    /// Panics like [`StateGraph::map_bool`] on an atom outside the table.
     pub(crate) fn take_monitor(&self, prop: &Prop<RtlAtom>) -> ShapeMonitor {
         let mut ranked = Vec::new();
         let mut table = self.shapes.borrow_mut();
@@ -1372,7 +1366,7 @@ mod tests {
         let count = d.signal_by_name("count").unwrap();
         let problem = Problem::new(&d);
         let graph = StateGraph::new(&problem, []);
-        let _ = graph.map_prop(&Prop::Never(SvaBool::atom(RtlAtom::eq(count, 3))));
+        let _ = graph.map_bool(&SvaBool::atom(RtlAtom::eq(count, 3)));
     }
 
     /// The counter with a mutated increment (`count + 2`): same signal

@@ -45,8 +45,7 @@ pub use cache::{
 };
 pub use engine::{Engine, EngineKind, PropertyVerdict, VerifyConfig};
 pub use explore::{
-    build_graph, check_cover, check_cover_observed, check_cover_on_graph,
-    check_cover_on_graph_observed, verify_property, verify_property_observed,
+    check_cover, check_cover_on_graph, check_cover_on_graph_observed, verify_property,
     verify_property_on_graph, verify_property_on_graph_observed, CoverVerdict, ExploreStats,
 };
 pub use graph::{GraphStats, StateGraph};

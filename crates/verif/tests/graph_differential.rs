@@ -22,9 +22,8 @@ use rtlcheck_rtl::{Design, DesignBuilder, SignalId};
 use rtlcheck_sva::{Prop, Seq, SvaBool};
 use rtlcheck_verif::explore::{check_cover_reference, verify_property_reference};
 use rtlcheck_verif::{
-    build_graph, check_cover, verify_property, verify_property_observed,
-    verify_property_on_graph_observed, Directive, Engine, EngineKind, Problem, PropertyVerdict,
-    RtlAtom, VerifyConfig,
+    check_cover, verify_property, verify_property_on_graph_observed, Directive, Engine, EngineKind,
+    Problem, PropertyVerdict, RtlAtom, StateGraph, VerifyConfig,
 };
 
 /// Recipe for one random design: register widths/inits and per-register
@@ -221,7 +220,8 @@ fn properties_over_64_atoms_match_the_reference_unmemoised() {
         }
 
         let metrics = MetricsCollector::new();
-        verify_property_observed(&problem, prop, &VerifyConfig::quick(), "wide", &metrics);
+        let graph = StateGraph::new(&problem, [prop]);
+        verify_property_on_graph_observed(&graph, prop, &VerifyConfig::quick(), "wide", &metrics);
         let summary = metrics.summary();
         let total = |name: &str| summary.counter(name).map_or(0, |c| c.total);
         assert_eq!(total("engine.full.monitor_memo_hits"), 0);
@@ -265,7 +265,8 @@ fn observe(
         cover_max_states: 5,
     };
     let stream = Stream::default();
-    let verdict = verify_property_observed(problem, prop, &config, "A[0]", &stream);
+    let graph = StateGraph::new(problem, [prop]);
+    let verdict = verify_property_on_graph_observed(&graph, prop, &config, "A[0]", &stream);
     (verdict, stream.0.into_inner())
 }
 
@@ -438,7 +439,7 @@ fn walks_sharing_a_graph_match_fresh_runs() {
                 props.reverse();
             }
             for config in configs() {
-                let graph = build_graph(&problem, &props, config.cover_engine());
+                let graph = StateGraph::build(&problem, &props, config.cover_engine());
                 for prop in &props {
                     let stream = Stream::default();
                     let shared =

@@ -1,44 +1,30 @@
 //! The `rtlcheck` command-line tool.
 //!
-//! ```text
-//! rtlcheck check <test.litmus | suite-test-name> [--memory fixed|buggy|tso]
-//!                [--config quick|hybrid|full-proof] [--trace] [--vcd <path>]
-//!                [--events <out.jsonl>] [--metrics <out.json>]
-//! rtlcheck emit-sva <test.litmus | name> [--memory ...]
-//! rtlcheck emit-verilog <test.litmus | name> [--memory ...]
-//! rtlcheck axiomatic <test.litmus | name> [--memory ...] [--dot]
-//! rtlcheck suite [--memory ...] [--config ...] [--jobs N] [--only a,b,c]
-//!                [--json <out.json>] [--events <out.jsonl>] [--metrics <out.json>]
-//! rtlcheck mutate [--design multi_vscale|five_stage|tso] [--config ...]
-//!                 [--jobs N] [--only a,b,c] [--mutants a,b,c]
-//!                 [--json <out.json>] [--events <out.jsonl>] [--metrics <out.json>]
-//! rtlcheck fuzz [--count N] [--seed S] [--memory ...] [--config ...]
-//!               [--jobs N] [--len MIN..MAX] [--escalate N] [--json <out.json>]
-//! rtlcheck profile <metrics.json>
-//! rtlcheck list
-//! ```
+//! [`USAGE`] is the synopsis: every subcommand with the flags it takes,
+//! printed with every usage error. Each subcommand but `profile` hands its
+//! flag table to one parser ([`parse`]), which rejects an unlisted flag, a
+//! repeated flag and a stray positional argument before any work runs.
 //!
 //! `--events` streams every pipeline span, counter, and event as one JSON
 //! object per line; `--metrics` aggregates them (per-phase latency
 //! histograms, counter totals, slowest properties) into a summary that
-//! `rtlcheck profile` renders. `suite --jobs N` checks tests on N worker
-//! threads; output, results, and merged metrics are identical to a
+//! `rtlcheck profile` renders. `--jobs N` runs the work on N worker
+//! threads; reports, results, and merged metrics are identical to a
 //! sequential run (only wall-clock time changes).
 //!
 //! `mutate` runs the mutation campaign: every catalogued mutant of the
 //! chosen design is checked against the litmus suite and classified as
 //! killed, survived, or budget-limited; the report (text on stdout, JSON
-//! with `--json`) carries the per-mutant × per-axiom kill matrix and is
-//! byte-identical across `--jobs` values.
+//! with `--json`) carries the per-mutant × per-axiom kill matrix.
 //!
 //! `fuzz` runs the streaming diy fuzzing campaign: seeded random cycles
 //! are deduplicated by canonical signature, triaged by the polynomial
 //! SC/TSO oracle, and only oracle-unresolved or budgeted shapes escalate
-//! to the full RTL engine; like the other campaigns its report is
-//! byte-identical across `--jobs` values.
+//! to the full RTL engine.
 
 use std::io::{BufWriter, ErrorKind, Write};
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use rtlcheck::bench::{parse_config, parse_memory};
 use rtlcheck::core::{CoverOutcome, Rtlcheck};
@@ -166,6 +152,165 @@ exits 0. `connect` is the matching client: it sends each line of --batch
 (a file, or `-` for stdin) as one request, waits for every response, and
 prints the received frames verbatim (exit 1 if any was an error frame).";
 
+/// A flag of some subcommand's [`USAGE`] line: its name and, for a flag
+/// that takes a value, what the value is (worded for the error when it is
+/// missing); `None` marks a switch.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Flag(&'static str, Option<&'static str>);
+
+const MEMORY: Flag = Flag("--memory", Some("a value"));
+const CONFIG: Flag = Flag("--config", Some("a value"));
+const TRACE: Flag = Flag("--trace", None);
+const VCD: Flag = Flag("--vcd", Some("a path"));
+const DOT: Flag = Flag("--dot", None);
+const JOBS: Flag = Flag("--jobs", Some("a count"));
+const ONLY: Flag = Flag("--only", Some("a comma-separated test list"));
+const JSON: Flag = Flag("--json", Some("a path"));
+const EVENTS: Flag = Flag("--events", Some("a path"));
+const METRICS: Flag = Flag("--metrics", Some("a path"));
+const TRACE_OUT: Flag = Flag("--trace-out", Some("a path"));
+const PROGRESS: Flag = Flag("--progress", None);
+const DESIGN: Flag = Flag("--design", Some("a value"));
+const MUTANTS: Flag = Flag("--mutants", Some("a comma-separated mutant list"));
+const COUNT: Flag = Flag("--count", Some("a number"));
+const SEED: Flag = Flag("--seed", Some("a number"));
+const LEN: Flag = Flag("--len", Some("a range like 3..6"));
+const ESCALATE: Flag = Flag("--escalate", Some("a number"));
+const ADDR: Flag = Flag("--addr", Some("a HOST:PORT value"));
+const QUEUE: Flag = Flag("--queue", Some("a count"));
+const CACHE_CAPACITY: Flag = Flag("--cache-capacity", Some("a count"));
+const MAX_FRAME: Flag = Flag("--max-frame", Some("a byte count"));
+const BATCH: Flag = Flag("--batch", Some("a file path (or `-`)"));
+const OUT: Flag = Flag("--out", Some("a path"));
+const TIMEOUT: Flag = Flag("--timeout", Some("seconds"));
+const SHUTDOWN: Flag = Flag("--shutdown", None);
+
+const POSITIVE: &str = "a positive integer";
+const UNSIGNED: &str = "an unsigned integer";
+
+/// One subcommand's arguments, checked against its flag table by
+/// [`parse`].
+struct Args<'a> {
+    /// The positional argument (empty when the subcommand takes none).
+    positional: &'a str,
+    /// Each flag given, with its value if it takes one.
+    given: Vec<(Flag, &'a str)>,
+}
+
+/// Parses a subcommand's arguments against the flags its [`USAGE`] line
+/// lists. `positional` names its one required positional argument, or is
+/// `None` when it takes none. Each flag may be given once, a flag outside
+/// `flags` is an error, as is any other argument, and no two output flags
+/// may name one file.
+fn parse<'a>(
+    args: &'a [String],
+    positional: Option<&str>,
+    flags: &[Flag],
+) -> Result<Args<'a>, String> {
+    let mut parsed = Args {
+        positional: "",
+        given: Vec::new(),
+    };
+    let mut seen_positional = false;
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        if a.starts_with("--") {
+            let flag = *flags
+                .iter()
+                .find(|f| f.0 == a)
+                .ok_or(format!("unknown flag `{a}`"))?;
+            if parsed.has(flag) {
+                return Err(format!("flag `{a}` given twice"));
+            }
+            let value = match flag.1 {
+                Some(what) => it.next().ok_or(format!("{a} needs {what}"))?,
+                None => "",
+            };
+            parsed.given.push((flag, value));
+        } else if positional.is_some() && !seen_positional {
+            parsed.positional = a;
+            seen_positional = true;
+        } else {
+            return Err(format!("unexpected argument `{a}`"));
+        }
+    }
+    if let (Some(name), false) = (positional, seen_positional) {
+        return Err(format!("missing {name} argument"));
+    }
+    // Each output file is written through its own handle, so two flags
+    // naming one file would interleave their bytes.
+    let outputs = [EVENTS, METRICS, TRACE_OUT, JSON];
+    for (i, a) in outputs.iter().enumerate() {
+        let Some(path) = parsed.value(*a) else {
+            continue;
+        };
+        if let Some(b) = outputs[i + 1..]
+            .iter()
+            .find(|b| parsed.value(**b) == Some(path))
+        {
+            return Err(format!("{} and {} both name `{path}`", a.0, b.0));
+        }
+    }
+    Ok(parsed)
+}
+
+impl<'a> Args<'a> {
+    /// Whether `flag` was given.
+    fn has(&self, flag: Flag) -> bool {
+        self.given.iter().any(|(f, _)| *f == flag)
+    }
+
+    /// The value of `flag`, if given.
+    fn value(&self, flag: Flag) -> Option<&'a str> {
+        self.given.iter().find(|(f, _)| *f == flag).map(|(_, v)| *v)
+    }
+
+    /// `--memory`, fixed by default.
+    fn memory(&self) -> Result<MemoryImpl, String> {
+        self.value(MEMORY)
+            .map_or(Ok(MemoryImpl::Fixed), parse_memory)
+    }
+
+    /// `--config`, quick by default.
+    fn config(&self) -> Result<VerifyConfig, String> {
+        self.value(CONFIG)
+            .map_or(Ok(VerifyConfig::quick()), parse_config)
+    }
+
+    /// `--jobs`, one by default.
+    fn jobs(&self) -> Result<usize, String> {
+        Ok(self.number(JOBS, 1, POSITIVE)?.unwrap_or(1))
+    }
+
+    /// The number `flag` carries, if given: at least `min`, as `what` says.
+    fn number<T: FromStr + PartialOrd>(
+        &self,
+        flag: Flag,
+        min: T,
+        what: &str,
+    ) -> Result<Option<T>, String> {
+        self.value(flag)
+            .map(|v| {
+                v.parse()
+                    .ok()
+                    .filter(|n| *n >= min)
+                    .ok_or(format!("{} needs {what}, got `{v}`", flag.0))
+            })
+            .transpose()
+    }
+
+    /// The comma-separated names `flag` carries, if given, blanks dropped.
+    fn list(&self, flag: Flag) -> Option<Vec<String>> {
+        self.value(flag).map(|v| {
+            v.split(',')
+                .map(str::trim)
+                .filter(|n| !n.is_empty())
+                .map(String::from)
+                .collect()
+        })
+    }
+}
+
 fn run(args: &[String], out: &mut dyn Write) -> Result<ExitCode, Failure> {
     let Some(cmd) = args.first() else {
         return Err("missing subcommand".into());
@@ -173,23 +318,24 @@ fn run(args: &[String], out: &mut dyn Write) -> Result<ExitCode, Failure> {
     let rest = &args[1..];
     match cmd.as_str() {
         "list" => {
+            parse(rest, None, &[])?;
             for name in suite::names() {
                 writeln!(out, "{name}")?;
             }
             Ok(ExitCode::SUCCESS)
         }
         "check" => check(rest, out),
-        "emit-sva" => {
-            let (test, memory, _) = common_args(rest, true)?;
+        "emit-sva" | "emit-verilog" => {
+            let args = parse(rest, Some("<test>"), &[MEMORY])?;
+            let test = load_test(args.positional)?;
+            let tool = Rtlcheck::new(args.memory()?);
             Rtlcheck::fit(&test).map_err(|e| e.to_string())?;
-            write!(out, "{}", Rtlcheck::new(memory).emit_sva(&test))?;
-            Ok(ExitCode::SUCCESS)
-        }
-        "emit-verilog" => {
-            let (test, memory, _) = common_args(rest, true)?;
-            Rtlcheck::fit(&test).map_err(|e| e.to_string())?;
-            let mv = Rtlcheck::new(memory).build_design(&test);
-            write!(out, "{}", rtlcheck::rtl::verilog::emit(&mv.design))?;
+            if cmd == "emit-sva" {
+                write!(out, "{}", tool.emit_sva(&test))?;
+            } else {
+                let mv = tool.build_design(&test);
+                write!(out, "{}", rtlcheck::rtl::verilog::emit(&mv.design))?;
+            }
             Ok(ExitCode::SUCCESS)
         }
         "axiomatic" => axiomatic(rest, out),
@@ -203,124 +349,60 @@ fn run(args: &[String], out: &mut dyn Write) -> Result<ExitCode, Failure> {
     }
 }
 
-/// Parses `[<test>] [--memory M] [--config C] [--trace|--dot]`; returns the
-/// test (if `need_test`), memory, and the flag words.
-fn common_args(
-    args: &[String],
-    need_test: bool,
-) -> Result<(LitmusTest, MemoryImpl, Vec<String>), String> {
-    let mut test = None;
-    let mut memory = MemoryImpl::Fixed;
-    let mut flags = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--memory" => {
-                let v = it.next().ok_or("--memory needs a value")?;
-                memory = parse_memory(v)?;
-            }
-            "--config" => {
-                let v = it.next().ok_or("--config needs a value")?;
-                flags.push(format!("--config={v}"));
-            }
-            "--vcd" => {
-                let v = it.next().ok_or("--vcd needs a path")?;
-                flags.push(format!("--vcd={v}"));
-            }
-            "--events" => {
-                let v = it.next().ok_or("--events needs a path")?;
-                flags.push(format!("--events={v}"));
-            }
-            "--metrics" => {
-                let v = it.next().ok_or("--metrics needs a path")?;
-                flags.push(format!("--metrics={v}"));
-            }
-            "--jobs" => {
-                let v = it.next().ok_or("--jobs needs a count")?;
-                let _: usize = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or(format!("--jobs needs a positive integer, got `{v}`"))?;
-                flags.push(format!("--jobs={v}"));
-            }
-            "--only" => {
-                let v = it
-                    .next()
-                    .ok_or("--only needs a comma-separated test list")?;
-                flags.push(format!("--only={v}"));
-            }
-            "--json" => {
-                let v = it.next().ok_or("--json needs a path")?;
-                flags.push(format!("--json={v}"));
-            }
-            "--trace-out" => {
-                let v = it.next().ok_or("--trace-out needs a path")?;
-                flags.push(format!("--trace-out={v}"));
-            }
-            f @ ("--trace" | "--dot" | "--progress") => flags.push(f.to_string()),
-            f if f.starts_with("--") => return Err(format!("unknown flag `{f}`")),
-            positional => {
-                if test.is_some() {
-                    return Err(format!("unexpected argument `{positional}`"));
-                }
-                test = Some(load_test(positional)?);
-            }
-        }
-    }
-    let test = match (test, need_test) {
-        (Some(t), _) => t,
-        (None, false) => suite::get("mp").expect("mp exists"),
-        (None, true) => return Err("missing <test> argument".into()),
-    };
-    Ok((test, memory, flags))
+/// An output file that is written once, at the end of a run. It is created
+/// when the flags are read, so a bad path fails before any work runs.
+struct Output {
+    path: String,
+    file: std::fs::File,
 }
 
-fn flag_config(flags: &[String]) -> Result<VerifyConfig, String> {
-    for f in flags {
-        if let Some(v) = f.strip_prefix("--config=") {
-            return parse_config(v);
-        }
+impl Output {
+    fn create(path: &str) -> Result<Output, String> {
+        let file = std::fs::File::create(path).map_err(|e| format!("creating {path}: {e}"))?;
+        Ok(Output {
+            path: path.to_string(),
+            file,
+        })
     }
-    Ok(VerifyConfig::quick())
+
+    /// Creates the file `flag` names, if given.
+    fn open(args: &Args, flag: Flag) -> Result<Option<Output>, String> {
+        args.value(flag).map(Output::create).transpose()
+    }
+
+    /// Writes `text` and a final newline.
+    fn write(&mut self, text: String) -> Result<(), String> {
+        self.file
+            .write_all((text + "\n").as_bytes())
+            .map_err(|e| format!("writing {}: {e}", self.path))
+    }
 }
 
-/// The `--events` / `--metrics` / `--trace-out` sinks of one CLI
-/// invocation.
+/// The `--events` / `--metrics` / `--trace-out` / `--progress` sinks of
+/// one CLI invocation.
 ///
 /// The first two feed from the *deterministic* stream (buffered and
-/// replayed in input order under `--jobs N`); the Chrome trace is a *live*
-/// side-channel ([`TrackSink`]) attached to the worker threads directly,
-/// because a timeline is only meaningful with real timestamps and the real
-/// parallel schedule.
+/// replayed in input order under `--jobs N`); the Chrome trace and the
+/// progress ticker are *live* side-channels ([`TrackSink`]) attached to the
+/// worker threads directly, because a timeline or a ticker is only
+/// meaningful with real timestamps and the real parallel schedule.
 struct Observability {
     jsonl: Option<JsonlCollector<BufWriter<std::fs::File>>>,
-    metrics: Option<(MetricsCollector, String)>,
-    trace: Option<(TraceCollector, String)>,
+    metrics: Option<(MetricsCollector, Output)>,
+    trace: Option<(TraceCollector, Output)>,
+    progress: Option<ProgressSink>,
 }
 
 impl Observability {
-    fn from_flags(flags: &[String]) -> Result<Observability, String> {
-        let jsonl = match flags.iter().find_map(|f| f.strip_prefix("--events=")) {
-            Some(path) => {
-                let file =
-                    std::fs::File::create(path).map_err(|e| format!("creating {path}: {e}"))?;
-                Some(JsonlCollector::new(BufWriter::new(file)))
-            }
-            None => None,
-        };
-        let metrics = flags
-            .iter()
-            .find_map(|f| f.strip_prefix("--metrics="))
-            .map(|path| (MetricsCollector::new(), path.to_string()));
-        let trace = flags
-            .iter()
-            .find_map(|f| f.strip_prefix("--trace-out="))
-            .map(|path| (TraceCollector::new(), path.to_string()));
+    /// Opens the sinks `args` asks for, creating their files now. `label`
+    /// and `total` (the expected work units, 0 when unknown) set up the
+    /// `--progress` ticker.
+    fn open(args: &Args, label: &str, total: u64) -> Result<Observability, String> {
         Ok(Observability {
-            jsonl,
-            metrics,
-            trace,
+            jsonl: Output::open(args, EVENTS)?.map(|o| JsonlCollector::new(BufWriter::new(o.file))),
+            metrics: Output::open(args, METRICS)?.map(|o| (MetricsCollector::new(), o)),
+            trace: Output::open(args, TRACE_OUT)?.map(|o| (TraceCollector::new(), o)),
+            progress: args.has(PROGRESS).then(|| ProgressSink::new(label, total)),
         })
     }
 
@@ -339,37 +421,34 @@ impl Observability {
 
     /// The live side-channel sinks workers attach per-track.
     fn live_sinks(&self) -> Vec<&dyn TrackSink> {
-        self.trace
-            .iter()
-            .map(|(t, _)| t as &dyn TrackSink)
-            .collect()
+        let mut sinks: Vec<&dyn TrackSink> = Vec::new();
+        if let Some((t, _)) = &self.trace {
+            sinks.push(t);
+        }
+        if let Some(p) = &self.progress {
+            sinks.push(p);
+        }
+        sinks
     }
 
-    /// Flushes the event stream and writes the metrics summary and trace
-    /// timeline files.
+    /// Renders the ticker's last line, flushes the event stream, and
+    /// writes the metrics summary and trace timeline files.
     fn finish(self) -> Result<(), String> {
+        if let Some(p) = &self.progress {
+            p.finish();
+        }
         if let Some(j) = self.jsonl {
             let mut w = j.finish().map_err(|e| format!("writing events: {e}"))?;
             w.flush().map_err(|e| format!("writing events: {e}"))?;
         }
-        if let Some((m, path)) = self.metrics {
-            let text = m.summary().to_json().pretty();
-            std::fs::write(&path, text + "\n").map_err(|e| format!("writing {path}: {e}"))?;
+        if let Some((m, mut file)) = self.metrics {
+            file.write(m.summary().to_json().pretty())?;
         }
-        if let Some((t, path)) = self.trace {
-            std::fs::write(&path, t.render() + "\n").map_err(|e| format!("writing {path}: {e}"))?;
+        if let Some((t, mut file)) = self.trace {
+            file.write(t.render())?;
         }
         Ok(())
     }
-}
-
-/// Builds the `--progress` ticker when the flag is present; `total` is the
-/// expected number of work units (0 when unknown).
-fn flag_progress(flags: &[String], label: &str, total: u64) -> Option<ProgressSink> {
-    flags
-        .iter()
-        .any(|f| f == "--progress")
-        .then(|| ProgressSink::new(label, total))
 }
 
 fn load_test(arg: &str) -> Result<LitmusTest, String> {
@@ -382,10 +461,16 @@ fn load_test(arg: &str) -> Result<LitmusTest, String> {
 }
 
 fn check(args: &[String], out: &mut dyn Write) -> Result<ExitCode, Failure> {
-    let (test, memory, flags) = common_args(args, true)?;
+    let args = parse(
+        args,
+        Some("<test>"),
+        &[MEMORY, CONFIG, TRACE, VCD, EVENTS, METRICS, TRACE_OUT],
+    )?;
+    let test = load_test(args.positional)?;
+    let memory = args.memory()?;
     Rtlcheck::admit(&test).map_err(|e| e.to_string())?;
-    let config = flag_config(&flags)?;
-    let obs = Observability::from_flags(&flags)?;
+    let config = args.config()?;
+    let obs = Observability::open(&args, "check", 0)?;
     let tool = Rtlcheck::new(memory);
     let report = {
         let collector = obs.collector();
@@ -399,7 +484,7 @@ fn check(args: &[String], out: &mut dyn Write) -> Result<ExitCode, Failure> {
     };
     obs.finish()?;
     writeln!(out, "{report}")?;
-    if flags.iter().any(|f| f == "--trace") {
+    if args.has(TRACE) {
         print_explore_stats(&report, out)?;
         let mv = tool.build_design(&test);
         let signals: Vec<String> = mv
@@ -429,7 +514,7 @@ fn check(args: &[String], out: &mut dyn Write) -> Result<ExitCode, Failure> {
             )?;
         }
     }
-    if let Some(path) = flags.iter().find_map(|f| f.strip_prefix("--vcd=")) {
+    if let Some(path) = args.value(VCD) {
         let mv = tool.build_design(&test);
         let trace = report
             .first_counterexample()
@@ -511,82 +596,29 @@ fn print_explore_stats(report: &TestReport, out: &mut dyn Write) -> std::io::Res
 }
 
 /// The `mutate` subcommand: run the mutation campaign on one design's
-/// mutant catalog. Own parser — unlike the other subcommands it takes no
-/// `<test>` positional and selects a whole design instead.
+/// mutant catalog.
 fn mutate_cmd(args: &[String], out: &mut dyn Write) -> Result<ExitCode, Failure> {
     use rtlcheck::bench::mutation::{run_campaign_live, CampaignOptions};
     use rtlcheck::rtl::mutate::{catalog, CatalogTarget};
 
-    let mut options = CampaignOptions::new(CatalogTarget::MultiVscale);
-    let mut config = VerifyConfig::quick();
-    let mut json_path: Option<String> = None;
-    // `--events` / `--metrics` reuse the shared helpers, which take the
-    // `--flag=value` words `common_args` produces.
-    let mut shared_flags = Vec::new();
-    let split_list = |v: &str| -> Vec<String> {
-        v.split(',')
-            .map(str::trim)
-            .filter(|n| !n.is_empty())
-            .map(String::from)
-            .collect()
+    let args = parse(
+        args,
+        None,
+        &[
+            DESIGN, CONFIG, JOBS, ONLY, MUTANTS, JSON, EVENTS, METRICS, TRACE_OUT, PROGRESS,
+        ],
+    )?;
+    let target = match args.value(DESIGN) {
+        Some(v) => CatalogTarget::parse(v).ok_or(format!(
+            "unknown design `{v}` (expected multi_vscale, five_stage, or tso)"
+        ))?,
+        None => CatalogTarget::MultiVscale,
     };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--design" => {
-                let v = it.next().ok_or("--design needs a value")?;
-                options.target = CatalogTarget::parse(v).ok_or(format!(
-                    "unknown design `{v}` (expected multi_vscale, five_stage, or tso)"
-                ))?;
-            }
-            "--config" => {
-                let v = it.next().ok_or("--config needs a value")?;
-                config = parse_config(v)?;
-            }
-            "--jobs" => {
-                let v = it.next().ok_or("--jobs needs a count")?;
-                options.jobs = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or(format!("--jobs needs a positive integer, got `{v}`"))?;
-            }
-            "--only" => {
-                let v = it
-                    .next()
-                    .ok_or("--only needs a comma-separated test list")?;
-                options.tests = Some(split_list(v));
-            }
-            "--mutants" => {
-                let v = it
-                    .next()
-                    .ok_or("--mutants needs a comma-separated mutant list")?;
-                options.mutants = Some(split_list(v));
-            }
-            "--json" => {
-                let v = it.next().ok_or("--json needs a path")?;
-                json_path = Some(v.clone());
-            }
-            "--events" => {
-                let v = it.next().ok_or("--events needs a path")?;
-                shared_flags.push(format!("--events={v}"));
-            }
-            "--metrics" => {
-                let v = it.next().ok_or("--metrics needs a path")?;
-                shared_flags.push(format!("--metrics={v}"));
-            }
-            "--trace-out" => {
-                let v = it.next().ok_or("--trace-out needs a path")?;
-                shared_flags.push(format!("--trace-out={v}"));
-            }
-            "--progress" => shared_flags.push("--progress".to_string()),
-            f if f.starts_with("--") => return Err(format!("unknown flag `{f}`").into()),
-            other => return Err(format!("unexpected argument `{other}`").into()),
-        }
-    }
-
-    let obs = Observability::from_flags(&shared_flags)?;
-    let collector = obs.collector();
+    let mut options = CampaignOptions::new(target);
+    let config = args.config()?;
+    options.jobs = args.jobs()?;
+    options.tests = args.list(ONLY);
+    options.mutants = args.list(MUTANTS);
     // A campaign runs every selected test once on the baseline and once per
     // selected mutant — that product is the progress denominator.
     let n_tests = options
@@ -597,22 +629,14 @@ fn mutate_cmd(args: &[String], out: &mut dyn Write) -> Result<ExitCode, Failure>
         .mutants
         .as_ref()
         .map_or(catalog(options.target).len(), Vec::len);
-    let progress = flag_progress(&shared_flags, "mutate", ((1 + n_mutants) * n_tests) as u64);
-    let mut live: Vec<&dyn TrackSink> = obs.live_sinks();
-    if let Some(p) = &progress {
-        live.push(p);
-    }
-    let report = run_campaign_live(&options, &config, &collector, None, &live)?;
-    if let Some(p) = &progress {
-        p.finish();
-    }
-    drop(collector);
+    let obs = Observability::open(&args, "mutate", ((1 + n_mutants) * n_tests) as u64)?;
+    let mut json = Output::open(&args, JSON)?;
+    let report = run_campaign_live(&options, &config, &obs.collector(), None, &obs.live_sinks())?;
     obs.finish()?;
     write!(out, "{}", report.render())?;
-    if let Some(path) = &json_path {
-        let text = report.to_json().pretty();
-        std::fs::write(path, text + "\n").map_err(|e| format!("writing {path}: {e}"))?;
-        writeln!(out, "\nJSON report written to {path}")?;
+    if let Some(json) = &mut json {
+        json.write(report.to_json().pretty())?;
+        writeln!(out, "\nJSON report written to {}", json.path)?;
     }
     // A campaign that kills nothing means the property set detected none of
     // the injected bugs — fail so CI smoke runs catch it.
@@ -625,112 +649,48 @@ fn mutate_cmd(args: &[String], out: &mut dyn Write) -> Result<ExitCode, Failure>
 
 /// The `fuzz` subcommand: run the streaming diy fuzzing campaign — seeded
 /// cycle generation, signature dedup, polynomial oracle triage, and
-/// engine escalation for the shapes the oracle cannot settle. Own parser:
-/// like `mutate` it takes no `<test>` positional.
+/// engine escalation for the shapes the oracle cannot settle.
 fn fuzz_cmd(args: &[String], out: &mut dyn Write) -> Result<ExitCode, Failure> {
     use rtlcheck::bench::fuzz::{run_fuzz_live, FuzzOptions};
 
-    let mut options = FuzzOptions::new(MemoryImpl::Fixed);
-    let mut config = VerifyConfig::quick();
-    let mut json_path: Option<String> = None;
-    let mut shared_flags = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--count" => {
-                let v = it.next().ok_or("--count needs a number")?;
-                options.count = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or(format!("--count needs a positive integer, got `{v}`"))?;
-            }
-            "--seed" => {
-                let v = it.next().ok_or("--seed needs a number")?;
-                options.seed = v
-                    .parse()
-                    .map_err(|_| format!("--seed needs an unsigned integer, got `{v}`"))?;
-            }
-            "--memory" => {
-                let v = it.next().ok_or("--memory needs a value")?;
-                options.memory = parse_memory(v)?;
-            }
-            "--config" => {
-                let v = it.next().ok_or("--config needs a value")?;
-                config = parse_config(v)?;
-            }
-            "--jobs" => {
-                let v = it.next().ok_or("--jobs needs a count")?;
-                options.jobs = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or(format!("--jobs needs a positive integer, got `{v}`"))?;
-            }
-            "--len" => {
-                let v = it.next().ok_or("--len needs a range like 3..6")?;
-                let (lo, hi) = v
-                    .split_once("..")
-                    .ok_or(format!("--len needs MIN..MAX, got `{v}`"))?;
-                options.min_len = lo
-                    .parse()
-                    .map_err(|_| format!("--len minimum must be an integer, got `{lo}`"))?;
-                options.max_len = hi
-                    .parse()
-                    .map_err(|_| format!("--len maximum must be an integer, got `{hi}`"))?;
-                if options.min_len < 2 || options.min_len > options.max_len {
-                    return Err(format!("invalid --len range `{v}` (need 2 <= min <= max)").into());
-                }
-            }
-            "--escalate" => {
-                let v = it.next().ok_or("--escalate needs a number")?;
-                options.escalate_budget = Some(
-                    v.parse()
-                        .map_err(|_| format!("--escalate needs an unsigned integer, got `{v}`"))?,
-                );
-            }
-            "--json" => {
-                let v = it.next().ok_or("--json needs a path")?;
-                json_path = Some(v.clone());
-            }
-            "--events" => {
-                let v = it.next().ok_or("--events needs a path")?;
-                shared_flags.push(format!("--events={v}"));
-            }
-            "--metrics" => {
-                let v = it.next().ok_or("--metrics needs a path")?;
-                shared_flags.push(format!("--metrics={v}"));
-            }
-            "--trace-out" => {
-                let v = it.next().ok_or("--trace-out needs a path")?;
-                shared_flags.push(format!("--trace-out={v}"));
-            }
-            "--progress" => shared_flags.push("--progress".to_string()),
-            f if f.starts_with("--") => return Err(format!("unknown flag `{f}`").into()),
-            other => return Err(format!("unexpected argument `{other}`").into()),
+    let args = parse(
+        args,
+        None,
+        &[
+            COUNT, SEED, MEMORY, CONFIG, JOBS, LEN, ESCALATE, JSON, EVENTS, METRICS, TRACE_OUT,
+            PROGRESS,
+        ],
+    )?;
+    let mut options = FuzzOptions::new(args.memory()?);
+    options.count = args.number(COUNT, 1, POSITIVE)?.unwrap_or(options.count);
+    options.seed = args.number(SEED, 0, UNSIGNED)?.unwrap_or(options.seed);
+    options.jobs = args.jobs()?;
+    options.escalate_budget = args.number(ESCALATE, 0, UNSIGNED)?;
+    if let Some(v) = args.value(LEN) {
+        let (lo, hi) = v
+            .split_once("..")
+            .ok_or(format!("--len needs MIN..MAX, got `{v}`"))?;
+        options.min_len = lo
+            .parse()
+            .map_err(|_| format!("--len minimum must be an integer, got `{lo}`"))?;
+        options.max_len = hi
+            .parse()
+            .map_err(|_| format!("--len maximum must be an integer, got `{hi}`"))?;
+        if options.min_len < 2 || options.min_len > options.max_len {
+            return Err(format!("invalid --len range `{v}` (need 2 <= min <= max)").into());
         }
     }
-
-    let obs = Observability::from_flags(&shared_flags)?;
-    let collector = obs.collector();
+    let config = args.config()?;
     // The engine-escalation bucket count is only known after triage, so the
     // progress denominator is unknown upfront.
-    let progress = flag_progress(&shared_flags, "fuzz", 0);
-    let mut live: Vec<&dyn TrackSink> = obs.live_sinks();
-    if let Some(p) = &progress {
-        live.push(p);
-    }
-    let report = run_fuzz_live(&options, &config, &collector, None, &live)?;
-    if let Some(p) = &progress {
-        p.finish();
-    }
-    drop(collector);
+    let obs = Observability::open(&args, "fuzz", 0)?;
+    let mut json = Output::open(&args, JSON)?;
+    let report = run_fuzz_live(&options, &config, &obs.collector(), None, &obs.live_sinks())?;
     obs.finish()?;
     write!(out, "{}", report.render())?;
-    if let Some(path) = &json_path {
-        let text = report.to_json().pretty();
-        std::fs::write(path, text + "\n").map_err(|e| format!("writing {path}: {e}"))?;
-        writeln!(out, "\nJSON report written to {path}")?;
+    if let Some(json) = &mut json {
+        json.write(report.to_json().pretty())?;
+        writeln!(out, "\nJSON report written to {}", json.path)?;
     }
     // A model-level violation is always a failure. An oracle/engine
     // disagreement is a failure on correct memories; on `--memory buggy` it
@@ -745,76 +705,45 @@ fn fuzz_cmd(args: &[String], out: &mut dyn Write) -> Result<ExitCode, Failure> {
 }
 
 /// The `serve` subcommand: run the verification server until a client's
-/// `shutdown` request drains the queue. Own parser: the server has no
-/// `<test>` positional and owns its cache handle for the whole process
-/// lifetime (the warm-cache point of the daemon).
+/// `shutdown` request drains the queue. The server owns its cache handle
+/// for the whole process lifetime (the warm-cache point of the daemon).
 fn serve_cmd(args: &[String], out: &mut dyn Write) -> Result<ExitCode, Failure> {
     use rtlcheck::bench::serve::{ServeOptions, Server};
 
+    let args = parse(
+        args,
+        None,
+        &[
+            ADDR,
+            JOBS,
+            QUEUE,
+            CACHE_CAPACITY,
+            MAX_FRAME,
+            EVENTS,
+            METRICS,
+            TRACE_OUT,
+            PROGRESS,
+        ],
+    )?;
     let mut opts = ServeOptions::default();
-    let mut shared_flags = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--addr" => {
-                let v = it.next().ok_or("--addr needs a HOST:PORT value")?;
-                opts.addr = v.clone();
-            }
-            "--jobs" => {
-                let v = it.next().ok_or("--jobs needs a count")?;
-                opts.jobs = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or(format!("--jobs needs a positive integer, got `{v}`"))?;
-            }
-            "--queue" => {
-                let v = it.next().ok_or("--queue needs a count")?;
-                opts.queue_cap = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or(format!("--queue needs a positive integer, got `{v}`"))?;
-            }
-            "--cache-capacity" => {
-                let v = it.next().ok_or("--cache-capacity needs a count")?;
-                opts.cache_capacity = v.parse().ok().filter(|&n| n >= 1).ok_or(format!(
-                    "--cache-capacity needs a positive integer, got `{v}`"
-                ))?;
-            }
-            "--max-frame" => {
-                let v = it.next().ok_or("--max-frame needs a byte count")?;
-                opts.max_frame = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 64)
-                    .ok_or(format!("--max-frame needs an integer >= 64, got `{v}`"))?;
-            }
-            "--events" => {
-                let v = it.next().ok_or("--events needs a path")?;
-                shared_flags.push(format!("--events={v}"));
-            }
-            "--metrics" => {
-                let v = it.next().ok_or("--metrics needs a path")?;
-                shared_flags.push(format!("--metrics={v}"));
-            }
-            "--trace-out" => {
-                let v = it.next().ok_or("--trace-out needs a path")?;
-                shared_flags.push(format!("--trace-out={v}"));
-            }
-            "--progress" => shared_flags.push("--progress".to_string()),
-            f if f.starts_with("--") => return Err(format!("unknown flag `{f}`").into()),
-            other => return Err(format!("unexpected argument `{other}`").into()),
-        }
+    if let Some(addr) = args.value(ADDR) {
+        opts.addr = addr.to_string();
     }
-
-    let obs = Observability::from_flags(&shared_flags)?;
+    opts.jobs = args.jobs()?;
+    opts.queue_cap = args.number(QUEUE, 1, POSITIVE)?.unwrap_or(opts.queue_cap);
+    opts.cache_capacity = args
+        .number(CACHE_CAPACITY, 1, POSITIVE)?
+        .unwrap_or(opts.cache_capacity);
+    opts.max_frame = args
+        .number(MAX_FRAME, 64, "an integer >= 64")?
+        .unwrap_or(opts.max_frame);
     // `--events` / `--metrics` consume the jobs' deterministic streams,
     // which the server only retains (and replays, in admission order, at
     // drain) when asked.
-    opts.keep_streams = shared_flags
-        .iter()
-        .any(|f| f.starts_with("--events=") || f.starts_with("--metrics="));
+    opts.keep_streams = args.has(EVENTS) || args.has(METRICS);
+    // Job completions arrive in schedule order, so the progress
+    // denominator is unknown upfront.
+    let obs = Observability::open(&args, "serve", 0)?;
     let server = Server::bind(opts.clone()).map_err(|e| format!("serve: {e}"))?;
     // The startup line is the machine-readable contract tests and CI parse
     // the bound (possibly ephemeral) port from — flush before blocking.
@@ -826,21 +755,7 @@ fn serve_cmd(args: &[String], out: &mut dyn Write) -> Result<ExitCode, Failure> 
         opts.queue_cap
     )?;
     out.flush()?;
-    let summary = {
-        let collector = obs.collector();
-        // Job completions arrive in schedule order, so the progress
-        // denominator is unknown upfront.
-        let progress = flag_progress(&shared_flags, "serve", 0);
-        let mut live: Vec<&dyn TrackSink> = obs.live_sinks();
-        if let Some(p) = &progress {
-            live.push(p);
-        }
-        let summary = server.run(&collector, &live);
-        if let Some(p) = &progress {
-            p.finish();
-        }
-        summary
-    };
+    let summary = server.run(&obs.collector(), &obs.live_sinks());
     obs.finish()?;
     writeln!(
         out,
@@ -863,43 +778,10 @@ fn serve_cmd(args: &[String], out: &mut dyn Write) -> Result<ExitCode, Failure> 
 fn connect_cmd(args: &[String], out: &mut dyn Write) -> Result<ExitCode, Failure> {
     use rtlcheck::bench::serve::client_run;
 
-    let mut addr: Option<String> = None;
-    let mut batch_path: Option<String> = None;
-    let mut out_path: Option<String> = None;
-    let mut shutdown = false;
-    let mut timeout = std::time::Duration::from_secs(300);
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--batch" => {
-                let v = it.next().ok_or("--batch needs a file path (or `-`)")?;
-                batch_path = Some(v.clone());
-            }
-            "--out" => {
-                let v = it.next().ok_or("--out needs a path")?;
-                out_path = Some(v.clone());
-            }
-            "--timeout" => {
-                let v = it.next().ok_or("--timeout needs seconds")?;
-                let secs: u64 = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or(format!("--timeout needs a positive integer, got `{v}`"))?;
-                timeout = std::time::Duration::from_secs(secs);
-            }
-            "--shutdown" => shutdown = true,
-            f if f.starts_with("--") => return Err(format!("unknown flag `{f}`").into()),
-            positional => {
-                if addr.is_some() {
-                    return Err(format!("unexpected argument `{positional}`").into());
-                }
-                addr = Some(positional.to_string());
-            }
-        }
-    }
-    let addr = addr.ok_or("missing <addr> argument")?;
-    let batch: Vec<String> = match batch_path.as_deref() {
+    let args = parse(args, Some("<addr>"), &[BATCH, SHUTDOWN, OUT, TIMEOUT])?;
+    let shutdown = args.has(SHUTDOWN);
+    let timeout = std::time::Duration::from_secs(args.number(TIMEOUT, 1, POSITIVE)?.unwrap_or(300));
+    let batch: Vec<String> = match args.value(BATCH) {
         Some("-") => {
             let mut text = String::new();
             std::io::Read::read_to_string(&mut std::io::stdin(), &mut text)
@@ -918,7 +800,7 @@ fn connect_cmd(args: &[String], out: &mut dyn Write) -> Result<ExitCode, Failure
     }
     // Runtime failures (connection refused, timeouts) are operational, not
     // usage errors: report and exit 1 without the usage text.
-    let outcome = match client_run(&addr, &batch, shutdown, timeout) {
+    let outcome = match client_run(args.positional, &batch, shutdown, timeout) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("connect: {e}");
@@ -929,7 +811,7 @@ fn connect_cmd(args: &[String], out: &mut dyn Write) -> Result<ExitCode, Failure
     if !rendered.is_empty() {
         rendered.push('\n');
     }
-    match &out_path {
+    match args.value(OUT) {
         Some(path) => {
             std::fs::write(path, &rendered).map_err(|e| format!("writing {path}: {e}"))?
         }
@@ -943,7 +825,15 @@ fn connect_cmd(args: &[String], out: &mut dyn Write) -> Result<ExitCode, Failure
 }
 
 fn profile(args: &[String], out: &mut dyn Write) -> Result<ExitCode, Failure> {
-    if args.first().map(String::as_str) == Some("--diff") {
+    // `--diff`, its only flag, comes first; every other argument is a path.
+    let diff = args.first().is_some_and(|a| a == "--diff");
+    if let Some(f) = args[usize::from(diff)..]
+        .iter()
+        .find(|a| a.starts_with("--"))
+    {
+        return Err(format!("unknown flag `{f}`").into());
+    }
+    if diff {
         let [a, b] = match &args[1..] {
             [a, b] => [a, b],
             _ => return Err("profile --diff needs exactly two <metrics.json> paths".into()),
@@ -992,8 +882,9 @@ fn load_metrics(path: &str) -> Result<MetricsSummary, String> {
 }
 
 fn axiomatic(args: &[String], out: &mut dyn Write) -> Result<ExitCode, Failure> {
-    let (test, memory, flags) = common_args(args, true)?;
-    let spec = match memory {
+    let args = parse(args, Some("<test>"), &[MEMORY, DOT])?;
+    let test = load_test(args.positional)?;
+    let spec = match args.memory()? {
         MemoryImpl::Tso => rtlcheck::uspec::multi_vscale_tso::spec(),
         _ => multi_vscale_spec(),
     };
@@ -1012,7 +903,7 @@ fn axiomatic(args: &[String], out: &mut dyn Write) -> Result<ExitCode, Failure> 
             "{}: outcome OBSERVABLE microarchitecturally",
             test.name()
         )?;
-        if flags.iter().any(|f| f == "--dot") {
+        if args.has(DOT) {
             if let Some(w) = result.witness() {
                 writeln!(out, "{}", w.to_dot(Some((&test, &spec))))?;
             }
@@ -1022,19 +913,18 @@ fn axiomatic(args: &[String], out: &mut dyn Write) -> Result<ExitCode, Failure> 
 }
 
 fn suite_cmd(args: &[String], out: &mut dyn Write) -> Result<ExitCode, Failure> {
-    let (_, memory, flags) = common_args(args, false)?;
-    let config = flag_config(&flags)?;
-    let jobs = match flags.iter().find_map(|f| f.strip_prefix("--jobs=")) {
-        Some(v) => v.parse::<usize>().map_err(|e| format!("--jobs: {e}"))?,
-        None => 1,
-    };
-    let tests = match flags.iter().find_map(|f| f.strip_prefix("--only=")) {
-        Some(list) => {
-            let names: Vec<&str> = list
-                .split(',')
-                .map(str::trim)
-                .filter(|n| !n.is_empty())
-                .collect();
+    let args = parse(
+        args,
+        None,
+        &[
+            MEMORY, CONFIG, JOBS, ONLY, JSON, EVENTS, METRICS, TRACE_OUT, PROGRESS,
+        ],
+    )?;
+    let memory = args.memory()?;
+    let config = args.config()?;
+    let jobs = args.jobs()?;
+    let tests = match args.list(ONLY) {
+        Some(names) => {
             let tests = rtlcheck::bench::suite_tests(&names)?;
             if tests.is_empty() {
                 return Err("--only selected no tests".into());
@@ -1043,18 +933,18 @@ fn suite_cmd(args: &[String], out: &mut dyn Write) -> Result<ExitCode, Failure> 
         }
         None => suite::all(),
     };
-    let obs = Observability::from_flags(&flags)?;
-    let collector = obs.collector();
-    let progress = flag_progress(&flags, "suite", tests.len() as u64);
-    let mut live: Vec<&dyn TrackSink> = obs.live_sinks();
-    if let Some(p) = &progress {
-        live.push(p);
-    }
+    let obs = Observability::open(&args, "suite", tests.len() as u64)?;
+    let mut json = Output::open(&args, JSON)?;
     let tool = Rtlcheck::new(memory);
-    let reports = rtlcheck::bench::check_tests(&tool, &tests, &config, jobs, &collector, &live);
-    if let Some(p) = &progress {
-        p.finish();
-    }
+    let reports = rtlcheck::bench::check_tests(
+        &tool,
+        &tests,
+        &config,
+        jobs,
+        &obs.collector(),
+        &obs.live_sinks(),
+    );
+    obs.finish()?;
     let mut violations = 0;
     for report in &reports {
         let status = if report.bug_found() {
@@ -1093,7 +983,7 @@ fn suite_cmd(args: &[String], out: &mut dyn Write) -> Result<ExitCode, Failure> 
         }
     }
     writeln!(out, "\n{violations} violations")?;
-    if let Some(path) = flags.iter().find_map(|f| f.strip_prefix("--json=")) {
+    if let Some(json) = &mut json {
         let results = rtlcheck::bench::SuiteResults {
             config: config.name.clone(),
             rows: reports
@@ -1101,12 +991,9 @@ fn suite_cmd(args: &[String], out: &mut dyn Write) -> Result<ExitCode, Failure> 
                 .map(rtlcheck::bench::TestRow::from_report)
                 .collect(),
         };
-        let text = results.to_json().pretty();
-        std::fs::write(path, text + "\n").map_err(|e| format!("writing {path}: {e}"))?;
-        writeln!(out, "JSON report written to {path}")?;
+        json.write(results.to_json().pretty())?;
+        writeln!(out, "JSON report written to {}", json.path)?;
     }
-    drop(collector);
-    obs.finish()?;
     Ok(if violations > 0 {
         ExitCode::FAILURE
     } else {

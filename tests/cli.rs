@@ -322,6 +322,106 @@ fn bad_usage_exits_2_with_usage_text() {
     assert!(err.contains("usage:"), "{err}");
 }
 
+/// Each subcommand takes exactly the flags its usage line lists, each
+/// once, and only the positional it names. Anything else, an output path
+/// that cannot be created, and two outputs naming one file are usage
+/// errors before any work runs. The rows run in an empty directory, which
+/// must stay empty.
+#[test]
+fn unlisted_repeated_and_stray_arguments_exit_2_before_any_work() {
+    let dir = std::env::temp_dir().join(format!("rtlcheck-cli-strict-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (args, message) in [
+        (
+            &["emit-sva", "mp", "--config", "quick"][..],
+            "unknown flag `--config`",
+        ),
+        (
+            &["emit-verilog", "mp", "--jobs", "2"][..],
+            "unknown flag `--jobs`",
+        ),
+        (
+            &["axiomatic", "mp", "--config", "quick"][..],
+            "unknown flag `--config`",
+        ),
+        (
+            &["check", "mp", "--json", "r.json"][..],
+            "unknown flag `--json`",
+        ),
+        (
+            &["check", "mp", "--progress"][..],
+            "unknown flag `--progress`",
+        ),
+        (&["suite", "--vcd", "v.vcd"][..], "unknown flag `--vcd`"),
+        (&["list", "--json", "x"][..], "unknown flag `--json`"),
+        (
+            &["mutate", "--memory", "buggy"][..],
+            "unknown flag `--memory`",
+        ),
+        (&["fuzz", "--only", "mp"][..], "unknown flag `--only`"),
+        (
+            &["serve", "--config", "quick"][..],
+            "unknown flag `--config`",
+        ),
+        (
+            &["connect", "127.0.0.1:1", "--json", "r.json"][..],
+            "unknown flag `--json`",
+        ),
+        (
+            &["check", "mp", "--config", "quick", "--config", "hybrid"][..],
+            "flag `--config` given twice",
+        ),
+        (
+            &["mutate", "--jobs", "1", "--jobs", "2"][..],
+            "flag `--jobs` given twice",
+        ),
+        (&["suite", "mp"][..], "unexpected argument `mp`"),
+        (&["profile", "--json", "x"][..], "unknown flag `--json`"),
+        (
+            &["profile", "--diff", "a.json", "--json"][..],
+            "unknown flag `--json`",
+        ),
+        (
+            &["suite", "--only", "mp", "--metrics", "missing/m.json"][..],
+            "creating missing/m.json",
+        ),
+        (
+            &["suite", "--only", "mp", "--trace-out", "missing/t.json"][..],
+            "creating missing/t.json",
+        ),
+        (
+            &["suite", "--only", "mp", "--json", "missing/j.json"][..],
+            "creating missing/j.json",
+        ),
+        (
+            &[
+                "suite",
+                "--only",
+                "mp",
+                "--metrics",
+                "m.json",
+                "--json",
+                "m.json",
+            ][..],
+            "--metrics and --json both name `m.json`",
+        ),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_rtlcheck"))
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("the rtlcheck binary runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: work ran: {out:?}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.contains(message), "{args:?}: {err}");
+        assert!(err.contains("usage:"), "{args:?}: {err}");
+    }
+    let left: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+    assert!(left.is_empty(), "files written: {left:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A test or mutant named twice in a list is a usage error naming it,
 /// before any work runs: it would otherwise be checked, listed and scored
 /// twice.
