@@ -381,48 +381,13 @@ fn check_one(
     })
 }
 
-/// Runs the mutation campaign.
-///
-/// All (1 + mutants) × tests checks — the baseline suite pass plus every
-/// mutant's pass — run on [`crate::run_pool`] with `jobs` workers: per-item
-/// instrumentation is replayed to `collector` in input order, and the
-/// campaign's own `mutation.*` counters and per-mutant verdict events are
-/// emitted after all replays, so the observability stream is independent
-/// of the job count. With a `cache`, its `graph_cache.*` counters follow
-/// the replays.
+/// The suite tests and catalog mutants `options` selects, in order.
 ///
 /// # Errors
 ///
-/// Returns an error if a `mutants`/`tests` filter names an unknown mutant
-/// or test, or selects none.
-///
-/// # Panics
-///
-/// Panics if a catalog mutation fails to apply to its design — a catalog
-/// invariant, tested in `rtlcheck_rtl::mutate`.
-pub fn run_campaign(
-    options: &CampaignOptions,
-    config: &VerifyConfig,
-    collector: &dyn Collector,
-    cache: Option<&GraphCache>,
-) -> Result<CampaignReport, String> {
-    run_campaign_live(options, config, collector, cache, &[])
-}
-
-/// [`run_campaign`] plus live side-channel sinks ([`TrackSink`]): each
-/// worker additionally reports through its own live track as checks happen
-/// (real timestamps, real schedule — what `--trace-out` and `--progress`
-/// consume), and marks every completed (design, test) item with a
-/// [`UNIT_DONE`](rtlcheck_obs::progress::UNIT_DONE) event on the live
-/// tracks **only**. The deterministic stream into `collector` is
-/// byte-identical with or without live sinks.
-pub fn run_campaign_live(
-    options: &CampaignOptions,
-    config: &VerifyConfig,
-    collector: &dyn Collector,
-    cache: Option<&GraphCache>,
-    live: &[&dyn TrackSink],
-) -> Result<CampaignReport, String> {
+/// Returns an error if a `mutants`/`tests` filter names an unknown or
+/// repeated mutant or test, or selects none.
+pub fn select(options: &CampaignOptions) -> Result<(Vec<LitmusTest>, Vec<Mutation>), String> {
     let all_tests = suite::all();
     let tests: Vec<LitmusTest> = match &options.tests {
         None => all_tests,
@@ -451,6 +416,51 @@ pub fn run_campaign_live(
     if mutants.is_empty() {
         return Err("no mutants selected".into());
     }
+    Ok((tests, mutants))
+}
+
+/// Runs the mutation campaign.
+///
+/// All (1 + mutants) × tests checks — the baseline suite pass plus every
+/// mutant's pass — run on [`crate::run_pool`] with `jobs` workers: per-item
+/// instrumentation is replayed to `collector` in input order, and the
+/// campaign's own `mutation.*` counters and per-mutant verdict events are
+/// emitted after all replays, so the observability stream is independent
+/// of the job count. With a `cache`, its `graph_cache.*` counters follow
+/// the replays.
+///
+/// # Errors
+///
+/// Returns the [`select`] error for a bad `mutants`/`tests` filter.
+///
+/// # Panics
+///
+/// Panics if a catalog mutation fails to apply to its design — a catalog
+/// invariant, tested in `rtlcheck_rtl::mutate`.
+pub fn run_campaign(
+    options: &CampaignOptions,
+    config: &VerifyConfig,
+    collector: &dyn Collector,
+    cache: Option<&GraphCache>,
+) -> Result<CampaignReport, String> {
+    run_campaign_live(options, config, collector, cache, &[])
+}
+
+/// [`run_campaign`] plus live side-channel sinks ([`TrackSink`]): each
+/// worker additionally reports through its own live track as checks happen
+/// (real timestamps, real schedule — what `--trace-out` and `--progress`
+/// consume), and marks every completed (design, test) item with a
+/// [`UNIT_DONE`](rtlcheck_obs::progress::UNIT_DONE) event on the live
+/// tracks **only**. The deterministic stream into `collector` is
+/// byte-identical with or without live sinks.
+pub fn run_campaign_live(
+    options: &CampaignOptions,
+    config: &VerifyConfig,
+    collector: &dyn Collector,
+    cache: Option<&GraphCache>,
+    live: &[&dyn TrackSink],
+) -> Result<CampaignReport, String> {
+    let (tests, mutants) = select(options)?;
 
     // Flat work list: items 0..T are the baseline, then each mutant's T
     // checks, so item i checks test i % T on design i / T.

@@ -10,23 +10,31 @@
 //!    instructions — in this design's ISA the address and data fields live
 //!    inside the instruction word, so the paper's separate
 //!    register-initialisation assumptions are subsumed here;
-//! 3. **guide load values**: whenever a load performs its Writeback, it
-//!    returns the value from the outcome under test. These cannot *enforce*
-//!    the outcome (SVA verifiers do not check assumptions against the
-//!    future, §3.1) but they prune the verifier's search;
-//! 4. **the final-value assumption**: once every core has halted, the final
-//!    memory values required by the test hold. Its covering condition — all
-//!    cores halted with the value assumptions still satisfied — is an
-//!    execution of the complete litmus outcome, so proving it unreachable
-//!    verifies the test without touching any assertion.
+//! 3. **guide load values**: whenever a load performs the stage at which
+//!    it returns its value (Writeback on Multi-V-scale), it returns the
+//!    value from the outcome under test. These cannot *enforce* the outcome
+//!    (SVA verifiers do not check assumptions against the future, §3.1) but
+//!    they prune the verifier's search;
+//! 4. **the final-value assumption**: once every core has finished, the
+//!    final memory values required by the test hold. Its covering
+//!    condition — all cores finished with the value assumptions still
+//!    satisfied — is an execution of the complete litmus outcome, so
+//!    proving it unreachable verifies the test without touching any
+//!    assertion.
+//!
+//! The generator itself is design-agnostic ([`generate_with`]): a design
+//! supplies its [`ProgramMapping`] and [`NodeMapping`].
 
 use rtlcheck_litmus::{CondClause, LitmusTest};
 use rtlcheck_rtl::multi_vscale::MultiVscale;
 use rtlcheck_rtl::SignalId;
 use rtlcheck_sva::{Prop, Seq, SvaBool};
+use rtlcheck_uspec::ground::GNode;
+use rtlcheck_uspec::multi_vscale::WRITEBACK;
+use rtlcheck_uspec::StageId;
 use rtlcheck_verif::{Directive, RtlAtom};
 
-use crate::mapping::{MultiVscaleMapping, RtlBool};
+use crate::mapping::{MultiVscaleMapping, NodeMapping, ProgramMapping, RtlBool};
 
 /// Everything the Assumption Generator produces for one litmus test.
 #[derive(Debug, Clone)]
@@ -36,20 +44,49 @@ pub struct GeneratedAssumptions {
     /// Initial-value pins for free-init registers, extracted from the
     /// first-cycle memory-initialisation assumptions.
     pub init_pins: Vec<(SignalId, u64)>,
-    /// The final-value assumption's covering condition: all cores halted
+    /// The final-value assumption's covering condition: all cores finished
     /// and the outcome's final memory values in place.
     pub cover: RtlBool,
 }
 
-/// Runs the Assumption Generator for `test` on the given design.
+/// Runs the Assumption Generator for `test` on the Multi-V-scale design.
 pub fn generate(mv: &MultiVscale, test: &LitmusTest) -> GeneratedAssumptions {
-    let mapping = MultiVscaleMapping::new(mv, test);
+    let program = ProgramMapping {
+        first: mv.first,
+        mem: &mv.mem,
+        imem: &mv.imem,
+        programs: &mv.programs,
+        load_stage: StageId(WRITEBACK),
+        // Every core halted and not stalled in WB.
+        finished: SvaBool::all(
+            mv.cores
+                .iter()
+                .flat_map(|core| {
+                    [
+                        SvaBool::atom(RtlAtom::is_true(core.halted)),
+                        SvaBool::atom(RtlAtom::eq(core.stall_wb, 0)),
+                    ]
+                })
+                .collect(),
+        ),
+    };
+    generate_with(&program, &MultiVscaleMapping::new(mv, test), test)
+}
+
+/// Runs the Assumption Generator for `test` on an arbitrary design through
+/// its program mapping and node mapping: the generator itself is
+/// microarchitecture-agnostic, like [`crate::assert_gen::generate_with`].
+pub fn generate_with(
+    program: &ProgramMapping<'_>,
+    nodes: &dyn NodeMapping,
+    test: &LitmusTest,
+) -> GeneratedAssumptions {
     let mut directives = Vec::new();
     let mut init_pins = Vec::new();
-    let first = SvaBool::atom(RtlAtom::is_true(mv.first));
+    let first = SvaBool::atom(RtlAtom::is_true(program.first));
 
     // (1) Data memory initialisation:  first |-> mem[i] == init.
-    for (loc_idx, &mem_sig) in mv.mem.iter().enumerate() {
+    for (loc_idx, &mem_sig) in program.mem.iter().enumerate() {
         // The design has one word per litmus location (plus one scratch
         // word for location-free tests, initialised to zero).
         let value = if loc_idx < test.num_locations() {
@@ -69,9 +106,9 @@ pub fn generate(mv: &MultiVscale, test: &LitmusTest) -> GeneratedAssumptions {
 
     // (2) Instruction memory initialisation:
     //     first |-> core{c}_imem_{s} == <encoded instruction>.
-    for (c, slots) in mv.imem.iter().enumerate() {
+    for (c, slots) in program.imem.iter().enumerate() {
         for (s, &imem_sig) in slots.iter().enumerate() {
-            let packed = mv.programs[c][s].packed();
+            let packed = program.programs[c][s].packed();
             directives.push(Directive::assume(
                 format!("init_imem_c{c}_s{s}"),
                 Prop::implies(
@@ -82,17 +119,17 @@ pub fn generate(mv: &MultiVscale, test: &LitmusTest) -> GeneratedAssumptions {
         }
     }
 
-    // (3) Load value assumptions: (load @WB) |-> (load @WB with its outcome
-    //     value). Unguarded: enforced at every cycle, from the cycle the
-    //     load actually performs (no future-violation checking).
+    // (3) Load value assumptions: (load @stage) |-> (load @stage with its
+    //     outcome value). Unguarded: enforced at every cycle, from the
+    //     cycle the load actually performs (no future-violation checking).
     for instr in test.instructions().filter(|i| i.is_load()) {
         if let Some(v) = test.expected_load_value(&instr) {
-            let wb = rtlcheck_uspec::ground::GNode {
+            let node = GNode {
                 instr: instr.uid,
-                stage: rtlcheck_uspec::StageId(rtlcheck_uspec::multi_vscale::WRITEBACK),
+                stage: program.load_stage,
             };
-            let antecedent = crate::mapping::NodeMapping::map_node(&mapping, wb, None);
-            let consequent = crate::mapping::NodeMapping::map_node(&mapping, wb, Some(v));
+            let antecedent = nodes.map_node(node, None);
+            let consequent = nodes.map_node(node, Some(v));
             directives.push(Directive::assume(
                 format!("value_{}", instr.uid),
                 Prop::implies(antecedent, Prop::seq(Seq::boolean(consequent))),
@@ -100,29 +137,19 @@ pub fn generate(mv: &MultiVscale, test: &LitmusTest) -> GeneratedAssumptions {
         }
     }
 
-    // (4) Final value assumption: all cores halted (and not stalled in WB)
-    //     implies the required final memory values (or `1` if the test has
-    //     none — still valuable, §4.1: its covering trace is a complete
-    //     execution of the test outcome).
-    let all_halted = SvaBool::all(
-        mv.cores
-            .iter()
-            .flat_map(|core| {
-                [
-                    SvaBool::atom(RtlAtom::is_true(core.halted)),
-                    SvaBool::atom(RtlAtom::eq(core.stall_wb, 0)),
-                ]
-            })
-            .collect(),
-    );
+    // (4) Final value assumption: every core finished implies the required
+    //     final memory values (or `1` if the test has none — still
+    //     valuable, §4.1: its covering trace is a complete execution of the
+    //     test outcome).
     let final_values = SvaBool::all(
         test.condition()
             .clauses()
             .iter()
             .filter_map(|clause| match *clause {
-                CondClause::MemEq { loc, val } => {
-                    Some(SvaBool::atom(RtlAtom::eq(mv.mem[loc.0], u64::from(val.0))))
-                }
+                CondClause::MemEq { loc, val } => Some(SvaBool::atom(RtlAtom::eq(
+                    program.mem[loc.0],
+                    u64::from(val.0),
+                ))),
                 CondClause::RegEq { .. } => None,
             })
             .collect(),
@@ -130,11 +157,11 @@ pub fn generate(mv: &MultiVscale, test: &LitmusTest) -> GeneratedAssumptions {
     directives.push(Directive::assume(
         "final_values",
         Prop::implies(
-            all_halted.clone(),
+            program.finished.clone(),
             Prop::seq(Seq::boolean(final_values.clone())),
         ),
     ));
-    let cover = SvaBool::and(all_halted, final_values);
+    let cover = SvaBool::and(program.finished.clone(), final_values);
 
     GeneratedAssumptions {
         directives,

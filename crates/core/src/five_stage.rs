@@ -4,20 +4,21 @@
 //! generators (the paper's "arbitrary Verilog design" claim): its own node
 //! mapping function (Figure 9's role, for a five-stage pipeline whose
 //! memory access and load data live in the **Memory** stage), its own
-//! program mapping / assumption generation, and a small driver mirroring
+//! program mapping, and a small driver mirroring
 //! [`crate::Rtlcheck::check_test`].
 
-use rtlcheck_litmus::{CondClause, LitmusTest, Val};
+use rtlcheck_litmus::{LitmusTest, Val};
 use rtlcheck_rtl::five_stage::FiveStage;
 use rtlcheck_rtl::isa;
-use rtlcheck_sva::{Prop, Seq, SvaBool};
+use rtlcheck_sva::SvaBool;
 use rtlcheck_uspec::five_stage as fs_spec;
 use rtlcheck_uspec::ground::GNode;
-use rtlcheck_verif::{Directive, RtlAtom, VerifyConfig};
+use rtlcheck_uspec::StageId;
+use rtlcheck_verif::{RtlAtom, VerifyConfig};
 
 use crate::assert_gen::{self, AssertionOptions};
-use crate::assume::GeneratedAssumptions;
-use crate::mapping::{NodeMapping, RtlBool};
+use crate::assume::{self, GeneratedAssumptions};
+use crate::mapping::{NodeMapping, ProgramMapping, RtlBool};
 use crate::report::TestReport;
 
 /// The node mapping for Multi-Five-Stage.
@@ -66,84 +67,20 @@ impl NodeMapping for FiveStageMapping<'_> {
 /// memory/instruction initialisation, load values at the Memory stage, and
 /// the final-value assumption over the halt flags.
 pub fn generate_assumptions(fs: &FiveStage, test: &LitmusTest) -> GeneratedAssumptions {
-    let mapping = FiveStageMapping { fs, test };
-    let mut directives = Vec::new();
-    let mut init_pins = Vec::new();
-    let first = SvaBool::atom(RtlAtom::is_true(fs.first));
-
-    for (loc_idx, &mem_sig) in fs.mem.iter().enumerate() {
-        let value = if loc_idx < test.num_locations() {
-            u64::from(test.initial_value(rtlcheck_litmus::Loc(loc_idx)).0)
-        } else {
-            0
-        };
-        directives.push(Directive::assume(
-            format!("init_mem_{loc_idx}"),
-            Prop::implies(
-                first.clone(),
-                Prop::seq(Seq::boolean(SvaBool::atom(RtlAtom::eq(mem_sig, value)))),
-            ),
-        ));
-        init_pins.push((mem_sig, value));
-    }
-    for (c, slots) in fs.imem.iter().enumerate() {
-        for (s, &imem_sig) in slots.iter().enumerate() {
-            let packed = fs.programs[c][s].packed();
-            directives.push(Directive::assume(
-                format!("init_imem_c{c}_s{s}"),
-                Prop::implies(
-                    first.clone(),
-                    Prop::seq(Seq::boolean(SvaBool::atom(RtlAtom::eq(imem_sig, packed)))),
-                ),
-            ));
-        }
-    }
-    for instr in test.instructions().filter(|i| i.is_load()) {
-        if let Some(v) = test.expected_load_value(&instr) {
-            let mem_node = GNode {
-                instr: instr.uid,
-                stage: rtlcheck_uspec::StageId(fs_spec::MEMORY),
-            };
-            let antecedent = mapping.map_node(mem_node, None);
-            let consequent = mapping.map_node(mem_node, Some(v));
-            directives.push(Directive::assume(
-                format!("value_{}", instr.uid),
-                Prop::implies(antecedent, Prop::seq(Seq::boolean(consequent))),
-            ));
-        }
-    }
-    let all_halted = SvaBool::all(
-        fs.cores
-            .iter()
-            .map(|c| SvaBool::atom(RtlAtom::is_true(c.halted)))
-            .collect(),
-    );
-    let final_values = SvaBool::all(
-        test.condition()
-            .clauses()
-            .iter()
-            .filter_map(|clause| match *clause {
-                CondClause::MemEq { loc, val } => {
-                    Some(SvaBool::atom(RtlAtom::eq(fs.mem[loc.0], u64::from(val.0))))
-                }
-                CondClause::RegEq { .. } => None,
-            })
-            .collect(),
-    );
-    directives.push(Directive::assume(
-        "final_values",
-        Prop::implies(
-            all_halted.clone(),
-            Prop::seq(Seq::boolean(final_values.clone())),
+    let program = ProgramMapping {
+        first: fs.first,
+        mem: &fs.mem,
+        imem: &fs.imem,
+        programs: &fs.programs,
+        load_stage: StageId(fs_spec::MEMORY),
+        finished: SvaBool::all(
+            fs.cores
+                .iter()
+                .map(|c| SvaBool::atom(RtlAtom::is_true(c.halted)))
+                .collect(),
         ),
-    ));
-    let cover = SvaBool::and(all_halted, final_values);
-
-    GeneratedAssumptions {
-        directives,
-        init_pins,
-        cover,
-    }
+    };
+    assume::generate_with(&program, &FiveStageMapping { fs, test }, test)
 }
 
 /// Runs the full RTLCheck flow on one litmus test against Multi-Five-Stage.
@@ -152,26 +89,14 @@ pub fn generate_assumptions(fs: &FiveStage, test: &LitmusTest) -> GeneratedAssum
 ///
 /// Panics if the test does not fit the design.
 pub fn check_test(test: &LitmusTest, config: &VerifyConfig) -> TestReport {
-    check_test_observed(test, config, &rtlcheck_obs::NullCollector)
+    check_test_mutated(test, None, config, None, &rtlcheck_obs::NullCollector)
+        .expect("no mutation to fail")
 }
 
-/// [`check_test`] with instrumentation, mirroring
-/// [`crate::Rtlcheck::check_test_observed`].
-///
-/// # Panics
-///
-/// As [`check_test`].
-pub fn check_test_observed(
-    test: &LitmusTest,
-    config: &VerifyConfig,
-    collector: &dyn rtlcheck_obs::Collector,
-) -> TestReport {
-    check_test_mutated(test, None, config, None, collector).expect("no mutation to fail")
-}
-
-/// [`check_test_observed`] on an optional **mutant** of the five-stage
-/// design, through an optional graph cache — the five-stage leg of the
-/// mutation campaign, mirroring [`crate::Rtlcheck::check_test_mutated`].
+/// [`check_test`] on an optional **mutant** of the five-stage design,
+/// through an optional graph cache and with instrumentation — the
+/// five-stage leg of the mutation campaign, mirroring
+/// [`crate::Rtlcheck::check_test_mutated`].
 ///
 /// # Errors
 ///
@@ -249,7 +174,6 @@ mod tests {
     use super::*;
     use rtlcheck_litmus::suite;
     use rtlcheck_sva::emit::bool_to_sva;
-    use rtlcheck_uspec::StageId;
 
     #[test]
     fn memory_node_maps_with_load_constraint() {

@@ -23,8 +23,8 @@
 //!
 //! The user-supplied connection between the abstract µspec world and the
 //! design is the pair of mapping functions in [`mapping`] — the
-//! [`mapping::NodeMapping`] of the paper's Figure 9 and the program mapping
-//! driving assumption generation.
+//! [`mapping::NodeMapping`] of the paper's Figure 9 and the
+//! [`mapping::ProgramMapping`] driving assumption generation.
 //!
 //! # Example
 //!

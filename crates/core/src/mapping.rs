@@ -7,20 +7,22 @@
 //!   expression that is true exactly while the event occurs (Figure 9);
 //! * the **program mapping function** translates the litmus test's
 //!   instructions, initial conditions, and outcome values into RTL
-//!   constraints (driving the Assumption Generator, §4.1).
+//!   constraints (driving the Assumption Generator, §4.1). Here it is a
+//!   value, [`ProgramMapping`]: the design signals those constraints name.
 //!
-//! [`MultiVscaleMapping`] implements both for the Multi-V-scale design,
+//! [`MultiVscaleMapping`] is the node mapping for the Multi-V-scale design,
 //! mirroring Figure 9's pseudocode: `PC_<stage> == pc && ~stall_<stage>`,
 //! with the load-value constraint applied in the Writeback arm.
 
 use rtlcheck_litmus::{InstrRef, LitmusTest, Val};
-use rtlcheck_rtl::isa;
-use rtlcheck_rtl::isa::BUBBLE_PC;
+use rtlcheck_rtl::isa::{self, EncInstr, BUBBLE_PC};
 use rtlcheck_rtl::multi_vscale::MultiVscale;
+use rtlcheck_rtl::SignalId;
 use rtlcheck_sva::SvaBool;
 use rtlcheck_uspec::ground::GNode;
 use rtlcheck_uspec::multi_vscale::{DECODE_EXECUTE, FETCH, WRITEBACK};
 use rtlcheck_uspec::multi_vscale_tso::MEMORY;
+use rtlcheck_uspec::StageId;
 use rtlcheck_verif::RtlAtom;
 
 /// A boolean over the design's signals.
@@ -37,6 +39,27 @@ pub type RtlBool = SvaBool<RtlAtom>;
 pub trait NodeMapping {
     /// The RTL expression for the occurrence of `node`.
     fn map_node(&self, node: GNode, constraint: Option<Val>) -> RtlBool;
+}
+
+/// The program mapping: the design signals the Assumption Generator
+/// ([`crate::assume::generate_with`]) constrains for a litmus test. It
+/// reads nothing else of the design.
+#[derive(Debug, Clone)]
+pub struct ProgramMapping<'a> {
+    /// The `first` signal: 1 exactly in the first post-reset cycle.
+    pub first: SignalId,
+    /// Data-memory words with free initial values, indexed by litmus
+    /// location (a location-free test gets one scratch word).
+    pub mem: &'a [SignalId],
+    /// Constant wires carrying each core's packed program, `[core][slot]`.
+    pub imem: &'a [Vec<SignalId>],
+    /// The encoded programs those wires carry, `[core][slot]`.
+    pub programs: &'a [Vec<EncInstr>],
+    /// The µspec stage at which a load returns its value; the load-value
+    /// assumptions map the load's node at this stage.
+    pub load_stage: StageId,
+    /// Holds once every core has finished its program.
+    pub finished: RtlBool,
 }
 
 /// The Figure 9 node mapping for Multi-V-scale.

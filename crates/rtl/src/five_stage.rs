@@ -24,16 +24,11 @@ use rtlcheck_litmus::LitmusTest;
 
 use crate::builder::DesignBuilder;
 use crate::design::{Design, SignalId};
-use crate::isa::{self, kind, EncInstr, BUBBLE_PC, PC_STEP};
+use crate::isa::{self, kind, EncInstr, BUBBLE_PC};
+use crate::pipeline::{self, Frame, ADDR_WIDTH, DATA_WIDTH, KIND_WIDTH, PC_WIDTH};
 
 /// Number of cores.
 pub const NUM_CORES: usize = 4;
-
-const ADDR_WIDTH: u8 = 8;
-const DATA_WIDTH: u8 = 32;
-const PC_WIDTH: u8 = 32;
-const KIND_WIDTH: u8 = 3;
-const GRANT_WIDTH: u8 = 2;
 
 /// Signal handles for one five-stage core.
 #[derive(Debug, Clone, Copy)]
@@ -100,13 +95,7 @@ impl FiveStage {
     /// Builds the design from raw encoded programs and a word count.
     pub fn build_raw(programs: Vec<Vec<EncInstr>>, num_words: usize) -> FiveStage {
         let mut b = DesignBuilder::new("multi_five_stage");
-        let grant = b.input("arbiter_grant", GRANT_WIDTH);
-        let first = b.reg("first", 1, Some(1));
-        let z1 = b.lit(0, 1);
-        b.set_next(first, z1);
-        let mem: Vec<SignalId> = (0..num_words)
-            .map(|w| b.reg(format!("mem_{w}"), DATA_WIDTH, None))
-            .collect();
+        let Frame { grant, first, mem } = Frame::new(&mut b, num_words);
 
         struct Regs {
             pc_if: SignalId,
@@ -149,39 +138,7 @@ impl FiveStage {
             })
             .collect();
 
-        // Instruction ROMs.
-        let mut imem: Vec<Vec<SignalId>> = Vec::with_capacity(NUM_CORES);
-        struct Decode {
-            kind_if: crate::ExprId,
-            addr_if: crate::ExprId,
-            data_if: crate::ExprId,
-        }
-        let mut decodes = Vec::with_capacity(NUM_CORES);
-        for (c, prog) in programs.iter().enumerate() {
-            let mut slots = Vec::with_capacity(prog.len());
-            for (s, instr) in prog.iter().enumerate() {
-                let packed = b.lit(instr.packed(), 43);
-                slots.push(b.wire(format!("core{c}_imem_{s}"), packed));
-            }
-            imem.push(slots);
-            let mut kind_if = b.lit(kind::HALT, KIND_WIDTH);
-            let mut addr_if = b.lit(0, ADDR_WIDTH);
-            let mut data_if = b.lit(0, DATA_WIDTH);
-            for (s, instr) in prog.iter().enumerate() {
-                let here = b.eq_lit(regs[c].pc_if, isa::pc_of(c, s));
-                let k = b.lit(instr.kind, KIND_WIDTH);
-                let a = b.lit(instr.addr, ADDR_WIDTH);
-                let d = b.lit(instr.data, DATA_WIDTH);
-                kind_if = b.mux(here, k, kind_if);
-                addr_if = b.mux(here, a, addr_if);
-                data_if = b.mux(here, d, data_if);
-            }
-            decodes.push(Decode {
-                kind_if,
-                addr_if,
-                data_if,
-            });
-        }
+        let (imem, decodes) = pipeline::roms(&mut b, &programs, |c| regs[c].pc_if);
 
         // Per-core stall wires (needed before the memory update).
         let stalls: Vec<SignalId> = regs
@@ -213,95 +170,49 @@ impl FiveStage {
                 let d = b.sig(r.data_mem);
                 write_data = b.mux(wh, d, write_data);
             }
-            let hold = b.sig(mem_w);
-            let next = b.mux(write_here, write_data, hold);
-            b.set_next(mem_w, next);
+            pipeline::hold_or(&mut b, write_here, mem_w, write_data);
         }
 
         let mut cores = Vec::with_capacity(NUM_CORES);
         for (c, r) in regs.iter().enumerate() {
             let stall = stalls[c];
-            let st = b.sig(stall);
-            let not_stall = b.not_e(st);
-
-            // Fetch.
-            let dec = &decodes[c];
-            let at_halt = {
-                let k = b.lit(kind::HALT, KIND_WIDTH);
-                b.eq(dec.kind_if, k)
-            };
-            let pc = b.sig(r.pc_if);
-            let step = b.lit(PC_STEP, PC_WIDTH);
-            let pc_plus = b.add(pc, step);
-            let pc_hold = b.sig(r.pc_if);
-            let pc_adv = b.mux(at_halt, pc_hold, pc_plus);
-            let pc_same = b.sig(r.pc_if);
-            let pc_next = b.mux(not_stall, pc_adv, pc_same);
-            b.set_next(r.pc_if, pc_next);
-
-            // Stage advance helper: on stall every upstream register holds.
-            let hold_or = |b: &mut DesignBuilder, reg: SignalId, val: crate::ExprId| {
-                let hold = b.sig(reg);
-                let next = b.mux(not_stall, val, hold);
-                b.set_next(reg, next);
-            };
-            // IF -> ID.
-            let pc_if_e = b.sig(r.pc_if);
-            hold_or(&mut b, r.pc_id, pc_if_e);
-            hold_or(&mut b, r.kind_id, dec.kind_if);
-            hold_or(&mut b, r.addr_id, dec.addr_if);
-            hold_or(&mut b, r.data_id, dec.data_if);
-            // ID -> EX.
-            let pcv = b.sig(r.pc_id);
-            hold_or(&mut b, r.pc_ex, pcv);
-            let kv = b.sig(r.kind_id);
-            hold_or(&mut b, r.kind_ex, kv);
-            let av = b.sig(r.addr_id);
-            hold_or(&mut b, r.addr_ex, av);
-            let dv = b.sig(r.data_id);
-            hold_or(&mut b, r.data_ex, dv);
-            // EX -> MEM.
-            let pcv = b.sig(r.pc_ex);
-            hold_or(&mut b, r.pc_mem, pcv);
-            let kv = b.sig(r.kind_ex);
-            hold_or(&mut b, r.kind_mem, kv);
-            let av = b.sig(r.addr_ex);
-            hold_or(&mut b, r.addr_mem, av);
-            let dv = b.sig(r.data_ex);
-            hold_or(&mut b, r.data_mem, dv);
+            let not_stall = b.not(stall);
+            let id = [r.pc_id, r.kind_id, r.addr_id, r.data_id];
+            pipeline::fetch(&mut b, not_stall, r.pc_if, &decodes[c], id);
+            // ID -> EX -> MEM: on a stall every upstream register holds.
+            for (reg, from) in [
+                (r.pc_ex, r.pc_id),
+                (r.kind_ex, r.kind_id),
+                (r.addr_ex, r.addr_id),
+                (r.data_ex, r.data_id),
+                (r.pc_mem, r.pc_ex),
+                (r.kind_mem, r.kind_ex),
+                (r.addr_mem, r.addr_ex),
+                (r.data_mem, r.data_ex),
+            ] {
+                let from = b.sig(from);
+                pipeline::hold_or(&mut b, not_stall, reg, from);
+            }
             // MEM -> WB (bubble on stall).
-            let bub_pc = b.lit(BUBBLE_PC, PC_WIDTH);
-            let pcv = b.sig(r.pc_mem);
-            let pc_wb_next = b.mux(not_stall, pcv, bub_pc);
-            b.set_next(r.pc_wb, pc_wb_next);
-            let bub_k = b.lit(kind::BUBBLE, KIND_WIDTH);
-            let kv = b.sig(r.kind_mem);
-            let kind_wb_next = b.mux(not_stall, kv, bub_k);
-            b.set_next(r.kind_wb, kind_wb_next);
+            pipeline::bubble_or(&mut b, not_stall, r.pc_wb, r.pc_mem, BUBBLE_PC, PC_WIDTH);
+            pipeline::bubble_or(
+                &mut b,
+                not_stall,
+                r.kind_wb,
+                r.kind_mem,
+                kind::BUBBLE,
+                KIND_WIDTH,
+            );
 
             // Memory-stage load result (combinational; meaningful in the
-            // granted cycle).
-            let mut read = b.lit(0, DATA_WIDTH);
-            for (w, &mem_w) in mem.iter().enumerate() {
-                let here = b.eq_lit(r.addr_mem, w as u64);
-                let v = b.sig(mem_w);
-                read = b.mux(here, v, read);
-            }
+            // granted cycle), latched into WB.
+            let read = pipeline::read(&mut b, &mem, r.addr_mem);
             let load_data_mem = b.wire(format!("core{c}_load_data_MEM"), read);
-            // Latch into WB.
             let is_ld = b.eq_lit(r.kind_mem, kind::LOAD);
             let take = b.and(not_stall, is_ld);
             let ldm = b.sig(load_data_mem);
-            let hold = b.sig(r.load_data_wb);
-            let ld_wb_next = b.mux(take, ldm, hold);
-            b.set_next(r.load_data_wb, ld_wb_next);
-
-            // Halt.
-            let halt_in_mem = b.eq_lit(r.kind_mem, kind::HALT);
-            let entering = b.and(not_stall, halt_in_mem);
-            let was = b.sig(r.halted);
-            let halted_next = b.or(was, entering);
-            b.set_next(r.halted, halted_next);
+            pipeline::hold_or(&mut b, take, r.load_data_wb, ldm);
+            pipeline::halt_latch(&mut b, not_stall, r.kind_mem, r.halted);
 
             cores.push(FiveStageCore {
                 pc_if: r.pc_if,

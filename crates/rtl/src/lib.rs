@@ -1,5 +1,6 @@
 //! A word-level RTL intermediate representation with a cycle-accurate
-//! simulator, a Verilog emitter, and the Multi-V-scale processor design.
+//! simulator, a Verilog emitter, and the multicore designs RTLCheck
+//! verifies.
 //!
 //! The RTLCheck paper verifies SystemVerilog designs with the commercial
 //! JasperGold property verifier. This crate provides the open substrate
@@ -12,12 +13,22 @@
 //!   verifier needs,
 //! * a structural Verilog emitter ([`verilog::emit`]) so the modelled
 //!   design can be inspected as the HDL a real JasperGold run would
-//!   consume, and
+//!   consume,
 //! * [`multi_vscale`] — the paper's evaluation platform: four three-stage
 //!   in-order V-scale pipelines behind a single-ported memory arbiter, with
 //!   both the **buggy** memory (the `wdata` single-entry store buffer that
 //!   drops the first of two back-to-back stores, §7.1) and the **fixed**
-//!   memory.
+//!   memory,
+//! * [`tso`] — the same cores with per-core store buffers (x86-TSO), built
+//!   by [`MultiVscale::build`](multi_vscale::MultiVscale::build) with
+//!   [`MemoryImpl::Tso`](multi_vscale::MemoryImpl::Tso), and
+//! * [`five_stage`] — four five-stage pipelines that access memory in
+//!   their Memory stage.
+//!
+//! The three builders share their common parts (the grant, `first` and
+//! memory words, the instruction ROMs, the Fetch stage, the halt latch and
+//! the V-scale core) through one private module, so each design file holds
+//! only its own memory system.
 //!
 //! # Example
 //!
@@ -46,6 +57,7 @@
 mod builder;
 mod design;
 mod expr;
+mod pipeline;
 
 pub mod cone;
 pub mod five_stage;

@@ -28,21 +28,11 @@ use rtlcheck_litmus::LitmusTest;
 
 use crate::builder::DesignBuilder;
 use crate::design::{Design, SignalId};
-use crate::isa::{self, kind, EncInstr, BUBBLE_PC, PC_STEP};
+use crate::isa::{self, kind, EncInstr};
+use crate::pipeline::{self, Frame, VscaleRegs, ADDR_WIDTH, DATA_WIDTH, GRANT_WIDTH, KIND_WIDTH};
 
 /// Number of cores in the Multi-V-scale design.
 pub const NUM_CORES: usize = 4;
-
-/// Width of the data-memory word-address fields.
-const ADDR_WIDTH: u8 = 8;
-/// Width of data values.
-const DATA_WIDTH: u8 = 32;
-/// Width of the PC.
-const PC_WIDTH: u8 = 32;
-/// Width of the pipeline kind fields.
-const KIND_WIDTH: u8 = 3;
-/// Width of the arbiter grant input / core indices.
-const GRANT_WIDTH: u8 = 2;
 
 /// Which data-memory implementation to instantiate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -61,9 +51,9 @@ pub enum MemoryImpl {
 pub struct CoreSignals {
     /// Fetch-stage PC register.
     pub pc_if: SignalId,
-    /// Decode-Execute-stage PC register ([`BUBBLE_PC`] for bubbles).
+    /// Decode-Execute-stage PC register ([`BUBBLE_PC`](isa::BUBBLE_PC) for bubbles).
     pub pc_dx: SignalId,
-    /// Writeback-stage PC register ([`BUBBLE_PC`] for bubbles).
+    /// Writeback-stage PC register ([`BUBBLE_PC`](isa::BUBBLE_PC) for bubbles).
     pub pc_wb: SignalId,
     /// DX-stage instruction kind.
     pub kind_dx: SignalId,
@@ -160,113 +150,28 @@ impl MultiVscale {
             MemoryImpl::Fixed => "multi_vscale_fixed",
             MemoryImpl::Tso => return crate::tso::build_raw(programs, num_words),
         });
-
-        let grant = b.input("arbiter_grant", GRANT_WIDTH);
-
-        // `first`: 1 in the first post-reset cycle, 0 afterwards.
-        let first = b.reg("first", 1, Some(1));
-        let zero1 = b.lit(0, 1);
-        b.set_next(first, zero1);
-
-        // Data memory words, free-initialised (pinned by assumptions).
-        let mem: Vec<SignalId> = (0..num_words)
-            .map(|w| b.reg(format!("mem_{w}"), DATA_WIDTH, None))
-            .collect();
-
-        // ---- Per-core pipeline registers ----
-        struct CoreRegs {
-            pc_if: SignalId,
-            pc_dx: SignalId,
-            pc_wb: SignalId,
-            kind_dx: SignalId,
-            kind_wb: SignalId,
-            addr_dx: SignalId,
-            addr_wb: SignalId,
-            data_dx: SignalId,
-            store_data_wb: SignalId,
-            halted: SignalId,
-        }
-        let regs: Vec<CoreRegs> = (0..NUM_CORES)
-            .map(|c| CoreRegs {
-                pc_if: b.reg(format!("core{c}_PC_IF"), PC_WIDTH, Some(isa::pc_base(c))),
-                pc_dx: b.reg(format!("core{c}_PC_DX"), PC_WIDTH, Some(BUBBLE_PC)),
-                pc_wb: b.reg(format!("core{c}_PC_WB"), PC_WIDTH, Some(BUBBLE_PC)),
-                kind_dx: b.reg(format!("core{c}_kind_DX"), KIND_WIDTH, Some(kind::BUBBLE)),
-                kind_wb: b.reg(format!("core{c}_kind_WB"), KIND_WIDTH, Some(kind::BUBBLE)),
-                addr_dx: b.reg(format!("core{c}_addr_DX"), ADDR_WIDTH, Some(0)),
-                addr_wb: b.reg(format!("core{c}_addr_WB"), ADDR_WIDTH, Some(0)),
-                data_dx: b.reg(format!("core{c}_data_DX"), DATA_WIDTH, Some(0)),
-                store_data_wb: b.reg(format!("core{c}_store_data_WB"), DATA_WIDTH, Some(0)),
-                halted: b.reg(format!("core{c}_halted"), 1, Some(0)),
-            })
-            .collect();
+        let Frame { grant, first, mem } = Frame::new(&mut b, num_words);
+        let regs: Vec<VscaleRegs> = (0..NUM_CORES).map(|c| VscaleRegs::new(&mut b, c)).collect();
 
         // Memory/arbiter bookkeeping registers.
         let prev_core = b.reg("arbiter_prev_core", GRANT_WIDTH, Some(0));
         let prev_was_store = b.reg("mem_prev_was_store", 1, Some(0));
         let prev_addr = b.reg("mem_prev_addr", ADDR_WIDTH, Some(0));
-        // Buggy-memory store buffer.
-        let (wdata, waddr, wpending) = match memory_impl {
-            MemoryImpl::Buggy => (
-                Some(b.reg("mem_wdata", DATA_WIDTH, Some(0))),
-                Some(b.reg("mem_waddr", ADDR_WIDTH, Some(0))),
-                Some(b.reg("mem_wpending", 1, Some(0))),
-            ),
-            MemoryImpl::Fixed | MemoryImpl::Tso => (None, None, None),
-        };
+        // Buggy-memory store buffer: (wdata, waddr, wpending).
+        let buffer = (memory_impl == MemoryImpl::Buggy).then(|| {
+            (
+                b.reg("mem_wdata", DATA_WIDTH, Some(0)),
+                b.reg("mem_waddr", ADDR_WIDTH, Some(0)),
+                b.reg("mem_wpending", 1, Some(0)),
+            )
+        });
 
-        // ---- Instruction ROMs ----
-        // Constant wires carrying the packed program, plus per-core decode
-        // of the instruction at PC_IF.
-        let mut imem: Vec<Vec<SignalId>> = Vec::with_capacity(NUM_CORES);
-        struct Decode {
-            kind_if: crate::ExprId,
-            addr_if: crate::ExprId,
-            data_if: crate::ExprId,
-        }
-        let mut decodes: Vec<Decode> = Vec::with_capacity(NUM_CORES);
-        for (c, prog) in programs.iter().enumerate() {
-            let mut slots = Vec::with_capacity(prog.len());
-            for (s, instr) in prog.iter().enumerate() {
-                let packed = b.lit(instr.packed(), 43);
-                slots.push(b.wire(format!("core{c}_imem_{s}"), packed));
-            }
-            imem.push(slots);
-            // Decode muxes: compare PC_IF against each slot PC; default to
-            // halt (out-of-range PCs behave as halt, like the added halt
-            // logic in the paper's Multi-V-scale).
-            let mut kind_if = b.lit(kind::HALT, KIND_WIDTH);
-            let mut addr_if = b.lit(0, ADDR_WIDTH);
-            let mut data_if = b.lit(0, DATA_WIDTH);
-            for (s, instr) in prog.iter().enumerate() {
-                let here = b.eq_lit(regs[c].pc_if, isa::pc_of(c, s));
-                let k = b.lit(instr.kind, KIND_WIDTH);
-                let a = b.lit(instr.addr, ADDR_WIDTH);
-                let d = b.lit(instr.data, DATA_WIDTH);
-                kind_if = b.mux(here, k, kind_if);
-                addr_if = b.mux(here, a, addr_if);
-                data_if = b.mux(here, d, data_if);
-            }
-            decodes.push(Decode {
-                kind_if,
-                addr_if,
-                data_if,
-            });
-        }
+        let (imem, decodes) = pipeline::roms(&mut b, &programs, |c| regs[c].pc_if);
 
         // ---- Arbiter and memory request ----
         // The granted core's DX fields.
-        let mux_by_grant = |b: &mut DesignBuilder, field: fn(&CoreRegs) -> SignalId| {
-            let mut acc = b.sig(field(&regs[0]));
-            for (c, r) in regs.iter().enumerate().skip(1) {
-                let sel = b.eq_lit(grant, c as u64);
-                let v = b.sig(field(r));
-                acc = b.mux(sel, v, acc);
-            }
-            acc
-        };
-        let gkind = mux_by_grant(&mut b, |r| r.kind_dx);
-        let gaddr = mux_by_grant(&mut b, |r| r.addr_dx);
+        let gkind = pipeline::select(&mut b, grant, regs.iter().map(|r| r.kind_dx));
+        let gaddr = pipeline::select(&mut b, grant, regs.iter().map(|r| r.addr_dx));
         let is_store_k = {
             let k = b.lit(kind::STORE, KIND_WIDTH);
             b.eq(gkind, k)
@@ -281,172 +186,81 @@ impl MultiVscale {
 
         // The write-data bus: driven during WB by the core granted last
         // cycle (Figure 11's pipelining).
-        let wdata_bus_e = {
-            let mut acc = b.sig(regs[0].store_data_wb);
-            for (c, r) in regs.iter().enumerate().skip(1) {
-                let sel = b.eq_lit(prev_core, c as u64);
-                let v = b.sig(r.store_data_wb);
-                acc = b.mux(sel, v, acc);
-            }
-            acc
-        };
+        let wdata_bus_e = pipeline::select(&mut b, prev_core, regs.iter().map(|r| r.store_data_wb));
         let wdata_bus = b.wire("mem_wdata_bus", wdata_bus_e);
 
         // Arbiter bookkeeping.
-        let grant_e = b.sig(grant);
-        b.set_next(prev_core, grant_e);
-        let req_is_store_e = b.sig(req_is_store);
-        b.set_next(prev_was_store, req_is_store_e);
-        let req_addr_e = b.sig(req_addr);
-        b.set_next(prev_addr, req_addr_e);
+        for (reg, src) in [
+            (prev_core, grant),
+            (prev_was_store, req_is_store),
+            (prev_addr, req_addr),
+        ] {
+            let src = b.sig(src);
+            b.set_next(reg, src);
+        }
 
         // ---- Memory array update ----
-        // (Tso returned early above; only Buggy/Fixed reach this point.)
-        match memory_impl {
-            MemoryImpl::Buggy => {
-                let wdata = wdata.expect("buggy memory has a wdata buffer");
-                let waddr = waddr.expect("buggy memory has a waddr register");
-                let wpending = wpending.expect("buggy memory has a pending bit");
-                // wdata captures the store-data bus one cycle after the
-                // store's WB request was accepted.
-                let bus = b.sig(wdata_bus);
-                let hold_wdata = b.sig(wdata);
-                let pws = b.sig(prev_was_store);
-                let wdata_next = b.mux(pws, bus, hold_wdata);
-                b.set_next(wdata, wdata_next);
-                // A new store transaction replaces the buffered address and
-                // pushes the *current* wdata to memory — the push uses the
-                // value of wdata from this cycle (non-blocking semantics),
-                // which for back-to-back stores has not yet captured the
-                // first store's data: the V-scale bug.
+        if let Some((wdata, waddr, wpending)) = buffer {
+            // wdata captures the store-data bus one cycle after the store's
+            // WB request was accepted.
+            let bus = b.sig(wdata_bus);
+            let hold_wdata = b.sig(wdata);
+            let pws = b.sig(prev_was_store);
+            let wdata_next = b.mux(pws, bus, hold_wdata);
+            b.set_next(wdata, wdata_next);
+            // A new store transaction replaces the buffered address and
+            // pushes the *current* wdata to memory — the push uses the
+            // value of wdata from this cycle (non-blocking semantics),
+            // which for back-to-back stores has not yet captured the first
+            // store's data: the V-scale bug.
+            let req_st = b.sig(req_is_store);
+            let hold_waddr = b.sig(waddr);
+            let new_addr = b.sig(req_addr);
+            let waddr_next = b.mux(req_st, new_addr, hold_waddr);
+            b.set_next(waddr, waddr_next);
+            let one = b.lit(1, 1);
+            pipeline::hold_or(&mut b, req_st, wpending, one);
+            for (w, &mem_w) in mem.iter().enumerate() {
                 let req_st = b.sig(req_is_store);
-                let hold_waddr = b.sig(waddr);
-                let new_addr = b.sig(req_addr);
-                let waddr_next = b.mux(req_st, new_addr, hold_waddr);
-                b.set_next(waddr, waddr_next);
-                let one = b.lit(1, 1);
-                let hold_p = b.sig(wpending);
-                let wpending_next = b.mux(req_st, one, hold_p);
-                b.set_next(wpending, wpending_next);
-                for (w, &mem_w) in mem.iter().enumerate() {
-                    let req_st = b.sig(req_is_store);
-                    let pend = b.sig(wpending);
-                    let both = b.and(req_st, pend);
-                    let here = b.eq_lit(waddr, w as u64);
-                    let push_here = b.and(both, here);
-                    let old_wdata = b.sig(wdata);
-                    let hold = b.sig(mem_w);
-                    let next = b.mux(push_here, old_wdata, hold);
-                    b.set_next(mem_w, next);
-                }
+                let pend = b.sig(wpending);
+                let both = b.and(req_st, pend);
+                let here = b.eq_lit(waddr, w as u64);
+                let push_here = b.and(both, here);
+                let old_wdata = b.sig(wdata);
+                pipeline::hold_or(&mut b, push_here, mem_w, old_wdata);
             }
-            MemoryImpl::Fixed | MemoryImpl::Tso => {
-                // The fix: clock the store's data straight into the array
-                // one cycle after its WB stage.
-                for (w, &mem_w) in mem.iter().enumerate() {
-                    let pws = b.sig(prev_was_store);
-                    let here = b.eq_lit(prev_addr, w as u64);
-                    let write_here = b.and(pws, here);
-                    let bus = b.sig(wdata_bus);
-                    let hold = b.sig(mem_w);
-                    let next = b.mux(write_here, bus, hold);
-                    b.set_next(mem_w, next);
-                }
+        } else {
+            // The fix: clock the store's data straight into the array one
+            // cycle after its WB stage.
+            for (w, &mem_w) in mem.iter().enumerate() {
+                let pws = b.sig(prev_was_store);
+                let here = b.eq_lit(prev_addr, w as u64);
+                let write_here = b.and(pws, here);
+                let bus = b.sig(wdata_bus);
+                pipeline::hold_or(&mut b, write_here, mem_w, bus);
             }
         }
 
         // ---- Per-core pipeline behaviour ----
-        let mut cores = Vec::with_capacity(NUM_CORES);
-        for (c, r) in regs.iter().enumerate() {
-            // stall_DX: a memory instruction in DX waits for its grant.
-            let is_ld = b.eq_lit(r.kind_dx, kind::LOAD);
-            let is_st = b.eq_lit(r.kind_dx, kind::STORE);
-            let is_mem = b.or(is_ld, is_st);
-            let granted = b.eq_lit(grant, c as u64);
-            let not_granted = b.not_e(granted);
-            let stall_e = b.and(is_mem, not_granted);
-            let stall_dx = b.wire(format!("core{c}_stall_DX"), stall_e);
-            // Fetch holds exactly when DX holds in this three-stage
-            // pipeline, so stall_IF mirrors stall_DX. The node mapping
-            // (paper Figure 9) qualifies Fetch events with ~stall_IF so an
-            // instruction's Fetch *event* is the single cycle in which it
-            // moves on to DX.
-            let stall_if_e = b.sig(stall_dx);
-            let stall_if = b.wire(format!("core{c}_stall_IF"), stall_if_e);
-            // stall_WB: the V-scale memory's ready output is hard-coded
-            // high, so WB never stalls (part of the bug's root cause, §7.1).
-            let zero = b.lit(0, 1);
-            let stall_wb = b.wire(format!("core{c}_stall_WB"), zero);
-
-            let stall = b.sig(stall_dx);
-            let not_stall = b.not_e(stall);
-
-            // Fetch: hold on stall or when sitting on the halt instruction.
-            let dec = &decodes[c];
-            let at_halt = {
-                let k = b.lit(kind::HALT, KIND_WIDTH);
-                b.eq(dec.kind_if, k)
-            };
-            let pc = b.sig(r.pc_if);
-            let step = b.lit(PC_STEP, PC_WIDTH);
-            let pc_plus = b.add(pc, step);
-            let pc_hold = b.sig(r.pc_if);
-            let pc_adv = b.mux(at_halt, pc_hold, pc_plus);
-            let pc_same = b.sig(r.pc_if);
-            let pc_next = b.mux(not_stall, pc_adv, pc_same);
-            b.set_next(r.pc_if, pc_next);
-
-            // IF -> DX (hold on stall).
-            let set_dx = |b: &mut DesignBuilder, reg: SignalId, val: crate::ExprId| {
-                let hold = b.sig(reg);
-                let next = b.mux(not_stall, val, hold);
-                b.set_next(reg, next);
-            };
-            let pc_if_e = b.sig(r.pc_if);
-            set_dx(&mut b, r.pc_dx, pc_if_e);
-            set_dx(&mut b, r.kind_dx, dec.kind_if);
-            set_dx(&mut b, r.addr_dx, dec.addr_if);
-            set_dx(&mut b, r.data_dx, dec.data_if);
-
-            // DX -> WB (bubble on stall).
-            let bub_pc = b.lit(BUBBLE_PC, PC_WIDTH);
-            let pc_dx_e = b.sig(r.pc_dx);
-            let pc_wb_next = b.mux(not_stall, pc_dx_e, bub_pc);
-            b.set_next(r.pc_wb, pc_wb_next);
-            let bub_k = b.lit(kind::BUBBLE, KIND_WIDTH);
-            let kind_dx_e = b.sig(r.kind_dx);
-            let kind_wb_next = b.mux(not_stall, kind_dx_e, bub_k);
-            b.set_next(r.kind_wb, kind_wb_next);
-            let zero_a = b.lit(0, ADDR_WIDTH);
-            let addr_dx_e = b.sig(r.addr_dx);
-            let addr_wb_next = b.mux(not_stall, addr_dx_e, zero_a);
-            b.set_next(r.addr_wb, addr_wb_next);
-            let zero_d = b.lit(0, DATA_WIDTH);
-            let data_dx_e = b.sig(r.data_dx);
-            let sdata_next = b.mux(not_stall, data_dx_e, zero_d);
-            b.set_next(r.store_data_wb, sdata_next);
-
-            // Halt: latched when the halt instruction moves into WB.
-            let halt_in_dx = b.eq_lit(r.kind_dx, kind::HALT);
-            let entering_wb = b.and(not_stall, halt_in_dx);
-            let was = b.sig(r.halted);
-            let halted_next = b.or(was, entering_wb);
-            b.set_next(r.halted, halted_next);
-
-            // Load result: combinational read during WB.
-            let mut read = b.lit(0, DATA_WIDTH);
-            for (w, &mem_w) in mem.iter().enumerate() {
-                let here = b.eq_lit(r.addr_wb, w as u64);
-                let v = b.sig(mem_w);
-                read = b.mux(here, v, read);
-            }
-            let load_data_e = match memory_impl {
-                MemoryImpl::Buggy => {
-                    // Bypass from the pending store buffer when the address
-                    // matches.
-                    let wdata = wdata.expect("buggy memory has a wdata buffer");
-                    let waddr = waddr.expect("buggy memory has a waddr register");
-                    let wpending = wpending.expect("buggy memory has a pending bit");
+        let cores = regs
+            .iter()
+            .enumerate()
+            .map(|(c, r)| {
+                // stall_DX: a memory instruction in DX waits for its grant.
+                let is_ld = b.eq_lit(r.kind_dx, kind::LOAD);
+                let is_st = b.eq_lit(r.kind_dx, kind::STORE);
+                let is_mem = b.or(is_ld, is_st);
+                let granted = b.eq_lit(grant, c as u64);
+                let not_granted = b.not_e(granted);
+                let stall_dx = b.and(is_mem, not_granted);
+                r.build(&mut b, c, &decodes[c], stall_dx, |b| {
+                    // Load result: combinational read during WB, bypassed
+                    // from the buggy memory's pending store buffer when
+                    // the address matches.
+                    let read = pipeline::read(b, &mem, r.addr_wb);
+                    let Some((wdata, waddr, wpending)) = buffer else {
+                        return read;
+                    };
                     let pend = b.sig(wpending);
                     let wa = b.sig(waddr);
                     let la = b.sig(r.addr_wb);
@@ -454,27 +268,9 @@ impl MultiVscale {
                     let hit = b.and(pend, match_a);
                     let wd = b.sig(wdata);
                     b.mux(hit, wd, read)
-                }
-                MemoryImpl::Fixed | MemoryImpl::Tso => read,
-            };
-            let load_data_wb = b.wire(format!("core{c}_load_data_WB"), load_data_e);
-
-            cores.push(CoreSignals {
-                stall_if,
-                pc_if: r.pc_if,
-                pc_dx: r.pc_dx,
-                pc_wb: r.pc_wb,
-                kind_dx: r.kind_dx,
-                kind_wb: r.kind_wb,
-                addr_dx: r.addr_dx,
-                addr_wb: r.addr_wb,
-                store_data_wb: r.store_data_wb,
-                load_data_wb,
-                stall_dx,
-                stall_wb,
-                halted: r.halted,
-            });
-        }
+                })
+            })
+            .collect();
 
         let design = b.build().expect("Multi-V-scale IR is well-formed");
         MultiVscale {

@@ -1050,7 +1050,7 @@ mod tests {
                 let design = match target {
                     CatalogTarget::MultiVscale => MultiVscale::build(&t, MemoryImpl::Fixed).design,
                     CatalogTarget::FiveStage => crate::five_stage::FiveStage::build(&t).design,
-                    CatalogTarget::Tso => crate::tso::build(&t).design,
+                    CatalogTarget::Tso => MultiVscale::build(&t, MemoryImpl::Tso).design,
                 };
                 for m in catalog(target) {
                     let mutant = m

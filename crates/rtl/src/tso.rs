@@ -20,139 +20,60 @@
 //! Store→load reordering (and hence the `sb` outcome) is observable;
 //! coherence, store→store, and load→load order are preserved — exactly
 //! x86-TSO's envelope for this instruction set.
-
-use rtlcheck_litmus::LitmusTest;
+//!
+//! Build it with [`MultiVscale::build`] and [`MemoryImpl::Tso`].
 
 use crate::builder::DesignBuilder;
 use crate::design::SignalId;
-use crate::isa::{self, kind, EncInstr, BUBBLE_PC, PC_STEP};
-use crate::multi_vscale::{CoreSignals, MemoryImpl, MultiVscale, TsoCoreSignals, NUM_CORES};
+use crate::isa::{kind, EncInstr, BUBBLE_PC};
+use crate::multi_vscale::{MemoryImpl, MultiVscale, TsoCoreSignals, NUM_CORES};
+use crate::pipeline::{self, Frame, VscaleRegs, ADDR_WIDTH, DATA_WIDTH, KIND_WIDTH, PC_WIDTH};
 
-const ADDR_WIDTH: u8 = 8;
-const DATA_WIDTH: u8 = 32;
-const PC_WIDTH: u8 = 32;
-const KIND_WIDTH: u8 = 3;
-const GRANT_WIDTH: u8 = 2;
-
-/// Builds the TSO design loaded with `test`'s programs.
-///
-/// # Panics
-///
-/// Panics if the test needs more than [`NUM_CORES`] cores or a thread
-/// exceeds the per-core PC window.
-pub fn build(test: &LitmusTest) -> MultiVscale {
-    let programs = isa::encode_programs(test, NUM_CORES);
-    let num_words = test.num_locations().max(1);
-    build_raw(programs, num_words)
+/// One core's single-entry store buffer.
+struct StoreBuffer {
+    valid: SignalId,
+    addr: SignalId,
+    data: SignalId,
+    pc: SignalId,
 }
 
-/// Builds the TSO design from raw encoded programs and a word count.
-pub fn build_raw(programs: Vec<Vec<EncInstr>>, num_words: usize) -> MultiVscale {
+/// Builds the TSO design from raw encoded programs and a word count (see
+/// [`MultiVscale::build_raw`]).
+pub(crate) fn build_raw(programs: Vec<Vec<EncInstr>>, num_words: usize) -> MultiVscale {
     let mut b = DesignBuilder::new("multi_vscale_tso");
-
-    let grant = b.input("arbiter_grant", GRANT_WIDTH);
-    let first = b.reg("first", 1, Some(1));
-    let zero1 = b.lit(0, 1);
-    b.set_next(first, zero1);
-
-    let mem: Vec<SignalId> = (0..num_words)
-        .map(|w| b.reg(format!("mem_{w}"), DATA_WIDTH, None))
-        .collect();
-
-    struct CoreRegs {
-        pc_if: SignalId,
-        pc_dx: SignalId,
-        pc_wb: SignalId,
-        kind_dx: SignalId,
-        kind_wb: SignalId,
-        addr_dx: SignalId,
-        addr_wb: SignalId,
-        data_dx: SignalId,
-        store_data_wb: SignalId,
-        halted: SignalId,
-        sbuf_valid: SignalId,
-        sbuf_addr: SignalId,
-        sbuf_data: SignalId,
-        sbuf_pc: SignalId,
-    }
-    let regs: Vec<CoreRegs> = (0..NUM_CORES)
-        .map(|c| CoreRegs {
-            pc_if: b.reg(format!("core{c}_PC_IF"), PC_WIDTH, Some(isa::pc_base(c))),
-            pc_dx: b.reg(format!("core{c}_PC_DX"), PC_WIDTH, Some(BUBBLE_PC)),
-            pc_wb: b.reg(format!("core{c}_PC_WB"), PC_WIDTH, Some(BUBBLE_PC)),
-            kind_dx: b.reg(format!("core{c}_kind_DX"), KIND_WIDTH, Some(kind::BUBBLE)),
-            kind_wb: b.reg(format!("core{c}_kind_WB"), KIND_WIDTH, Some(kind::BUBBLE)),
-            addr_dx: b.reg(format!("core{c}_addr_DX"), ADDR_WIDTH, Some(0)),
-            addr_wb: b.reg(format!("core{c}_addr_WB"), ADDR_WIDTH, Some(0)),
-            data_dx: b.reg(format!("core{c}_data_DX"), DATA_WIDTH, Some(0)),
-            store_data_wb: b.reg(format!("core{c}_store_data_WB"), DATA_WIDTH, Some(0)),
-            halted: b.reg(format!("core{c}_halted"), 1, Some(0)),
-            sbuf_valid: b.reg(format!("core{c}_sbuf_valid"), 1, Some(0)),
-            sbuf_addr: b.reg(format!("core{c}_sbuf_addr"), ADDR_WIDTH, Some(0)),
-            sbuf_data: b.reg(format!("core{c}_sbuf_data"), DATA_WIDTH, Some(0)),
-            sbuf_pc: b.reg(format!("core{c}_sbuf_pc"), PC_WIDTH, Some(BUBBLE_PC)),
+    let Frame { grant, first, mem } = Frame::new(&mut b, num_words);
+    let regs: Vec<(VscaleRegs, StoreBuffer)> = (0..NUM_CORES)
+        .map(|c| {
+            let core = VscaleRegs::new(&mut b, c);
+            let sbuf = StoreBuffer {
+                valid: b.reg(format!("core{c}_sbuf_valid"), 1, Some(0)),
+                addr: b.reg(format!("core{c}_sbuf_addr"), ADDR_WIDTH, Some(0)),
+                data: b.reg(format!("core{c}_sbuf_data"), DATA_WIDTH, Some(0)),
+                pc: b.reg(format!("core{c}_sbuf_pc"), PC_WIDTH, Some(BUBBLE_PC)),
+            };
+            (core, sbuf)
         })
         .collect();
 
     // A load granted in DX at cycle t occupies the memory read port at
     // t + 1 (its WB); drains are blocked that cycle.
     let load_in_wb = b.reg("mem_load_in_wb", 1, Some(0));
-    let gkind = {
-        let mut acc = b.sig(regs[0].kind_dx);
-        for (c, r) in regs.iter().enumerate().skip(1) {
-            let sel = b.eq_lit(grant, c as u64);
-            let v = b.sig(r.kind_dx);
-            acc = b.mux(sel, v, acc);
-        }
-        acc
-    };
+    let gkind = pipeline::select(&mut b, grant, regs.iter().map(|(r, _)| r.kind_dx));
     let gkind_is_load = {
         let k = b.lit(kind::LOAD, KIND_WIDTH);
         b.eq(gkind, k)
     };
     b.set_next(load_in_wb, gkind_is_load);
 
-    // Instruction ROMs + IF decode (identical scheme to the SC designs).
-    let mut imem: Vec<Vec<SignalId>> = Vec::with_capacity(NUM_CORES);
-    struct Decode {
-        kind_if: crate::ExprId,
-        addr_if: crate::ExprId,
-        data_if: crate::ExprId,
-    }
-    let mut decodes: Vec<Decode> = Vec::with_capacity(NUM_CORES);
-    for (c, prog) in programs.iter().enumerate() {
-        let mut slots = Vec::with_capacity(prog.len());
-        for (s, instr) in prog.iter().enumerate() {
-            let packed = b.lit(instr.packed(), 43);
-            slots.push(b.wire(format!("core{c}_imem_{s}"), packed));
-        }
-        imem.push(slots);
-        let mut kind_if = b.lit(kind::HALT, KIND_WIDTH);
-        let mut addr_if = b.lit(0, ADDR_WIDTH);
-        let mut data_if = b.lit(0, DATA_WIDTH);
-        for (s, instr) in prog.iter().enumerate() {
-            let here = b.eq_lit(regs[c].pc_if, isa::pc_of(c, s));
-            let k = b.lit(instr.kind, KIND_WIDTH);
-            let a = b.lit(instr.addr, ADDR_WIDTH);
-            let d = b.lit(instr.data, DATA_WIDTH);
-            kind_if = b.mux(here, k, kind_if);
-            addr_if = b.mux(here, a, addr_if);
-            data_if = b.mux(here, d, data_if);
-        }
-        decodes.push(Decode {
-            kind_if,
-            addr_if,
-            data_if,
-        });
-    }
+    let (imem, decodes) = pipeline::roms(&mut b, &programs, |c| regs[c].0.pc_if);
 
     // Per-core drain wires (needed for the memory update mux below).
     let drains: Vec<SignalId> = regs
         .iter()
         .enumerate()
-        .map(|(c, r)| {
+        .map(|(c, (_, sbuf))| {
             let granted = b.eq_lit(grant, c as u64);
-            let pend = b.sig(r.sbuf_valid);
+            let pend = b.sig(sbuf.valid);
             let lw = b.sig(load_in_wb);
             let no_load = b.not_e(lw);
             let gp = b.and(granted, pend);
@@ -166,22 +87,19 @@ pub fn build_raw(programs: Vec<Vec<EncInstr>>, num_words: usize) -> MultiVscale 
     for (w, &mem_w) in mem.iter().enumerate() {
         let mut write_here = b.lit(0, 1);
         let mut write_data = b.lit(0, DATA_WIDTH);
-        for (c, r) in regs.iter().enumerate() {
-            let d = b.sig(drains[c]);
-            let here = b.eq_lit(r.sbuf_addr, w as u64);
+        for ((_, sbuf), &drain) in regs.iter().zip(&drains) {
+            let d = b.sig(drain);
+            let here = b.eq_lit(sbuf.addr, w as u64);
             let dh = b.and(d, here);
             write_here = b.or(write_here, dh);
-            let data = b.sig(r.sbuf_data);
+            let data = b.sig(sbuf.data);
             write_data = b.mux(dh, data, write_data);
         }
-        let hold = b.sig(mem_w);
-        let next = b.mux(write_here, write_data, hold);
-        b.set_next(mem_w, next);
+        pipeline::hold_or(&mut b, write_here, mem_w, write_data);
     }
 
     let mut cores = Vec::with_capacity(NUM_CORES);
-    let mut tso_cores = Vec::with_capacity(NUM_CORES);
-    for (c, r) in regs.iter().enumerate() {
+    for (c, ((r, sbuf), &drain)) in regs.iter().zip(&drains).enumerate() {
         // Stalls: loads wait for the grant; stores and the halt wait for
         // the store buffer to be free (and for a store in WB to clear,
         // which will occupy the buffer next cycle).
@@ -192,138 +110,63 @@ pub fn build_raw(programs: Vec<Vec<EncInstr>>, num_words: usize) -> MultiVscale 
         let granted = b.eq_lit(grant, c as u64);
         let not_granted = b.not_e(granted);
         let load_stall = b.and(is_ld, not_granted);
-        let pend = b.sig(r.sbuf_valid);
+        let pend = b.sig(sbuf.valid);
         let wb_is_store = b.eq_lit(r.kind_wb, kind::STORE);
         let buffer_busy = b.or(pend, wb_is_store);
         // Stores wait for a free buffer slot; the halt AND the fence wait
         // for the buffer to flush entirely (the fence's whole purpose).
+        // Because the halt waits, a halted core has flushed all of its
+        // stores.
         let st_or_halt = b.or(is_st, is_halt);
         let flushers = b.or(st_or_halt, is_fence);
         let flush_stall = b.and(flushers, buffer_busy);
-        let stall_e = b.or(load_stall, flush_stall);
-        let stall_dx = b.wire(format!("core{c}_stall_DX"), stall_e);
-        let stall_if_e = b.sig(stall_dx);
-        let stall_if = b.wire(format!("core{c}_stall_IF"), stall_if_e);
-        let zero = b.lit(0, 1);
-        let stall_wb = b.wire(format!("core{c}_stall_WB"), zero);
+        let stall_dx = b.or(load_stall, flush_stall);
+        cores.push(r.build(&mut b, c, &decodes[c], stall_dx, |b| {
+            // Store buffer: a store in WB enters the buffer at the next
+            // edge; a drain empties it. The stall logic makes enter and
+            // drain mutually exclusive.
+            let enter = b.eq_lit(r.kind_wb, kind::STORE);
+            let d = b.sig(drain);
+            let one = b.lit(1, 1);
+            let hold_v = b.sig(sbuf.valid);
+            let after_enter = b.mux(enter, one, hold_v);
+            let zero_v = b.lit(0, 1);
+            let v_next = b.mux(d, zero_v, after_enter);
+            b.set_next(sbuf.valid, v_next);
+            for (reg, val) in [
+                (sbuf.addr, r.addr_wb),
+                (sbuf.data, r.store_data_wb),
+                (sbuf.pc, r.pc_wb),
+            ] {
+                let val = b.sig(val);
+                pipeline::hold_or(b, enter, reg, val);
+            }
 
-        let stall = b.sig(stall_dx);
-        let not_stall = b.not_e(stall);
-
-        // Fetch (identical to the SC designs).
-        let dec = &decodes[c];
-        let at_halt = {
-            let k = b.lit(kind::HALT, KIND_WIDTH);
-            b.eq(dec.kind_if, k)
-        };
-        let pc = b.sig(r.pc_if);
-        let step = b.lit(PC_STEP, PC_WIDTH);
-        let pc_plus = b.add(pc, step);
-        let pc_hold = b.sig(r.pc_if);
-        let pc_adv = b.mux(at_halt, pc_hold, pc_plus);
-        let pc_same = b.sig(r.pc_if);
-        let pc_next = b.mux(not_stall, pc_adv, pc_same);
-        b.set_next(r.pc_if, pc_next);
-
-        let set_dx = |b: &mut DesignBuilder, reg: SignalId, val: crate::ExprId| {
-            let hold = b.sig(reg);
-            let next = b.mux(not_stall, val, hold);
-            b.set_next(reg, next);
-        };
-        let pc_if_e = b.sig(r.pc_if);
-        set_dx(&mut b, r.pc_dx, pc_if_e);
-        set_dx(&mut b, r.kind_dx, dec.kind_if);
-        set_dx(&mut b, r.addr_dx, dec.addr_if);
-        set_dx(&mut b, r.data_dx, dec.data_if);
-
-        let bub_pc = b.lit(BUBBLE_PC, PC_WIDTH);
-        let pc_dx_e = b.sig(r.pc_dx);
-        let pc_wb_next = b.mux(not_stall, pc_dx_e, bub_pc);
-        b.set_next(r.pc_wb, pc_wb_next);
-        let bub_k = b.lit(kind::BUBBLE, KIND_WIDTH);
-        let kind_dx_e = b.sig(r.kind_dx);
-        let kind_wb_next = b.mux(not_stall, kind_dx_e, bub_k);
-        b.set_next(r.kind_wb, kind_wb_next);
-        let zero_a = b.lit(0, ADDR_WIDTH);
-        let addr_dx_e = b.sig(r.addr_dx);
-        let addr_wb_next = b.mux(not_stall, addr_dx_e, zero_a);
-        b.set_next(r.addr_wb, addr_wb_next);
-        let zero_d = b.lit(0, DATA_WIDTH);
-        let data_dx_e = b.sig(r.data_dx);
-        let sdata_next = b.mux(not_stall, data_dx_e, zero_d);
-        b.set_next(r.store_data_wb, sdata_next);
-
-        // Halt: because the halt stalls in DX while the buffer is busy, a
-        // halted core has flushed all of its stores.
-        let halt_in_dx = b.eq_lit(r.kind_dx, kind::HALT);
-        let entering_wb = b.and(not_stall, halt_in_dx);
-        let was = b.sig(r.halted);
-        let halted_next = b.or(was, entering_wb);
-        b.set_next(r.halted, halted_next);
-
-        // Store buffer: a store in WB enters the buffer at the next edge;
-        // a drain empties it. The stall logic makes enter and drain
-        // mutually exclusive.
-        let enter = b.eq_lit(r.kind_wb, kind::STORE);
-        let d = b.sig(drains[c]);
-        let one = b.lit(1, 1);
-        let hold_v = b.sig(r.sbuf_valid);
-        let after_enter = b.mux(enter, one, hold_v);
-        let zero_v = b.lit(0, 1);
-        let v_next = b.mux(d, zero_v, after_enter);
-        b.set_next(r.sbuf_valid, v_next);
-        let set_on_enter = |b: &mut DesignBuilder, reg: SignalId, val: SignalId| {
-            let v = b.sig(val);
-            let hold = b.sig(reg);
-            let next = b.mux(enter, v, hold);
-            b.set_next(reg, next);
-        };
-        set_on_enter(&mut b, r.sbuf_addr, r.addr_wb);
-        set_on_enter(&mut b, r.sbuf_data, r.store_data_wb);
-        set_on_enter(&mut b, r.sbuf_pc, r.pc_wb);
-
-        // Load result: forward from the own buffer on an address match,
-        // else read the memory array.
-        let mut read = b.lit(0, DATA_WIDTH);
-        for (w, &mem_w) in mem.iter().enumerate() {
-            let here = b.eq_lit(r.addr_wb, w as u64);
-            let v = b.sig(mem_w);
-            read = b.mux(here, v, read);
-        }
-        let pend2 = b.sig(r.sbuf_valid);
-        let sa = b.sig(r.sbuf_addr);
-        let la = b.sig(r.addr_wb);
-        let addr_match = b.eq(la, sa);
-        let fwd = b.and(pend2, addr_match);
-        let sd = b.sig(r.sbuf_data);
-        let load_data_e = b.mux(fwd, sd, read);
-        let load_data_wb = b.wire(format!("core{c}_load_data_WB"), load_data_e);
-
-        cores.push(CoreSignals {
-            pc_if: r.pc_if,
-            pc_dx: r.pc_dx,
-            pc_wb: r.pc_wb,
-            kind_dx: r.kind_dx,
-            kind_wb: r.kind_wb,
-            addr_dx: r.addr_dx,
-            addr_wb: r.addr_wb,
-            store_data_wb: r.store_data_wb,
-            load_data_wb,
-            stall_if,
-            stall_dx,
-            stall_wb,
-            halted: r.halted,
-        });
-        tso_cores.push(TsoCoreSignals {
-            sbuf_valid: r.sbuf_valid,
-            sbuf_addr: r.sbuf_addr,
-            sbuf_data: r.sbuf_data,
-            sbuf_pc: r.sbuf_pc,
-            drain: drains[c],
-        });
+            // Load result: forward from the own buffer on an address
+            // match, else read the memory array.
+            let read = pipeline::read(b, &mem, r.addr_wb);
+            let pend = b.sig(sbuf.valid);
+            let sa = b.sig(sbuf.addr);
+            let la = b.sig(r.addr_wb);
+            let addr_match = b.eq(la, sa);
+            let fwd = b.and(pend, addr_match);
+            let sd = b.sig(sbuf.data);
+            b.mux(fwd, sd, read)
+        }));
     }
 
     let design = b.build().expect("Multi-V-scale-TSO IR is well-formed");
+    let tso = regs
+        .iter()
+        .zip(drains)
+        .map(|((_, sbuf), drain)| TsoCoreSignals {
+            sbuf_valid: sbuf.valid,
+            sbuf_addr: sbuf.addr,
+            sbuf_data: sbuf.data,
+            sbuf_pc: sbuf.pc,
+            drain,
+        })
+        .collect();
     MultiVscale {
         design,
         memory_impl: MemoryImpl::Tso,
@@ -332,7 +175,7 @@ pub fn build_raw(programs: Vec<Vec<EncInstr>>, num_words: usize) -> MultiVscale 
         mem,
         imem,
         cores,
-        tso: Some(tso_cores),
+        tso: Some(tso),
         programs,
     }
 }
@@ -340,6 +183,7 @@ pub fn build_raw(programs: Vec<Vec<EncInstr>>, num_words: usize) -> MultiVscale 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::isa;
     use crate::sim::{Simulator, State};
     use rtlcheck_litmus::suite;
 
@@ -351,7 +195,7 @@ mod tests {
     #[test]
     fn builds_for_every_suite_test() {
         for t in suite::all() {
-            let mv = build(&t);
+            let mv = MultiVscale::build(&t, MemoryImpl::Tso);
             assert_eq!(mv.cores.len(), NUM_CORES, "{}", t.name());
             assert!(mv.tso.is_some());
         }
@@ -363,7 +207,7 @@ mod tests {
     #[test]
     fn sb_forbidden_outcome_reachable_by_simulation() {
         let sb = suite::get("sb").unwrap();
-        let mv = build(&sb);
+        let mv = MultiVscale::build(&sb, MemoryImpl::Tso);
         let sim = Simulator::new(&mv.design);
         let mut s = init_state(&mv, &sim);
         // Stores never need the grant; alternate load grants so both loads
@@ -398,7 +242,7 @@ mod tests {
             "test f\n{ x = 0; }\ncore 0 { st x, 1; r1 = ld x; }\npermit ( 0:r1 = 1 )",
         )
         .unwrap();
-        let mv = build(&t);
+        let mv = MultiVscale::build(&t, MemoryImpl::Tso);
         let sim = Simulator::new(&mv.design);
         let mut s = init_state(&mv, &sim);
         let mut r1 = None;
@@ -419,7 +263,7 @@ mod tests {
     #[test]
     fn halt_waits_for_the_buffer_to_drain() {
         let mp = suite::get("mp").unwrap();
-        let mv = build(&mp);
+        let mv = MultiVscale::build(&mp, MemoryImpl::Tso);
         let sim = Simulator::new(&mv.design);
         let mut s = init_state(&mv, &sim);
         for i in 0..60u64 {
@@ -443,7 +287,7 @@ mod tests {
             "test b\n{ x = 0; y = 0; }\ncore 0 { st x, 1; }\ncore 1 { r1 = ld y; }\npermit ( 1:r1 = 0 )",
         )
         .unwrap();
-        let mv = build(&t);
+        let mv = MultiVscale::build(&t, MemoryImpl::Tso);
         let sim = Simulator::new(&mv.design);
         let tso = mv.tso.as_ref().unwrap();
         let mut s = init_state(&mv, &sim);

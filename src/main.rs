@@ -598,8 +598,8 @@ fn print_explore_stats(report: &TestReport, out: &mut dyn Write) -> std::io::Res
 /// The `mutate` subcommand: run the mutation campaign on one design's
 /// mutant catalog.
 fn mutate_cmd(args: &[String], out: &mut dyn Write) -> Result<ExitCode, Failure> {
-    use rtlcheck::bench::mutation::{run_campaign_live, CampaignOptions};
-    use rtlcheck::rtl::mutate::{catalog, CatalogTarget};
+    use rtlcheck::bench::mutation::{run_campaign_live, select, CampaignOptions};
+    use rtlcheck::rtl::mutate::CatalogTarget;
 
     let args = parse(
         args,
@@ -620,16 +620,11 @@ fn mutate_cmd(args: &[String], out: &mut dyn Write) -> Result<ExitCode, Failure>
     options.tests = args.list(ONLY);
     options.mutants = args.list(MUTANTS);
     // A campaign runs every selected test once on the baseline and once per
-    // selected mutant — that product is the progress denominator.
-    let n_tests = options
-        .tests
-        .as_ref()
-        .map_or(suite::names().len(), Vec::len);
-    let n_mutants = options
-        .mutants
-        .as_ref()
-        .map_or(catalog(options.target).len(), Vec::len);
-    let obs = Observability::open(&args, "mutate", ((1 + n_mutants) * n_tests) as u64)?;
+    // selected mutant — that product is the progress denominator. Resolving
+    // the names first also rejects a bad selection before any output file
+    // exists.
+    let (tests, mutants) = select(&options)?;
+    let obs = Observability::open(&args, "mutate", ((1 + mutants.len()) * tests.len()) as u64)?;
     let mut json = Output::open(&args, JSON)?;
     let report = run_campaign_live(&options, &config, &obs.collector(), None, &obs.live_sinks())?;
     obs.finish()?;
@@ -741,10 +736,11 @@ fn serve_cmd(args: &[String], out: &mut dyn Write) -> Result<ExitCode, Failure> 
     // which the server only retains (and replays, in admission order, at
     // drain) when asked.
     opts.keep_streams = args.has(EVENTS) || args.has(METRICS);
+    // Binding first rejects a bad address before any output file exists.
+    let server = Server::bind(opts.clone()).map_err(|e| format!("serve: {e}"))?;
     // Job completions arrive in schedule order, so the progress
     // denominator is unknown upfront.
     let obs = Observability::open(&args, "serve", 0)?;
-    let server = Server::bind(opts.clone()).map_err(|e| format!("serve: {e}"))?;
     // The startup line is the machine-readable contract tests and CI parse
     // the bound (possibly ephemeral) port from — flush before blocking.
     writeln!(

@@ -324,9 +324,10 @@ fn bad_usage_exits_2_with_usage_text() {
 
 /// Each subcommand takes exactly the flags its usage line lists, each
 /// once, and only the positional it names. Anything else, an output path
-/// that cannot be created, and two outputs naming one file are usage
-/// errors before any work runs. The rows run in an empty directory, which
-/// must stay empty.
+/// that cannot be created, two outputs naming one file, a `mutate`
+/// selection that names nothing or an unknown test, and a `serve` address
+/// that cannot be bound are usage errors before any work runs. The rows run
+/// in an empty directory, which must stay empty.
 #[test]
 fn unlisted_repeated_and_stray_arguments_exit_2_before_any_work() {
     let dir = std::env::temp_dir().join(format!("rtlcheck-cli-strict-{}", std::process::id()));
@@ -404,6 +405,28 @@ fn unlisted_repeated_and_stray_arguments_exit_2_before_any_work() {
                 "m.json",
             ][..],
             "--metrics and --json both name `m.json`",
+        ),
+        (
+            &[
+                "mutate",
+                "--only",
+                "mp",
+                "--mutants",
+                "",
+                "--json",
+                "j.json",
+                "--events",
+                "e.jsonl",
+            ][..],
+            "no mutants selected",
+        ),
+        (
+            &["mutate", "--only", "mp,zz", "--json", "j.json"][..],
+            "unknown litmus test `zz`",
+        ),
+        (
+            &["serve", "--addr", "127.0.0.1:99999", "--events", "e.jsonl"][..],
+            "invalid port value",
         ),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_rtlcheck"))

@@ -58,6 +58,10 @@ fn sva_file_has_one_directive_per_line_and_parses_visually() {
     }
 }
 
+/// The emitted Verilog of every suite test on all four designs (buggy,
+/// fixed and TSO Multi-V-scale, and Multi-Five-Stage) hashes to one pinned
+/// FNV-1a digest, so a builder change that moves any signal, driver or
+/// reset value fails here.
 #[test]
 fn verilog_emission_is_stable_for_both_memories() {
     let mp = suite::get("mp").unwrap();
@@ -74,6 +78,22 @@ fn verilog_emission_is_stable_for_both_memories() {
             "{memory:?}"
         );
     }
+
+    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+    for test in suite::all() {
+        let designs = [MemoryImpl::Buggy, MemoryImpl::Fixed, MemoryImpl::Tso]
+            .map(|memory| Rtlcheck::new(memory).build_design(&test).design);
+        let five_stage = rtlcheck::rtl::five_stage::FiveStage::build(&test).design;
+        for design in designs.iter().chain([&five_stage]) {
+            for byte in rtlcheck::rtl::verilog::emit(design).bytes() {
+                digest = (digest ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    assert_eq!(
+        digest, 0xa9da_cd00_ee1e_689f,
+        "FNV-1a digest of the emitted Verilog"
+    );
 }
 
 /// The emitted per-test SVA file parses back, and the re-parsed assertions
