@@ -26,16 +26,16 @@
 //!    exercises (the kill-matrix analogue: dropping the axiom flips the
 //!    verdict).
 //! 4. **Escalate** — mandatory escalations (unknown / violation) plus the
-//!    most frequent remaining shapes, up to the escalation budget, are
-//!    bucketed by graph-cache fingerprint
-//!    ([`Rtlcheck::problem_fingerprint`]) and each bucket runs the full
-//!    engine **once**; every shape in the bucket shares the verdict.
+//!    most frequent remaining shapes, up to the escalation budget, each
+//!    run the full engine once. Distinct shapes generate distinct
+//!    programs, so no two escalations share a verification problem.
 //!
 //! ## Determinism
 //!
 //! Generation and triage are sequential and seeded; the engine phase runs
-//! on the suite runner's pool ([`crate::run_pool`]) over the flat bucket
-//! list, whose per-unit collector streams are replayed in input order,
+//! on the suite runner's pool ([`crate::run_pool`]) over the escalated
+//! shapes in first-seen order, whose per-unit collector streams are
+//! replayed in input order,
 //! and the campaign's `fuzz.*` counters are emitted after all replays.
 //! The report carries no timing data, so its text and JSON renderings
 //! are byte-identical across `--jobs` values and with or without a graph
@@ -165,8 +165,6 @@ pub struct ShapeResult {
     pub axioms: Vec<&'static str>,
     /// Why the shape did or did not escalate.
     pub escalation: Escalation,
-    /// Index into [`FuzzReport::bucket_sizes`] when escalated.
-    pub bucket: Option<usize>,
     /// Engine verdict (`bug` / `clean` / `inconclusive`) when escalated.
     pub engine: Option<&'static str>,
     /// Oracle/engine agreement when escalated: `agree`, `disagree`,
@@ -199,8 +197,6 @@ pub struct FuzzReport {
     pub shapes: Vec<ShapeResult>,
     /// Axiom columns of the exercise matrix (the design model's axioms).
     pub axioms: Vec<&'static str>,
-    /// Escalated shapes per engine bucket, in first-run order.
-    pub bucket_sizes: Vec<usize>,
 }
 
 impl FuzzReport {
@@ -353,10 +349,8 @@ impl FuzzReport {
         );
         let _ = writeln!(
             out,
-            "  escalated  {} shapes in {} engine buckets (budget {}): \
-             {} agree, {} disagree, {} inconclusive",
+            "  escalated  {} shapes (budget {}): {} agree, {} disagree, {} inconclusive",
             self.escalated(),
-            self.bucket_sizes.len(),
             self.escalate_budget,
             self.agreements(),
             self.disagreements(),
@@ -463,16 +457,6 @@ impl FuzzReport {
             ("escalated", Json::Num(self.escalated() as f64)),
             ("beyond_design", Json::Num(self.beyond_design() as f64)),
             ("violations", Json::Num(self.violations() as f64)),
-            ("buckets", Json::Num(self.bucket_sizes.len() as f64)),
-            (
-                "bucket_sizes",
-                Json::Arr(
-                    self.bucket_sizes
-                        .iter()
-                        .map(|&n| Json::Num(n as f64))
-                        .collect(),
-                ),
-            ),
             ("agreements", Json::Num(self.agreements() as f64)),
             ("disagreements", Json::Num(self.disagreements() as f64)),
             (
@@ -506,13 +490,6 @@ impl FuzzReport {
                                     ),
                                 ),
                                 ("escalation", Json::Str(s.escalation.label().to_string())),
-                                (
-                                    "bucket",
-                                    match s.bucket {
-                                        Some(b) => Json::Num(b as f64),
-                                        None => Json::Null,
-                                    },
-                                ),
                                 (
                                     "engine",
                                     match s.engine {
@@ -599,8 +576,8 @@ fn triage(test: &LitmusTest, sc_verdict: Verdict, design_verdict: Verdict) -> Es
 ///
 /// See the module docs for the pipeline; the observability stream into
 /// `collector` is deterministic across job counts (engine-phase
-/// instrumentation is buffered per bucket and replayed in input order,
-/// campaign counters follow all replays).
+/// instrumentation is buffered per escalated shape and replayed in input
+/// order, campaign counters follow all replays).
 ///
 /// # Errors
 ///
@@ -620,9 +597,9 @@ pub fn run_fuzz(
 }
 
 /// [`run_fuzz`] plus live side-channel sinks ([`TrackSink`]): engine
-/// workers additionally report through their own live tracks as buckets
+/// workers additionally report through their own live tracks as shapes
 /// complete (real timestamps, real schedule — what `--trace-out` and
-/// `--progress` consume), marking each finished bucket with a
+/// `--progress` consume), marking each finished shape with a
 /// [`UNIT_DONE`](rtlcheck_obs::progress::UNIT_DONE) event on the live
 /// tracks **only**. The deterministic stream into `collector` is
 /// byte-identical with or without live sinks.
@@ -705,7 +682,6 @@ pub fn run_fuzz_live(
                 design_verdict,
                 axioms,
                 escalation: Escalation::OracleOnly,
-                bucket: None,
                 engine: None,
                 agreement: None,
             }
@@ -735,35 +711,20 @@ pub fn run_fuzz_live(
         }
     }
 
-    // Phase 4b: bucket escalated shapes by graph-cache fingerprint — two
-    // shapes whose generated tests compile to the same verification
-    // problem share one engine run. Buckets are numbered in first-seen
-    // (shape) order.
+    // Phase 4b: one engine flow per escalated shape, on the suite
+    // runner's deterministic pool.
+    let escalated: Vec<usize> = (0..results.len())
+        .filter(|&i| results[i].escalation.escalates())
+        .collect();
     let tool = Rtlcheck::new(options.memory);
-    let mut buckets: Vec<Vec<usize>> = Vec::new();
-    let mut bucket_index: HashMap<(u64, u64), usize> = HashMap::new();
-    for (i, r) in results.iter_mut().enumerate() {
-        if !r.escalation.escalates() {
-            continue;
-        }
-        let key = tool.problem_fingerprint(&shapes[i].test);
-        let b = *bucket_index.entry((key.key, key.check)).or_insert_with(|| {
-            buckets.push(Vec::new());
-            buckets.len() - 1
-        });
-        buckets[b].push(i);
-        r.bucket = Some(b);
-    }
-    // Phase 4c: one engine run per bucket, on the suite runner's
-    // deterministic pool.
-    let bucket_reports = crate::run_pool(
-        buckets.len(),
+    let reports = crate::run_pool(
+        escalated.len(),
         options.jobs,
         collector,
         live,
-        |b| ("bucket", b.into()),
-        |b, sink| {
-            let test = &shapes[buckets[b][0]].test;
+        |u| ("shape", escalated[u].into()),
+        |u, sink| {
+            let test = &shapes[escalated[u]].test;
             match cache {
                 Some(cache) => tool.check_test_cached(test, config, cache, sink),
                 None => tool.check_test_observed(test, config, sink),
@@ -775,18 +736,16 @@ pub fn run_fuzz_live(
     }
 
     // Fold engine verdicts back into the shapes.
-    for (b, report) in bucket_reports.iter().enumerate() {
+    for (&i, report) in escalated.iter().zip(&reports) {
+        let r = &mut results[i];
         let engine = engine_label(report);
-        for &i in &buckets[b] {
-            let r = &mut results[i];
-            r.engine = Some(engine);
-            r.agreement = Some(match (engine, r.design_verdict) {
-                ("inconclusive", _) => "inconclusive",
-                (_, Verdict::Unknown) => "resolved",
-                ("bug", Verdict::Observable) | ("clean", Verdict::Forbidden) => "agree",
-                _ => "disagree",
-            });
-        }
+        r.engine = Some(engine);
+        r.agreement = Some(match (engine, r.design_verdict) {
+            ("inconclusive", _) => "inconclusive",
+            (_, Verdict::Unknown) => "resolved",
+            ("bug", Verdict::Observable) | ("clean", Verdict::Forbidden) => "agree",
+            _ => "disagree",
+        });
     }
 
     let report = FuzzReport {
@@ -801,7 +760,6 @@ pub fn run_fuzz_live(
         escalate_budget: budget,
         shapes: results,
         axioms: model.axioms().to_vec(),
-        bucket_sizes: buckets.iter().map(Vec::len).collect(),
     };
 
     // Campaign counters and per-escalation events, in fixed order — after
@@ -840,11 +798,6 @@ pub fn run_fuzz_live(
     collector.counter(
         "fuzz.escalated",
         report.escalated() as u64,
-        attrs!["memory" => mem],
-    );
-    collector.counter(
-        "fuzz.buckets",
-        report.bucket_sizes.len() as u64,
         attrs!["memory" => mem],
     );
     collector.counter(
@@ -895,7 +848,6 @@ mod tests {
                 Vec::new()
             },
             escalation: Escalation::OracleOnly,
-            bucket: None,
             engine: None,
             agreement: None,
         }
@@ -905,7 +857,6 @@ mod tests {
         let mut escalated = shape("PodWR Fre PodWR Fre", 40, Verdict::Forbidden);
         escalated.known_name = Some("sb");
         escalated.escalation = Escalation::Budget;
-        escalated.bucket = Some(0);
         escalated.engine = Some("clean");
         escalated.agreement = Some("agree");
         FuzzReport {
@@ -923,7 +874,6 @@ mod tests {
                 shape("PodWW Rfe PodRR Fre", 58, Verdict::Forbidden),
             ],
             axioms: vec!["po", "rf", "co", "fr"],
-            bucket_sizes: vec![1],
         }
     }
 
@@ -976,7 +926,10 @@ mod tests {
         assert!(text.contains("2/2 resolved (100.0%)"), "{text}");
         assert!(text.contains("(sb)"), "{text}");
         assert!(text.contains("<- weakest"), "{text}");
-        assert!(text.contains("1 agree, 0 disagree"), "{text}");
+        assert!(
+            text.contains("escalated  1 shapes (budget 1): 1 agree, 0 disagree, 0 inconclusive"),
+            "{text}"
+        );
         assert!(!text.to_lowercase().contains("elapsed"), "{text}");
     }
 
@@ -987,6 +940,7 @@ mod tests {
         assert_eq!(parsed.get("unique_shapes").and_then(Json::as_u64), Some(2));
         assert_eq!(parsed.get("disagreements").and_then(Json::as_u64), Some(0));
         assert!(text.contains("\"known_name\":\"sb\""), "{text}");
+        assert!(!text.contains("bucket"), "{text}");
     }
 
     /// A tiny end-to-end campaign: deterministic across job counts, all

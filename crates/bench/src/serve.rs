@@ -50,11 +50,11 @@
 //!
 //! ## Coalescing and admission control
 //!
-//! Concurrent jobs with the same fingerprint — for `check` jobs the
-//! [`Rtlcheck::problem_fingerprint`] problem identity plus the engine
-//! configuration and the test name (the report row carries the name, so
-//! differently-named tests that ground to one problem run separately,
-//! sharing only the cached graph) — share a single engine run: followers
+//! Concurrent identical jobs share a single engine run. A job's identity is
+//! its parsed request: kind, memory, engine budgets and, for `check` jobs,
+//! the whole test, name included (the report row carries the name). So
+//! admission builds nothing, and two requests that differ but ground to
+//! one problem run separately, the second as a warm-cache hit. Followers
 //! attach as waiters and receive the same frames under their own `id`s. The
 //! pending queue is bounded (`queue_cap`); jobs beyond the bound receive
 //! a structured `overloaded` error with queue-depth metadata instead of
@@ -231,58 +231,13 @@ impl JobSpec {
     }
 }
 
-/// Job identity for coalescing. For `check` jobs the last two words are
-/// the [`Rtlcheck::problem_fingerprint`] key/check pair; the first word
-/// hashes everything else that can change the response: job kind, memory,
-/// engine budgets, and the test name, which the report row carries.
-/// Two differently named tests that ground to the same verification problem
-/// therefore run separately, each answered under its own name, while sharing
-/// the cached graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct Fp(u64, u64, u64);
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Computes a job's coalescing fingerprint. Request parsing admits only
-/// `check` tests that fit the design ([`Rtlcheck::admit`]); the caller
-/// still wraps this in `catch_unwind`, as the problem fingerprint builds
-/// the design from a client's litmus source.
-fn fingerprint(spec: &JobSpec) -> Fp {
-    match spec {
-        JobSpec::Check {
-            memory,
-            config,
-            test,
-        } => {
-            let ctx = format!("check|{memory:?}|{config:?}|{}", test.name());
-            let key = Rtlcheck::new(*memory).problem_fingerprint(test);
-            Fp(fnv1a(ctx.as_bytes()), key.key, key.check)
-        }
-        JobSpec::Suite {
-            memory,
-            config,
-            tests,
-        } => {
-            let names: Vec<&str> = tests.iter().map(LitmusTest::name).collect();
-            let ctx = format!("suite|{memory:?}|{config:?}|{names:?}");
-            Fp(fnv1a(ctx.as_bytes()), 0, 1)
-        }
-        JobSpec::Mutate { options, config } => {
-            let ctx = format!("mutate|{options:?}|{config:?}");
-            Fp(fnv1a(ctx.as_bytes()), 0, 2)
-        }
-        JobSpec::Fuzz { options, config } => {
-            let ctx = format!("fuzz|{options:?}|{config:?}");
-            Fp(fnv1a(ctx.as_bytes()), 0, 3)
-        }
-    }
+/// Job identity for coalescing: the parsed request itself, that is its
+/// kind, memory, engine budgets and, for `check` jobs, the whole test with
+/// its name (the report row carries the name). None of these types holds
+/// a hash-ordered container, so their `Debug` text is exact: equal keys
+/// are equal jobs, and admission builds nothing.
+fn job_key(spec: &JobSpec) -> String {
+    format!("{spec:?}")
 }
 
 // ---------------------------------------------------------------------------
@@ -823,7 +778,7 @@ struct Waiter {
 
 #[derive(Debug)]
 struct Entry {
-    fp: Fp,
+    key: String,
     spec: Option<JobSpec>,
     waiters: Vec<Waiter>,
 }
@@ -853,7 +808,7 @@ impl PartialOrd for PendingRef {
 #[derive(Debug, Default)]
 struct QueueState {
     pending: BinaryHeap<PendingRef>,
-    index: HashMap<Fp, u64>,
+    index: HashMap<String, u64>,
     entries: HashMap<u64, Entry>,
     running: usize,
     draining: bool,
@@ -1078,7 +1033,7 @@ fn worker_loop(shared: &Shared, worker: u64, live: &[&dyn TrackSink]) {
         let waiters = {
             let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
             let entry = q.entries.remove(&entry_id).expect("running entry exists");
-            q.index.remove(&entry.fp);
+            q.index.remove(&entry.key);
             if let Some(k) = keep {
                 q.kept.push((arrival, k));
             }
@@ -1281,21 +1236,7 @@ fn handle_line(shared: &Shared, handle: &Arc<ConnHandle>, seq: u64, line: &[u8])
             });
         }
         RequestBody::Job(spec) => {
-            // The fingerprint grounds the problem (design build included)
-            // from client input; contain any assertion it still hits.
-            let fp = match catch_unwind(AssertUnwindSafe(|| fingerprint(&spec))) {
-                Ok(fp) => fp,
-                Err(_) => {
-                    bump(&shared.counters.protocol_errors);
-                    reject(
-                        &request.id,
-                        "bad_request",
-                        "job rejected: the design for this program cannot be built",
-                        Vec::new(),
-                    );
-                    return;
-                }
-            };
+            let key = job_key(&spec);
             let waiter = Waiter {
                 conn: Arc::clone(handle),
                 id: request.id.clone(),
@@ -1310,8 +1251,8 @@ fn handle_line(shared: &Shared, handle: &Arc<ConnHandle>, seq: u64, line: &[u8])
                         "server is draining".to_string(),
                         Vec::new(),
                     ))
-                } else if let Some(&eid) = q.index.get(&fp) {
-                    // Identical problem already pending or running: attach
+                } else if let Some(&eid) = q.index.get(&key) {
+                    // Identical job already pending or running: attach
                     // as a waiter and share its single engine run.
                     q.entries
                         .get_mut(&eid)
@@ -1342,12 +1283,12 @@ fn handle_line(shared: &Shared, handle: &Arc<ConnHandle>, seq: u64, line: &[u8])
                     q.entries.insert(
                         eid,
                         Entry {
-                            fp,
+                            key: key.clone(),
                             spec: Some(*spec),
                             waiters: vec![waiter],
                         },
                     );
-                    q.index.insert(fp, eid);
+                    q.index.insert(key, eid);
                     q.pending.push(PendingRef {
                         priority: request.priority,
                         arrival,
@@ -1498,33 +1439,65 @@ mod tests {
     use super::*;
     use rtlcheck_obs::NullCollector;
 
-    fn spec_for(name: &str) -> JobSpec {
+    fn check_of(test: LitmusTest, config: VerifyConfig) -> JobSpec {
         JobSpec::Check {
             memory: MemoryImpl::Fixed,
-            config: VerifyConfig::quick(),
-            test: suite::get(name).unwrap(),
+            config,
+            test,
         }
+    }
+
+    fn spec_for(name: &str) -> JobSpec {
+        check_of(suite::get(name).unwrap(), VerifyConfig::quick())
     }
 
     #[test]
     fn fingerprints_separate_configs_but_not_job_order() {
-        let a = fingerprint(&spec_for("mp"));
-        let b = fingerprint(&spec_for("mp"));
+        let a = job_key(&spec_for("mp"));
+        let b = job_key(&spec_for("mp"));
         assert_eq!(a, b);
-        let c = fingerprint(&spec_for("sb"));
+        let c = job_key(&spec_for("sb"));
         assert_ne!(a, c);
-        let tight = JobSpec::Check {
+        let mut tight = VerifyConfig::quick();
+        for e in &mut tight.engines {
+            e.max_states = 10;
+        }
+        let tight = check_of(suite::get("mp").unwrap(), tight);
+        assert_ne!(a, job_key(&tight), "budgets are part of job identity");
+        let suite_of = |names: &[&str]| JobSpec::Suite {
             memory: MemoryImpl::Fixed,
-            config: {
-                let mut c = VerifyConfig::quick();
-                for e in &mut c.engines {
-                    e.max_states = 10;
-                }
-                c
-            },
-            test: suite::get("mp").unwrap(),
+            config: VerifyConfig::quick(),
+            tests: names.iter().map(|n| suite::get(n).unwrap()).collect(),
         };
-        assert_ne!(a, fingerprint(&tight), "budgets are part of job identity");
+        let mp_sb = job_key(&suite_of(&["mp", "sb"]));
+        assert_eq!(mp_sb, job_key(&suite_of(&["mp", "sb"])));
+        assert_ne!(mp_sb, job_key(&suite_of(&["sb", "mp"])), "rows keep order");
+        assert_ne!(
+            job_key(&suite_of(&["mp"])),
+            a,
+            "the kind is part of identity"
+        );
+
+        // Two spellings of `sb` that differ only in register names ground
+        // to one problem, yet they are two jobs: each runs, and the second
+        // is a warm-cache hit that answers the same row.
+        let sb = |r: &str| {
+            let src = format!(
+                "test sb\n{{ x = 0; y = 0; }}\ncore 0 {{ st x, 1; {r} = ld y; }}\n\
+                 core 1 {{ st y, 1; {r} = ld x; }}\nforbid ( 0:{r} = 0 /\\ 1:{r} = 0 )"
+            );
+            check_of(parse_litmus(&src).unwrap(), VerifyConfig::quick())
+        };
+        let (r1, r7) = (sb("r1"), sb("r7"));
+        assert_ne!(job_key(&r1), job_key(&r7));
+        let cache = GraphCache::in_memory();
+        let first = execute(&r1, &cache, &NullCollector).unwrap();
+        let cold = cache.stats();
+        let second = execute(&r7, &cache, &NullCollector).unwrap();
+        let warm = cache.stats();
+        assert_eq!(warm.misses, cold.misses, "one problem: {warm:?}");
+        assert!(warm.hits > cold.hits, "{warm:?}");
+        assert_eq!(format!("{first:?}"), format!("{second:?}"));
     }
 
     #[test]

@@ -121,7 +121,8 @@ impl Rtlcheck {
     }
 
     /// Checks that `test` fits the Multi-V-scale design: at most
-    /// [`NUM_CORES`] threads, none longer than the per-core PC window.
+    /// [`NUM_CORES`] threads, none longer than the per-core PC window, and
+    /// at most [`isa::MAX_LOCATIONS`] memory locations.
     /// Every method that builds the design panics on a test that does not
     /// fit.
     ///
@@ -294,17 +295,16 @@ impl Rtlcheck {
     /// be keyed under, without building the graph: the design is built and
     /// the assumption/assertion generators run (cheap), but no state is
     /// explored. Two tests with equal fingerprints are served by one
-    /// cached graph, so batch drivers (the fuzzing campaign's escalation
-    /// path, the server's admission) use this to bucket work units that
-    /// can share an engine run.
+    /// cached graph. No batch driver uses it; the benchmark's traced
+    /// passes do.
     pub fn problem_fingerprint(&self, test: &LitmusTest) -> rtlcheck_verif::GraphKey {
         let (mv, assumptions, assertions) = self.generate(test);
         let props: Vec<_> = assertions.iter().map(|a| &a.directive.prop).collect();
         rtlcheck_verif::fingerprint_problem(&problem_of(&mv.design, assumptions), &props)
     }
 
-    /// The fingerprint batch drivers should coalesce this test's work
-    /// under: the same key as [`Rtlcheck::problem_fingerprint`].
+    /// The same key as [`Rtlcheck::problem_fingerprint`], under the name
+    /// the benchmark's traced serve pass times.
     pub fn coalescing_fingerprint(&self, test: &LitmusTest) -> rtlcheck_verif::GraphKey {
         self.problem_fingerprint(test)
     }

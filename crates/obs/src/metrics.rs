@@ -648,9 +648,8 @@ impl MetricsSummary {
             );
             let _ = writeln!(
                 out,
-                "  {} escalated to {} engine bucket(s): {} agree, {} disagree, {} violation(s)",
+                "  {} escalated: {} agree, {} disagree, {} violation(s)",
                 count("fuzz.escalated"),
-                count("fuzz.buckets"),
                 count("fuzz.agreements"),
                 count("fuzz.disagreements"),
                 count("fuzz.violations"),
@@ -1186,7 +1185,6 @@ mod tests {
         m.counter("fuzz.duplicates", 750, attrs![]);
         m.counter("fuzz.oracle_resolved", 250, attrs![]);
         m.counter("fuzz.escalated", 25, attrs![]);
-        m.counter("fuzz.buckets", 25, attrs![]);
         m.counter("fuzz.agreements", 25, attrs![]);
         m.counter("fuzz.disagreements", 0, attrs![]);
         m.counter("fuzz.violations", 0, attrs![]);
@@ -1201,9 +1199,7 @@ mod tests {
             "{text}"
         );
         assert!(
-            text.contains(
-                "25 escalated to 25 engine bucket(s): 25 agree, 0 disagree, 0 violation(s)"
-            ),
+            text.contains("25 escalated: 25 agree, 0 disagree, 0 violation(s)"),
             "{text}"
         );
         // No fuzz counters → no section.

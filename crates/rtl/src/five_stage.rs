@@ -84,8 +84,8 @@ impl FiveStage {
     ///
     /// # Panics
     ///
-    /// Panics if the test needs more than [`NUM_CORES`] cores or a thread
-    /// exceeds the per-core PC window.
+    /// Panics if the test does not fit the design (see
+    /// [`isa::check_fit`]).
     pub fn build(test: &LitmusTest) -> FiveStage {
         let programs = isa::encode_programs(test, NUM_CORES);
         let num_words = test.num_locations().max(1);

@@ -102,6 +102,10 @@ pub fn encode_thread(ops: &[Op]) -> Vec<EncInstr> {
 /// the final halt.
 pub const MAX_THREAD_LEN: usize = (CORE_PC_STRIDE / PC_STEP) as usize - 1;
 
+/// The most memory locations a test may use: one data-memory word each,
+/// all reachable by the designs' word-address fields.
+pub const MAX_LOCATIONS: usize = 1 << crate::pipeline::ADDR_WIDTH;
+
 /// Why a litmus test cannot be loaded into a design's instruction memories.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FitError {
@@ -123,6 +127,15 @@ pub enum FitError {
         /// Its instruction count.
         len: usize,
     },
+    /// The test has more memory locations than a word address can name.
+    TooManyLocations {
+        /// The test's name.
+        test: String,
+        /// Locations in the test.
+        locations: usize,
+        /// The most the design addresses ([`MAX_LOCATIONS`]).
+        max: usize,
+    },
 }
 
 impl fmt::Display for FitError {
@@ -141,6 +154,15 @@ impl fmt::Display for FitError {
                 "thread {thread} of `{test}` has {len} instructions but the \
                  per-core PC window holds {MAX_THREAD_LEN}"
             ),
+            FitError::TooManyLocations {
+                test,
+                locations,
+                max,
+            } => write!(
+                f,
+                "test `{test}` has {locations} memory locations but the design \
+                 addresses {max}"
+            ),
         }
     }
 }
@@ -148,7 +170,8 @@ impl fmt::Display for FitError {
 impl Error for FitError {}
 
 /// Checks that a litmus test fits a machine with `num_cores` cores: no more
-/// threads than cores, and no thread longer than [`MAX_THREAD_LEN`].
+/// threads than cores, no thread longer than [`MAX_THREAD_LEN`], and no
+/// more than [`MAX_LOCATIONS`] memory locations.
 ///
 /// # Errors
 ///
@@ -170,6 +193,11 @@ pub fn check_fit(test: &LitmusTest, num_cores: usize) -> Result<(), FitError> {
             test: test.name().to_string(),
             thread,
             len: test.threads()[thread].len(),
+        }),
+        None if test.num_locations() > MAX_LOCATIONS => Err(FitError::TooManyLocations {
+            test: test.name().to_string(),
+            locations: test.num_locations(),
+            max: MAX_LOCATIONS,
         }),
         None => Ok(()),
     }
@@ -258,6 +286,28 @@ mod tests {
                 test: "long".into(),
                 thread: 0,
                 len: 16
+            })
+        );
+    }
+
+    #[test]
+    fn fit_allows_one_location_per_word_address() {
+        let locations = |n: usize| {
+            let init: String = (0..n).map(|l| format!("l{l} = 0; ")).collect();
+            rtlcheck_litmus::parse(&format!(
+                "test wide\n{{ {init}}}\ncore 0 {{ st l{}, 1; }}\nforbid ( l0 = 1 )",
+                n - 1
+            ))
+            .unwrap()
+        };
+        assert_eq!(MAX_LOCATIONS, 256);
+        assert_eq!(check_fit(&locations(MAX_LOCATIONS), 4), Ok(()));
+        assert_eq!(
+            check_fit(&locations(MAX_LOCATIONS + 1), 4),
+            Err(FitError::TooManyLocations {
+                test: "wide".into(),
+                locations: 257,
+                max: 256
             })
         );
     }

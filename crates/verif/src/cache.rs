@@ -35,8 +35,8 @@
 //! assumption directive (kind, name, rendered property), the cover
 //! condition, and the rendered atom table. The derived key is what the
 //! map uses. A second, independently-seeded FNV-1a over
-//! the same description rides along as [`GraphKey::check`], so callers
-//! that group work by fingerprint can key on both halves. A published
+//! the same description rides along as [`GraphKey::check`]; the map does
+//! not read it. A published
 //! snapshot is used only if it passes semantic validation against the
 //! requesting problem (atom table, monitor arity, register count, initial
 //! product state), so a key collision degrades to a counted cold build,
@@ -88,9 +88,10 @@ impl Fnv64 {
 pub struct GraphKey {
     /// Primary cache key (the in-memory map key).
     pub key: u64,
-    /// Independently-seeded hash of the same description. Callers that
-    /// group work by fingerprint (serve coalescing, fuzz bucketing) key on
-    /// both halves, so grouping two problems needs both hashes to collide.
+    /// Independently-seeded hash of the same description. The map does
+    /// not read it: a published core is validated against the requesting
+    /// problem instead. The benchmark's traced passes still pair it with
+    /// [`key`](Self::key) to group tests by problem.
     pub check: u64,
 }
 
@@ -102,8 +103,9 @@ pub struct GraphKey {
 /// name the vector deliberately excludes; the derived whole-design key
 /// then folds in the problem context (init pins, assumptions, cover,
 /// atom table). The per-cone vector dates from mutant graphs spliced
-/// from their baseline's core; it stays so that keys, and the fuzz
-/// buckets and serve coalescing groups built on them, keep their values.
+/// from their baseline's core. Keys are only compared within one process
+/// (by the cache map, and by the benchmark's traced passes), so their
+/// values need not stay stable from one version to the next.
 ///
 /// The atom table (not the property list) is hashed because the graph's
 /// content depends on properties only through their atoms; two property

@@ -145,7 +145,7 @@ histogram shifts.
 `serve` runs the long-lived verification server: a TCP daemon accepting
 newline-delimited JSON job requests (check/suite/mutate/fuzz, plus
 ping/stats/shutdown) against one shared warm graph cache, coalescing
-identical in-flight problems and bounding the pending queue (--queue,
+identical in-flight requests and bounding the pending queue (--queue,
 default 64; excess jobs get structured `overloaded` rejections). It
 prints the bound address on startup, drains on a `shutdown` request, and
 exits 0. `connect` is the matching client: it sends each line of --batch
@@ -676,7 +676,7 @@ fn fuzz_cmd(args: &[String], out: &mut dyn Write) -> Result<ExitCode, Failure> {
         }
     }
     let config = args.config()?;
-    // The engine-escalation bucket count is only known after triage, so the
+    // The escalated-shape count is only known after triage, so the
     // progress denominator is unknown upfront.
     let obs = Observability::open(&args, "fuzz", 0)?;
     let mut json = Output::open(&args, JSON)?;
@@ -794,6 +794,7 @@ fn connect_cmd(args: &[String], out: &mut dyn Write) -> Result<ExitCode, Failure
     if batch.iter().all(|l| l.trim().is_empty()) && !shutdown {
         return Err("nothing to send (empty --batch and no --shutdown)".into());
     }
+    let out_file = Output::open(&args, OUT)?;
     // Runtime failures (connection refused, timeouts) are operational, not
     // usage errors: report and exit 1 without the usage text.
     let outcome = match client_run(args.positional, &batch, shutdown, timeout) {
@@ -807,10 +808,11 @@ fn connect_cmd(args: &[String], out: &mut dyn Write) -> Result<ExitCode, Failure
     if !rendered.is_empty() {
         rendered.push('\n');
     }
-    match args.value(OUT) {
-        Some(path) => {
-            std::fs::write(path, &rendered).map_err(|e| format!("writing {path}: {e}"))?
-        }
+    match out_file {
+        Some(mut o) => o
+            .file
+            .write_all(rendered.as_bytes())
+            .map_err(|e| format!("writing {}: {e}", o.path))?,
         None => write!(out, "{rendered}")?,
     }
     Ok(if outcome.errors > 0 {

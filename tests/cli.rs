@@ -82,6 +82,14 @@ fn tests_beyond_the_design_exit_2_naming_the_limit() {
             ),
             "thread 0 of `long` has 16 instructions but the per-core PC window holds 15",
         ),
+        (
+            "wide.litmus",
+            format!(
+                "test wide\n{{ {}}}\ncore 0 {{ st l256, 1; }}\nforbid ( l0 = 1 )",
+                (0..257).map(|l| format!("l{l} = 0; ")).collect::<String>()
+            ),
+            "test `wide` has 257 memory locations but the design addresses 256",
+        ),
     ];
     for (file, source, limit) in cases {
         let path = dir.join(file);
@@ -427,6 +435,16 @@ fn unlisted_repeated_and_stray_arguments_exit_2_before_any_work() {
         (
             &["serve", "--addr", "127.0.0.1:99999", "--events", "e.jsonl"][..],
             "invalid port value",
+        ),
+        (
+            &[
+                "connect",
+                "127.0.0.1:99999",
+                "--shutdown",
+                "--out",
+                "missing/r.txt",
+            ][..],
+            "creating missing/r.txt",
         ),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_rtlcheck"))

@@ -91,7 +91,7 @@ fn campaign_emits_consistent_funnel_counters() {
     );
     assert!(count("fuzz.shapes") > 0);
     assert!(count("fuzz.escalated") > 0, "mandatory escalations exist");
-    assert_eq!(count("fuzz.agreements"), count("fuzz.buckets"));
+    assert_eq!(count("fuzz.agreements"), count("fuzz.escalated"));
     assert_eq!(count("fuzz.disagreements"), 0);
     assert_eq!(count("fuzz.violations"), 0);
 }

@@ -2,7 +2,7 @@
 //! server: queue saturation yields structured `overloaded` rejections
 //! with queue metadata, per-job state budgets exhaust to
 //! `budget_limited` exactly like the CLI, and the shared cache's warmth
-//! is observable — `graph_cache.*` hits and `serve.coalesced` buckets —
+//! is observable — `graph_cache.*` hits and `serve.coalesced` counts —
 //! on repeated identical requests.
 
 use std::io::{BufRead, BufReader, Write};
@@ -62,18 +62,37 @@ fn shut_down(addr: &str) {
 
 #[test]
 fn queue_saturation_rejects_with_overloaded_metadata() {
-    // One worker, a pending queue of one: a burst of distinct jobs must
-    // overflow admission while the worker is busy.
+    // One worker, a pending queue of one.
     let (addr, handle) = start_server(ServeOptions {
         jobs: 1,
         queue_cap: 1,
         ..ServeOptions::default()
     });
 
-    // Twelve distinct problems (distinct fingerprints — no coalescing),
-    // written in a single burst.
-    let names: Vec<&str> = suite::names().into_iter().take(12).collect();
+    // A whole buggy-memory suite occupies the worker for longer than the
+    // burst takes to admit. Wait until it runs: a second connection polls
+    // `stats`, which the first connection's sequencer would hold back until
+    // the suite had answered.
     let (mut stream, mut reader) = connect(&addr);
+    stream
+        .write_all(b"{\"id\":\"lead\",\"kind\":\"suite\",\"memory\":\"buggy\",\"events\":false}\n")
+        .unwrap();
+    let (mut probe, mut probe_reader) = connect(&addr);
+    loop {
+        probe
+            .write_all(b"{\"id\":\"s\",\"kind\":\"stats\"}\n")
+            .unwrap();
+        let stats = &read_terminals(&mut probe_reader, 1)[0];
+        let running = stats.get("serve").and_then(|s| s.get("running"));
+        if running.and_then(Json::as_u64) == Some(1) {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    // Eleven distinct checks in one burst: the first fills the queue, the
+    // other ten overflow it.
+    let names: Vec<&str> = suite::names().into_iter().take(11).collect();
     let mut burst = String::new();
     for (i, name) in names.iter().enumerate() {
         burst.push_str(&format!(
@@ -81,37 +100,26 @@ fn queue_saturation_rejects_with_overloaded_metadata() {
         ));
     }
     stream.write_all(burst.as_bytes()).unwrap();
-    let terminals = read_terminals(&mut reader, names.len());
+    let terminals = read_terminals(&mut reader, 1 + names.len());
 
-    let overloaded: Vec<&Json> = terminals
-        .iter()
-        .filter(|t| t.get("error").and_then(Json::as_str) == Some("overloaded"))
-        .collect();
-    let completed = terminals
-        .iter()
-        .filter(|t| t.get("type").and_then(Json::as_str) == Some("result"))
-        .count();
-    assert!(
-        !overloaded.is_empty(),
-        "a 12-job burst against queue_cap=1 must overflow: {terminals:?}"
-    );
-    assert!(completed >= 2, "the accepted jobs still complete");
-    for t in &overloaded {
+    // Replies come in request order: the suite, the admitted check, then
+    // ten rejections carrying the observed depth and the bound.
+    let field = |t: &Json, k: &str| t.get(k).map(Json::render).unwrap_or_default();
+    assert_eq!(field(&terminals[0], "id"), "\"lead\"");
+    assert_eq!(field(&terminals[1], "type"), "\"result\"", "{terminals:?}");
+    for t in &terminals[2..] {
+        assert_eq!(field(t, "error"), "\"overloaded\"", "{t:?}");
         assert_eq!(
-            t.get("queue_cap").and_then(Json::as_u64),
-            Some(1),
-            "rejections carry the queue bound: {t:?}"
-        );
-        assert!(
-            t.get("queue_depth").and_then(Json::as_u64).unwrap() >= 1,
-            "rejections carry the observed depth: {t:?}"
+            (field(t, "queue_depth"), field(t, "queue_cap")),
+            ("1".into(), "1".into())
         );
     }
 
     shut_down(&addr);
     let summary = handle.join().unwrap();
-    assert_eq!(summary.rejected_overload, overloaded.len() as u64);
-    assert!(summary.queue_peak >= 1);
+    let counts = (summary.rejected_overload, summary.jobs, summary.completed);
+    assert_eq!(counts, (10, 2, 2), "{summary:?}");
+    assert_eq!(summary.queue_peak, 1, "{summary:?}");
 }
 
 #[test]

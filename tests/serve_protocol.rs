@@ -193,8 +193,9 @@ fn abuse_cases_get_structured_errors_and_the_server_survives() {
 
 /// A `check` the RTL flow cannot answer is refused at admission with a
 /// `bad_request` naming the reason: five threads on the four-core design,
-/// a thread past the 15-instruction PC window, or a `permit` condition
-/// (the flow checks forbidden outcomes only).
+/// a thread past the 15-instruction PC window, a `permit` condition (the
+/// flow checks forbidden outcomes only), or more memory locations than an
+/// 8-bit word address names.
 #[test]
 fn checks_the_flow_cannot_answer_are_bad_requests() {
     let (addr, handle) = start_server(ServeOptions {
@@ -222,6 +223,13 @@ fn checks_the_flow_cannot_answer_are_bad_requests() {
                 .to_string(),
             "test `mp-11` has a `permit` condition",
         ),
+        (
+            format!(
+                "test wide\n{{ {}}}\ncore 0 {{ st l256, 1; }}\nforbid ( l0 = 1 )",
+                (0..257).map(|l| format!("l{l} = 0; ")).collect::<String>()
+            ),
+            "test `wide` has 257 memory locations but the design addresses 256",
+        ),
     ];
     let (mut stream, mut reader) = connect(&addr);
     for (id, (source, reason)) in cases.iter().enumerate() {
@@ -242,7 +250,7 @@ fn checks_the_flow_cannot_answer_are_bad_requests() {
 
     shut_down(&addr);
     let summary = handle.join().unwrap();
-    assert_eq!(summary.protocol_errors, 3, "{summary:?}");
+    assert_eq!(summary.protocol_errors, 4, "{summary:?}");
     assert_eq!(summary.jobs, 0, "nothing reached the queue: {summary:?}");
 }
 
